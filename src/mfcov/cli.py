@@ -6,8 +6,9 @@ and persists the effective configuration next to its outputs, so any run can
 be replayed exactly: simulate, eigen, and cv write ``run_config.json``, while
 fit keeps to its three outputs and records the configuration inside
 ``fit.json`` under ``run_config`` (``--config`` accepts either form).  Exit
-status 1 reports an input or validation failure, 2 a fit that stopped on the
-iteration cap (outputs are still written); nothing mutates its inputs.
+status 1 reports an input, validation or solver failure, 2 a fit that
+stopped on the iteration cap (outputs are still written); nothing mutates
+its inputs.
 
 Fitted coefficients persist in a single binary container: magic ``MCOV1``, a
 shape header, the little-endian float64 payload, and a trailing UTF-8 JSON
@@ -141,10 +142,10 @@ class RunConfig:
     seed: int = None
     reps: int = None
     aise_grid: int = None
+    threads: int = None
     # spectral exports
     eigen_grid: int = None
     components: int = None
-    threads: int = None
 
     def to_dict(self):
         out = {}
@@ -213,7 +214,6 @@ def _defaults(command):
         "constant_coef": spec.constant_coef,
         "n_folds": 5,
         "fold_seed": 0,
-        "threads": 1,
     }
     if command == "simulate":
         proto = FitProtocol()
@@ -225,7 +225,7 @@ def _defaults(command):
             lam=base.lam, beta=base.beta, eta=base.eta,
             max_iters=base.max_iters, tol=base.tol,
             rank_threshold=base.rank_threshold, adaptive_eta=base.adaptive_eta,
-            setting=1, n=100, m=10, sigma=0.1, seed=0, reps=20,
+            setting=1, n=100, m=10, sigma=0.1, seed=0, reps=20, threads=1,
         )
     else:
         base = FitConfig()
@@ -305,7 +305,6 @@ def cmd_fit(cfg):
         "objective_value": float(fit.objective_value),
         "eta_final": float(fit.eta_final),
         "primal_residuals": [float(r) for r in fit.primal_residuals],
-        "max_skew": float(fit.max_skew),
         "dims": [int(d) for d in fit.dims],
         "dataset": data.stats(),
         "run_config": cfg.to_dict(),
@@ -492,7 +491,6 @@ def _parser():
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its keys")
         _add_option(p, "out", help="output directory")
-        _add_option(p, "threads", type=int)
     for p in (p_fit, p_cv):
         _add_option(p, "data", help="input dataset CSV")
         _add_kernel_gram_fit(p)
@@ -507,6 +505,8 @@ def _parser():
     _add_option(p_sim, "seed", type=int)
     _add_option(p_sim, "reps", type=int)
     _add_option(p_sim, "aise_grid", type=int)
+    _add_option(p_sim, "threads", type=int,
+                help="worker processes for the replications")
 
     _add_option(p_eig, "container", help="MCOV1 coefficient container")
     _add_option(p_eig, "data", help="dataset CSV the fit was built from")
@@ -535,7 +535,7 @@ def main(argv=None):
         merged["command"] = command
         cfg = RunConfig.from_dict(merged).resolved()
         return _COMMANDS[command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"mfcov {command}: {exc}", file=sys.stderr)
         return 1
 

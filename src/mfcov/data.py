@@ -6,12 +6,13 @@ cross-products Z_ijj' = (Y_ij - mu(T_ij)) (Y_ij' - mu(T_ij')), j != j'.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import assemble_gram, factorize_gram, kernel_eval
+from .kernel import factor_kernel, kernel_eval
 
 __all__ = [
     "FunctionalDataset",
@@ -92,8 +93,8 @@ def load_csv(path):
     """Read a dataset from CSV with header ``subject,t1,...,tp,y``.
 
     Subjects keep their order of first appearance.  Subjects with fewer than
-    two rows are dropped with a warning; malformed rows or out-of-range
-    coordinates abort with the offending line number.
+    two rows are dropped with a warning; malformed rows, out-of-range
+    coordinates or non-finite values abort with the offending line number.
     """
     by_subject = {}
     with open(path, newline="") as fh:
@@ -116,6 +117,8 @@ def load_csv(path):
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from None
             if any(not 0.0 <= c <= 1.0 for c in coords):
                 raise ValueError(f"{path}:{lineno}: coordinate outside [0, 1]")
+            if not math.isfinite(y):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
             by_subject.setdefault(row[0], []).append((coords, y))
     dropped = [sid for sid, rows in by_subject.items() if len(rows) < 2]
     if dropped:
@@ -244,12 +247,8 @@ def gram_factors(data, spec, tol=1e-10, cap=12):
     factor rows partition by ``data.subject_slices()``.
     """
     pooled = data.pooled_locations()
-    out = []
-    for k in range(data.p):
-        coords = pooled[:, k]
-        out.append(factorize_gram(assemble_gram(spec, coords), tol=tol,
-                                  cap=cap, locations=coords))
-    return out
+    return [factor_kernel(spec, pooled[:, k], tol=tol, cap=cap)
+            for k in range(data.p)]
 
 
 def make_folds(data, n_folds=5, seed=0):

@@ -1,25 +1,31 @@
 """Univariate reproducing kernels from truncated cosine series.
 
-The kernel on [0,1] is K(s,t) = sum_{k=1}^{N} (k*pi)^(-decay) e_k(s) e_k(t)
+The kernel on [0,1] is K(s,t) = sum_{k=1}^{T} (k*pi)^(-decay) e_k(s) e_k(t)
 with e_k(t) = sqrt(2) cos(k*pi*t), optionally plus a constant eigenfunction
 term.  The decay exponent must exceed one so the coefficient sequence is
-summable; the default truncation N = 50 leaves a tail below 1e-6 of the
+summable; the default truncation T = 50 leaves a tail below 1e-6 of the
 trace for the default decay 4.
+
+Kernels are represented in coefficient space.  Over N pooled coordinates
+the gram is E W E^T, with E the N x T basis matrix and W the diagonal of
+coefficients, so it has rank at most T.  ``factor_kernel`` factors it
+through the thin SVD of E W^{1/2} and keeps an N x q factor for the solver
+plus a q x T map from the cosine basis to the factor's coefficient basis;
+no N x N matrix is ever formed.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
 __all__ = [
     "KernelSpec",
+    "basis_matrix",
     "kernel_eval",
-    "assemble_gram",
     "GramFactor",
-    "factorize_gram",
-    "kernel_cross_integral",
+    "factor_kernel",
 ]
 
 
@@ -102,35 +108,36 @@ def kernel_eval(spec, s, t):
     return out if out.ndim else float(out)
 
 
-def assemble_gram(spec, coords):
-    """Gram matrix [K(t_a, t_b)] over pooled coordinates (symmetrized)."""
-    coords = np.atleast_1d(_check_unit_interval(coords))
-    if coords.size == 0:
-        raise ValueError("empty coordinate list")
-    e, w = basis_matrix(spec, coords)
-    k = (e * w) @ e.T
-    return (k + k.T) / 2.0
 
 
 @dataclass
 class GramFactor:
-    """Low-rank factorization K ~= M M^T of a kernel Gram matrix.
+    """Rank-q factor K ~= M M^T of a kernel gram over pooled coordinates.
 
     factor
-        N x q matrix M from the truncated eigendecomposition.
-    pinv
-        Moore-Penrose inverse of M (q x N).
+        N x q matrix M, one row per pooled coordinate (what the solver reads).
     retained_rank
-        q, the number of kept eigenpairs.
+        q, the number of kept directions.
+    coef_map
+        q x T matrix C with M = E C^T, E the cosine basis at the pooled
+        coordinates (``basis_matrix``).  Coefficient-basis function a is
+        x -> C[a] . e(x), so evaluation anywhere is ``basis_matrix(x) @ C.T``
+        and, {e_k} being L2-orthonormal, the basis has L2 gram C C^T.  None
+        for factors that do not come from a kernel.
     locations
         Pooled coordinates defining the row order, or None.
+
+    ``gram`` and ``pinv`` are accepted as keywords from callers that build a
+    factor by hand, and discarded: nothing downstream needs either.
     """
 
-    gram: np.ndarray
     factor: np.ndarray
-    pinv: np.ndarray
     retained_rank: int
+    coef_map: np.ndarray | None = None
     locations: np.ndarray | None = None
+    _: KW_ONLY
+    gram: InitVar[np.ndarray | None] = None
+    pinv: InitVar[np.ndarray | None] = None
 
     def locations_hash(self):
         """SHA-256 of the pooled coordinates (row-order sensitive)."""
@@ -140,70 +147,29 @@ class GramFactor:
         return hashlib.sha256(payload.tobytes()).hexdigest()
 
 
-def factorize_gram(gram, tol=1e-10, cap=12, locations=None):
-    """Truncated eigendecomposition of a PSD Gram matrix.
+def factor_kernel(spec, coords, tol=1e-10, cap=12):
+    """Rank-q factor of the kernel gram [K(t_a, t_b)] over ``coords``.
 
-    Keeps eigenvalues above ``tol`` times the largest, up to ``cap`` of them;
-    M = U sqrt(L), M+ = sqrt(L)^-1 U^T.  Eigenvectors are sign-canonicalized
-    (largest-magnitude entry positive) so refactorizing the same gram on a
-    different BLAS reproduces the same basis.
+    The gram E W E^T has rank at most T, so it is never formed: the thin SVD
+    A = E W^{1/2} = U S V^T (N x T) gives its eigenvalues S^2 and
+    eigenvectors U.  Directions with S^2 above ``tol`` times the largest are
+    kept, up to ``cap`` of them; M = U_q S_q and C = V_q^T W^{1/2}.  Columns
+    are sign-canonicalized (largest-magnitude entry of each U column
+    positive) so refactorizing the same coordinates on a different BLAS
+    reproduces the same basis.
     """
-    gram = np.asarray(gram, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError("gram must be square")
-    sym_err = np.abs(gram - gram.T).max()
-    if sym_err > 1e-8 * max(1.0, np.abs(gram).max()):
-        raise ValueError(f"gram is not symmetric (max asymmetry {sym_err:.3e})")
-    vals, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    lam_max = max(vals[0], 0.0)
-    if vals[-1] < -1e-8 * max(lam_max, 1.0):
-        raise ValueError(
-            f"gram has a significantly negative eigenvalue ({vals[-1]:.3e}); "
-            "broken kernel?"
-        )
-    keep = vals > tol * lam_max if lam_max > 0 else np.zeros_like(vals, dtype=bool)
-    q = min(int(keep.sum()), cap)
-    vals = np.maximum(vals[:q], 0.0)
-    vecs = vecs[:, :q]
-    flip = np.where(vecs[np.abs(vecs).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
-    vecs = vecs * flip
-    root = np.sqrt(vals)
-    factor = vecs * root
-    pinv = (vecs / root).T
-    return GramFactor(
-        gram=gram,
-        factor=factor,
-        pinv=pinv,
-        retained_rank=q,
-        locations=None if locations is None else np.asarray(locations, dtype=float),
-    )
-
-
-def kernel_cross_integral(spec, coords, method="closed"):
-    """Matrix of L2 cross-integrals Q[a,b] = int_0^1 K(s,t_a) K(s,t_b) ds.
-
-    With the orthonormal cosine eigenbasis the closed form is
-    sum_k (k*pi)^(-2*decay) e_k(t_a) e_k(t_b) (plus constant_coef^2 when the
-    constant term is enabled).  ``method="quadrature"`` integrates with
-    composite Simpson on 2001 points instead, for kernels lacking the
-    closed form.
-    """
-    coords = np.atleast_1d(_check_unit_interval(coords))
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
     if coords.size == 0:
         raise ValueError("empty coordinate list")
-    if method == "closed":
-        e, w = basis_matrix(spec, coords)
-        q = (e * w**2) @ e.T
-    elif method == "quadrature":
-        from scipy.integrate import simpson
-
-        s = np.linspace(0.0, 1.0, 2001)
-        k_s = kernel_eval(spec, s[:, None], coords[None, :])
-        q = np.empty((coords.size, coords.size))
-        for a in range(coords.size):
-            q[a] = simpson(k_s[:, a, None] * k_s, x=s, axis=0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return (q + q.T) / 2.0
+    e, w = basis_matrix(spec, coords)
+    root_w = np.sqrt(w)
+    u, s, vt = np.linalg.svd(e * root_w, full_matrices=False)
+    q = min(int((s * s > tol * s[0] * s[0]).sum()), cap)
+    u, s, vt = u[:, :q], s[:q], vt[:q]
+    flip = np.where(u[np.abs(u).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    return GramFactor(
+        factor=u * (s * flip),
+        retained_rank=q,
+        coef_map=(vt * flip[:, None]) * root_w,
+        locations=coords,
+    )

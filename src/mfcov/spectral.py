@@ -1,27 +1,29 @@
 """Spectral post-processing of fitted covariances.
 
-The fitted coefficient tensor lives in per-dimension bases that are tied to
-the RKHS gram factors, which are not L2-orthonormal.  This module evaluates
-the fitted surface at arbitrary points of the unit cube and re-expresses the
-coefficients in per-dimension L2-orthonormal bases, from which honest L2
-eigenvalues, eigenfunctions, and marginal bases follow.
+The fitted coefficient tensor lives in per-dimension bases tied to the
+kernel gram factors, which are not L2-orthonormal.  Each factor carries a
+q_k x T map C_k from the cosine basis e = (e_1, ..., e_T) of its kernel
+(``kernel.basis_matrix``) to its coefficient basis: coefficient function a
+of dimension k is x -> C_k[a] . e(x).  This module evaluates the fitted
+surface at arbitrary points of the unit cube through those maps and
+re-expresses the coefficients in per-dimension L2-orthonormal bases, from
+which honest L2 eigenvalues, eigenfunctions, and marginal bases follow.
 
-The transform: with M_k the gram factor for dimension k and Q_k the matrix
-of kernel cross-integrals over its pooled coordinates, R_k = M_k+ Q_k M_k+^T
-is the L2 gram of the coefficient basis.  The square unfolding is mapped by
-the congruence B^L = (R_1 (x) ... (x) R_p)^{1/2} B ((x)_k R_k^{1/2})^T, whose
-eigenvalues are the L2 eigenvalues of the fitted surface; eigenvectors map
-back to functions through A_k = R_k^{-1/2} M_k+ applied to kernel sections.
-R_k is positive definite in exact arithmetic (the factor columns span
-directions on which the section gram is positive), so the pseudo-inverse
-root's eigenvalue floor (1e-12 relative) only guards against roundoff.
+The transform: {e_j} is L2-orthonormal, so R_k = C_k C_k^T is the L2 gram
+of the coefficient basis.  The square unfolding is mapped by the congruence
+B^L = (R_1 (x) ... (x) R_p)^{1/2} B ((x)_k R_k^{1/2})^T, whose eigenvalues
+are the L2 eigenvalues of the fitted surface; eigenvectors map back to
+functions through A_k = R_k^{-1/2} C_k applied to e.  R_k is a gram matrix,
+positive definite in exact arithmetic (C_k has full row rank), so the
+pseudo-inverse root's eigenvalue floor (1e-12 relative) only guards against
+roundoff.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import basis_matrix, kernel_cross_integral
+from .kernel import basis_matrix
 from .tensor import n_mode_product, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -43,23 +45,21 @@ METRIC_FLOOR = 1e-12
 SPECTRUM_FLOOR = 1e-12
 
 
-def _factor_locations(fit):
-    locs = []
+def _coef_maps(fit):
+    maps = []
     for k, gf in enumerate(fit.grams):
-        if gf.locations is None:
+        if gf.coef_map is None:
             raise ValueError(
-                f"gram factor {k} carries no pooled locations; spectral "
-                "post-processing needs location-aware factors"
+                f"gram factor {k} carries no coefficient map; spectral "
+                "post-processing needs factors built from a kernel"
             )
-        locs.append(np.asarray(gf.locations, dtype=float))
-    return locs
+        maps.append(np.asarray(gf.coef_map, dtype=float))
+    return maps
 
 
-def _sections(spec, coords, pts):
-    """Kernel sections K(pts_a, coords_b) as a (len(pts), len(coords)) matrix."""
-    e_p, w = basis_matrix(spec, pts)
-    e_c, _ = basis_matrix(spec, coords)
-    return (e_p * w) @ e_c.T
+def _basis_values(spec, c, pts):
+    """Functions x -> c[a] . e(x) at ``pts``, shape (len(pts), len(c))."""
+    return basis_matrix(spec, pts)[0] @ c.T
 
 
 def _check_point(x, p, name):
@@ -72,19 +72,17 @@ def _check_point(x, p, name):
 def evaluate_cov(fit, spec, s, t):
     """Fitted covariance value at a pair of points of the unit cube.
 
-    Each point's per-dimension kernel sections are projected through the
-    factor pseudo-inverses and contracted against the coefficient tensor;
-    this agrees exactly with the row contraction used inside the training
-    loss at observed coordinates.
+    Each point's per-dimension cosine basis is mapped into the coefficient
+    basis and contracted against the coefficient tensor; at observed
+    coordinates this reproduces the factor rows used inside the training
+    loss.
     """
     p = len(fit.grams)
     s = _check_point(s, p, "s")
     t = _check_point(t, p, "t")
-    locs = _factor_locations(fit)
     row_s = row_t = np.ones(1)
-    for k, gf in enumerate(fit.grams):
-        z = _sections(spec, locs[k], [s[k], t[k]])
-        proj = z @ gf.pinv.T
+    for k, c in enumerate(_coef_maps(fit)):
+        proj = _basis_values(spec, c, [s[k], t[k]])
         row_s = np.kron(row_s, proj[0])
         row_t = np.kron(row_t, proj[1])
     return float(row_s @ fit.coeff_square() @ row_t)
@@ -100,41 +98,30 @@ def evaluate_on_grid(fit, spec, axes):
     p = len(fit.grams)
     if len(axes) != p:
         raise ValueError(f"expected {p} axes, got {len(axes)}")
-    locs = _factor_locations(fit)
     out = np.asarray(fit.coeffs, dtype=float)
-    for k, gf in enumerate(fit.grams):
-        proj = _sections(spec, locs[k], axes[k]) @ gf.pinv.T
+    for k, c in enumerate(_coef_maps(fit)):
+        proj = _basis_values(spec, c, axes[k])
         out = n_mode_product(out, proj, k)
         out = n_mode_product(out, proj, p + k)
     return out
 
 
-def _l2_transform(fit, spec):
+def _l2_transform(fit):
     """Shared setup: coefficient tensor in L2 coordinates plus the A_k maps."""
     p = len(fit.grams)
-    locs = _factor_locations(fit)
     maps = []
     b = np.asarray(fit.coeffs, dtype=float)
-    for k, gf in enumerate(fit.grams):
-        q_mat = kernel_cross_integral(spec, locs[k])
-        r = gf.pinv @ q_mat @ gf.pinv.T
-        r = (r + r.T) / 2.0
-        w, u = np.linalg.eigh(r)
-        w_max = max(float(w[-1]), 0.0)
-        if float(w[0]) < -1e-8 * max(w_max, 1e-300):
-            raise ValueError(
-                f"dimension {k}: L2 metric has a significantly negative "
-                f"eigenvalue ({w[0]:.3e}); inconsistent kernel cross-integrals"
-            )
+    for k, c in enumerate(_coef_maps(fit)):
+        w, u = np.linalg.eigh(c @ c.T)
         w = np.maximum(w, 0.0)
         root_w = np.sqrt(w)
-        keep = w > METRIC_FLOOR * max(w_max, 1e-300)
+        keep = w > METRIC_FLOOR * max(float(w[-1]), 1e-300)
         inv_root_w = np.where(keep, 1.0 / np.where(keep, root_w, 1.0), 0.0)
         root = (u * root_w) @ u.T
-        maps.append(((u * inv_root_w) @ u.T) @ gf.pinv)
+        maps.append(((u * inv_root_w) @ u.T) @ c)
         b = n_mode_product(b, root, k)
         b = n_mode_product(b, root, p + k)
-    return b, maps, locs
+    return b, maps
 
 
 @dataclass
@@ -148,7 +135,7 @@ class L2EigenSystem:
     fraction_of_variation
         Cumulative eigenvalue shares.
     maps
-        Per-dimension matrices A_k mapping pooled kernel sections to the
+        Per-dimension matrices A_k mapping the cosine basis to the
         L2-orthonormal coordinate functions.
     """
 
@@ -156,7 +143,6 @@ class L2EigenSystem:
     vectors: np.ndarray
     fraction_of_variation: np.ndarray
     maps: list
-    locations: list
     spec: object
     dims: tuple
 
@@ -167,15 +153,14 @@ class L2EigenSystem:
         """Values of eigenfunction ``l`` over a tensor-product grid."""
         v = self.vectors[:, l].reshape(self.dims)
         for k, (a_k, ax) in enumerate(zip(self.maps, axes)):
-            coord = _sections(self.spec, self.locations[k], ax) @ a_k.T
-            v = n_mode_product(v, coord, k)
+            v = n_mode_product(v, _basis_values(self.spec, a_k, ax), k)
         return v
 
     def section_coefficients(self, l):
-        """Coefficients of eigenfunction ``l`` over pooled kernel sections.
+        """Coefficients of eigenfunction ``l`` over the tensor cosine basis.
 
-        The returned u_l satisfies f_l(s) = u_l . [z_1(s_1) (x) ... (x)
-        z_p(s_p)] with z_k the kernel sections at the pooled coordinates.
+        The returned u_l satisfies f_l(s) = u_l . [e(s_1) (x) ... (x)
+        e(s_p)] with e the kernel's cosine basis (``kernel.basis_matrix``).
         """
         v = self.vectors[:, l].reshape(self.dims)
         for k, a_k in enumerate(self.maps):
@@ -195,7 +180,6 @@ class MarginalBasis:
     singular_values: np.ndarray
     vectors: np.ndarray
     map: np.ndarray
-    locations: np.ndarray
     spec: object
 
     def __len__(self):
@@ -203,8 +187,7 @@ class MarginalBasis:
 
     def basis_grid(self, ax):
         """Values of all basis functions at ``ax``: shape (len(ax), count)."""
-        coord = _sections(self.spec, self.locations, ax) @ self.map.T
-        return coord @ self.vectors
+        return _basis_values(self.spec, self.map, ax) @ self.vectors
 
 
 def l2_eigensystem(fit, spec):
@@ -215,7 +198,7 @@ def l2_eigensystem(fit, spec):
     transform preserves positive semidefiniteness, so nothing material is
     discarded.
     """
-    b, maps, locs = _l2_transform(fit, spec)
+    b, maps = _l2_transform(fit)
     bl_sq = square_unfold(b)
     bl_sq = (bl_sq + bl_sq.T) / 2.0
     w, v = np.linalg.eigh(bl_sq)
@@ -232,7 +215,6 @@ def l2_eigensystem(fit, spec):
         vectors=vectors,
         fraction_of_variation=fve,
         maps=maps,
-        locations=locs,
         spec=spec,
         dims=fit.dims,
     )
@@ -248,7 +230,7 @@ def marginal_basis(fit, spec, k):
     p = len(fit.grams)
     if not 0 <= k < p:
         raise ValueError(f"dimension {k} out of range for p={p}")
-    b, maps, locs = _l2_transform(fit, spec)
+    b, maps = _l2_transform(fit)
     u, s, _ = np.linalg.svd(one_way_unfold(b, k), full_matrices=False)
     s_max = float(s[0]) if s.size else 0.0
     kept = s > SPECTRUM_FLOOR * s_max if s_max > 0 else np.zeros_like(s, bool)
@@ -257,7 +239,6 @@ def marginal_basis(fit, spec, k):
         singular_values=s[kept],
         vectors=u[:, kept],
         map=maps[k],
-        locations=locs[k],
         spec=spec,
     )
 
@@ -275,7 +256,7 @@ def reconstruct_on_grid(eig, axes, n_components=None):
     core = (eig.vectors[:, :n_l] * eig.eigenvalues[:n_l]) @ eig.vectors[:, :n_l].T
     out = square_fold(core, eig.dims + eig.dims)
     for k, ax in enumerate(axes):
-        coord = _sections(eig.spec, eig.locations[k], ax) @ eig.maps[k].T
+        coord = _basis_values(eig.spec, eig.maps[k], ax)
         out = n_mode_product(out, coord, k)
         out = n_mode_product(out, coord, p + k)
     return out

@@ -101,6 +101,7 @@ class TestFit:
             "coeffs.mcov", "fit.json", "rank_report.json"]
         diag = json.loads((out / "fit.json").read_text())
         assert diag["converged"] is True
+        assert "max_skew" not in diag
         ranks = json.loads((out / "rank_report.json").read_text())
         assert ranks["two_way"] >= 0 and len(ranks["one_way"]) == 2
         cfg = diag["run_config"]
@@ -122,6 +123,51 @@ class TestFit:
                 == (out2 / "coeffs.mcov").read_bytes())
         assert ((out1 / "rank_report.json").read_bytes()
                 == (out2 / "rank_report.json").read_bytes())
+
+    def test_replay_of_config_with_threads_key(self, dataset_csv, tmp_path):
+        # files written while fit still took --threads carry the key
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("fit", "--data", dataset_csv, "--out", out1,
+                   *FIT_FLAGS) == 0
+        diag = json.loads((out1 / "fit.json").read_text())
+        assert diag["run_config"]["threads"] is None
+        diag["run_config"]["threads"] = 1
+        old = tmp_path / "old_fit.json"
+        old.write_text(json.dumps(diag))
+        assert run("fit", "--config", old, "--out", out2) == 0
+        assert ((out1 / "coeffs.mcov").read_bytes()
+                == (out2 / "coeffs.mcov").read_bytes())
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "eigen"])
+    def test_threads_flag_only_on_simulate(self, command, tmp_path):
+        with pytest.raises(SystemExit):
+            run(command, "--out", tmp_path / "o", "--threads", "2")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_one(self, dataset_csv, tmp_path, capsys,
+                                        value):
+        lines = dataset_csv.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join(row[:-1] + [value])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("fit", "--data", bad, "--out", tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"mfcov fit: {bad}:3: non-finite value\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solver_failure_exits_one(self, tmp_path, capsys):
+        # finite values whose cross-products overflow make the solver abort
+        data = generate(SimSetting(setting=3, n=8, m=4, sigma=0.2, seed=5))
+        data.values = [v * 1e200 for v in data.values]
+        path = tmp_path / "huge.csv"
+        save_csv(data, path)
+        code = run("fit", "--data", path, "--out", tmp_path / "o", *FIT_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mfcov fit: non-finite objective")
+        assert err.count("\n") == 1
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = run("fit", "--data", tmp_path / "absent.csv",

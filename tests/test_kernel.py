@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.special import zeta
 
+from mfcov.data import FunctionalDataset, gram_factors
 from mfcov.kernel import (
     GramFactor,
     KernelSpec,
-    assemble_gram,
-    factorize_gram,
-    kernel_cross_integral,
+    basis_matrix,
+    factor_kernel,
     kernel_eval,
 )
 
@@ -83,137 +84,212 @@ class TestKernelEval:
         assert KernelSpec.from_dict(spec.to_dict()) == spec
 
 
+def gram_oracle(spec, coords):
+    """Kernel gram [K(t_a, t_b)] entry by entry from ``kernel_eval``."""
+    coords = np.asarray(coords, dtype=float)
+    return kernel_eval(spec, coords[:, None], coords[None, :])
+
+
+def cosine_basis(spec, s):
+    """e_1 .. e_T (plus the constant) at ``s``, written out independently."""
+    k = np.arange(1, spec.truncation_order + 1)
+    e = math.sqrt(2.0) * np.cos(np.pi * np.outer(s, k))
+    if spec.include_constant:
+        e = np.hstack([np.ones((len(s), 1)), e])
+    return e
+
+
+def sections_cross_integral(gf):
+    """L2 cross-integrals of the kernel sections the factor spans, M C C^T M^T.
+
+    When the factor keeps the full rank of the gram, this equals
+    [int_0^1 K(s, t_a) K(s, t_b) ds].
+    """
+    mc = gf.factor @ gf.coef_map
+    return mc @ mc.T
+
+
+def simpson_cross_integral(spec, coords):
+    """Composite Simpson on 2001 nodes of K(s, t_a) K(s, t_b) over s."""
+    s = np.linspace(0.0, 1.0, 2001)
+    k_s = kernel_eval(spec, s[:, None], np.asarray(coords)[None, :])
+    return simpson(k_s[:, :, None] * k_s[:, None, :], x=s, axis=0)
+
+
 class TestAssembleGram:
+    """The gram a factor represents, M M^T, against ``kernel_eval``."""
+
     def test_single_coordinate(self):
         spec = KernelSpec(truncation_order=10)
-        g = assemble_gram(spec, [0.4])
+        gf = factor_kernel(spec, [0.4])
+        g = gf.factor @ gf.factor.T
         assert g.shape == (1, 1)
         assert abs(g[0, 0] - kernel_eval(spec, 0.4, 0.4)) < 1e-15
 
     def test_duplicated_coordinates_rank_one(self):
         spec = KernelSpec(truncation_order=10)
-        g = assemble_gram(spec, [0.3, 0.3])
-        vals = np.linalg.eigvalsh(g)
+        vals = np.linalg.eigvalsh(gram_oracle(spec, [0.3, 0.3]))
         assert abs(vals[0]) < 1e-12 * vals[-1]
+        assert factor_kernel(spec, [0.3, 0.3], cap=2).retained_rank == 1
 
     def test_psd_on_random_coords(self):
+        # the kept directions carry the top eigenvalues of a PSD gram
         spec = KernelSpec()
         rng = np.random.default_rng(2)
-        g = assemble_gram(spec, rng.uniform(size=5))
-        assert np.linalg.eigvalsh(g).min() >= -1e-10
+        coords = rng.uniform(size=5)
+        vals = np.linalg.eigvalsh(gram_oracle(spec, coords))[::-1]
+        assert vals.min() >= -1e-10
+        gf = factor_kernel(spec, coords, cap=3)
+        np.testing.assert_allclose((gf.factor**2).sum(axis=0), vals[:3],
+                                   rtol=1e-10)
 
     def test_entries_match_kernel_eval(self):
         spec = KernelSpec(truncation_order=15)
         coords = np.array([0.0, 0.25, 0.9])
-        g = assemble_gram(spec, coords)
+        gf = factor_kernel(spec, coords, cap=3)
+        g = gf.factor @ gf.factor.T
         for a in range(3):
             for b in range(3):
                 assert abs(g[a, b] - kernel_eval(spec, coords[a], coords[b])) < 1e-14
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            assemble_gram(KernelSpec(), [])
+            factor_kernel(KernelSpec(), [])
 
 
 class TestFactorizeGram:
-    def test_identity_gram(self):
-        gf = factorize_gram(np.eye(6), cap=6)
-        assert gf.retained_rank == 6
-        assert np.allclose(gf.factor @ gf.factor.T, np.eye(6), atol=1e-12)
+    def test_orthogonal_design_exact_spectrum(self):
+        # at the N midpoints (j + 1/2)/N, e_1..e_{N-1} are orthogonal with
+        # squared norm N, so the gram's eigenvalues are N w_k and C is
+        # diag(sqrt(w)) up to signs
+        n = 8
+        spec = KernelSpec(truncation_order=n - 1)
+        coords = (np.arange(n) + 0.5) / n
+        gf = factor_kernel(spec, coords, tol=1e-14, cap=n)
+        w = basis_matrix(spec, coords)[1]
+        assert gf.retained_rank == n - 1
+        np.testing.assert_allclose((gf.factor**2).sum(axis=0), n * w, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(gf.coef_map), np.diag(np.sqrt(w)),
+                                   atol=1e-12 * np.sqrt(w[0]))
 
     def test_rank_one_gram(self):
-        v = np.array([1.0, -2.0, 0.5])
-        gf = factorize_gram(np.outer(v, v), cap=5)
+        spec = KernelSpec()
+        gf = factor_kernel(spec, [0.3, 0.3, 0.3], cap=5)
         assert gf.retained_rank == 1
-        m = gf.factor[:, 0]
-        assert np.allclose(m, v, atol=1e-12) or np.allclose(m, -v, atol=1e-12)
+        root = math.sqrt(kernel_eval(spec, 0.3, 0.3))
+        np.testing.assert_allclose(gf.factor[:, 0], root, rtol=1e-12)
 
     def test_reconstruction_from_kernel(self):
         spec = KernelSpec()
         rng = np.random.default_rng(3)
         coords = rng.uniform(size=20)
-        g = assemble_gram(spec, coords)
-        gf = factorize_gram(g, tol=1e-10, cap=20, locations=coords)
+        g = gram_oracle(spec, coords)
+        gf = factor_kernel(spec, coords, tol=1e-10, cap=20)
         rel = np.linalg.norm(gf.factor @ gf.factor.T - g) / np.linalg.norm(g)
         assert rel <= 1e-8
 
+    def test_factor_rows_are_basis_evaluations(self):
+        # training rows and evaluation anywhere go through the same map
+        spec = KernelSpec(include_constant=True, constant_coef=0.3)
+        rng = np.random.default_rng(8)
+        gf = factor_kernel(spec, rng.uniform(size=40), cap=9)
+        rows = basis_matrix(spec, gf.locations)[0] @ gf.coef_map.T
+        np.testing.assert_allclose(rows, gf.factor, atol=1e-13)
+
     def test_pinv_identities(self):
+        # C = M+ E W: kernel sections K(x, t) projected through the factor's
+        # pseudo-inverse equal the coefficient basis C e(x) at any x
         spec = KernelSpec()
         rng = np.random.default_rng(4)
+        x = np.linspace(0.0, 1.0, 9)
         for _ in range(5):
-            g = assemble_gram(spec, rng.uniform(size=12))
-            gf = factorize_gram(g, tol=1e-10, cap=8)
-            m, mp = gf.factor, gf.pinv
-            assert np.allclose(mp @ m, np.eye(gf.retained_rank), atol=1e-10)
-            # all four Penrose identities
-            assert np.allclose(m @ mp @ m, m, atol=1e-9)
-            assert np.allclose(mp @ m @ mp, mp, atol=1e-9)
-            assert np.allclose((m @ mp).T, m @ mp, atol=1e-9)
-            assert np.allclose((mp @ m).T, mp @ m, atol=1e-9)
+            coords = rng.uniform(size=12)
+            gf = factor_kernel(spec, coords, tol=1e-10, cap=8)
+            mp = np.linalg.pinv(gf.factor)
+            assert np.allclose(mp @ gf.factor, np.eye(gf.retained_rank), atol=1e-10)
+            sections = kernel_eval(spec, coords[:, None], x[None, :])
+            scale = np.abs(gf.coef_map).max()
+            np.testing.assert_allclose(mp @ sections,
+                                       gf.coef_map @ cosine_basis(spec, x).T,
+                                       atol=1e-9 * scale)
 
     def test_cap_limits_rank(self):
-        gf = factorize_gram(np.diag([4.0, 3.0, 2.0, 1.0]), cap=2)
+        rng = np.random.default_rng(9)
+        gf = factor_kernel(KernelSpec(), rng.uniform(size=4), cap=2)
         assert gf.retained_rank == 2
         assert gf.factor.shape == (4, 2)
+        assert gf.coef_map.shape == (2, 50)
 
     def test_sign_canonicalization(self):
-        g = np.diag([3.0, 1.0])
-        gf = factorize_gram(g, cap=2)
-        assert gf.factor[np.abs(gf.factor).argmax(axis=0), [0, 1]].min() > 0
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError):
-            factorize_gram(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            factorize_gram(np.diag([1.0, -0.5]))
+        rng = np.random.default_rng(10)
+        gf = factor_kernel(KernelSpec(), rng.uniform(size=30), cap=6)
+        cols = np.arange(gf.retained_rank)
+        assert gf.factor[np.abs(gf.factor).argmax(axis=0), cols].min() > 0
 
     def test_locations_hash_detects_tampering(self):
         coords = np.array([0.1, 0.2, 0.3])
-        gf = factorize_gram(np.eye(3), cap=3, locations=coords)
+        gf = factor_kernel(KernelSpec(), coords, cap=3)
         h1 = gf.locations_hash()
         gf.locations = np.array([0.1, 0.2, 0.30001])
         assert gf.locations_hash() != h1
         with pytest.raises(ValueError):
-            GramFactor(np.eye(1), np.eye(1), np.eye(1), 1).locations_hash()
+            GramFactor(np.eye(1), 1).locations_hash()
+
+    def test_gram_factors_at_large_n(self):
+        # 50,000 pooled points per dimension, where a dense N x N float64
+        # gram would take 20 GB
+        rng = np.random.default_rng(11)
+        n, m = 10_000, 5
+        data = FunctionalDataset([rng.uniform(size=(m, 2)) for _ in range(n)],
+                                 [np.zeros(m) for _ in range(n)])
+        for gf in gram_factors(data, KernelSpec(), cap=12):
+            assert gf.factor.shape == (n * m, 12)
+            assert gf.coef_map.shape == (12, 50)
+            rows = basis_matrix(KernelSpec(), gf.locations[:100])[0] @ gf.coef_map.T
+            np.testing.assert_allclose(rows, gf.factor[:100], atol=1e-13)
 
 
 class TestKernelCrossIntegral:
+    """The L2 metric of the coefficient basis, C C^T, against quadrature."""
+
     def test_symmetric_psd(self):
         spec = KernelSpec()
         rng = np.random.default_rng(5)
-        q = kernel_cross_integral(spec, rng.uniform(size=8))
-        assert np.array_equal(q, q.T)
-        assert np.linalg.eigvalsh(q).min() >= -1e-10
+        gf = factor_kernel(spec, rng.uniform(size=8), cap=8)
+        r = gf.coef_map @ gf.coef_map.T
+        np.testing.assert_allclose(r, r.T, rtol=0, atol=1e-15 * np.abs(r).max())
+        assert np.linalg.eigvalsh(r).min() > 0
 
     def test_closed_form_vs_simpson(self):
+        # C C^T = int_0^1 (C e(s)) (C e(s))^T ds
         spec = KernelSpec(decay_exponent=4.0, truncation_order=30)
         rng = np.random.default_rng(6)
-        coords = rng.uniform(size=6)
-        closed = kernel_cross_integral(spec, coords, method="closed")
-        quad = kernel_cross_integral(spec, coords, method="quadrature")
-        assert np.abs(closed - quad).max() < 1e-9
+        gf = factor_kernel(spec, rng.uniform(size=6), cap=6)
+        s = np.linspace(0.0, 1.0, 2001)
+        vals = cosine_basis(spec, s) @ gf.coef_map.T
+        quad = simpson(vals[:, :, None] * vals[:, None, :], x=s, axis=0)
+        assert np.abs(gf.coef_map @ gf.coef_map.T - quad).max() < 1e-9
 
     def test_random_pairs_against_quadrature(self):
         spec = KernelSpec(truncation_order=25)
         rng = np.random.default_rng(7)
         coords = rng.uniform(size=50)
-        closed = kernel_cross_integral(spec, coords, method="closed")
-        quad = kernel_cross_integral(spec, coords, method="quadrature")
-        assert np.abs(closed - quad).max() < 1e-8
+        gf = factor_kernel(spec, coords, cap=50)
+        assert gf.retained_rank == 25
+        quad = simpson_cross_integral(spec, coords)
+        assert np.abs(sections_cross_integral(gf) - quad).max() < 1e-8
 
     def test_single_coordinate_closed_form(self):
         spec = KernelSpec(decay_exponent=4.0, truncation_order=40)
         t = 0.37
         k = np.arange(1, 41)
         expect = np.sum((k * np.pi) ** (-8.0) * 2.0 * np.cos(k * np.pi * t) ** 2)
-        q = kernel_cross_integral(spec, [t])
+        q = sections_cross_integral(factor_kernel(spec, [t]))
         assert abs(q[0, 0] - expect) < 1e-15
 
     def test_constant_term_contributes_square(self):
         base = KernelSpec(truncation_order=20)
         plus = KernelSpec(truncation_order=20, include_constant=True, constant_coef=0.5)
-        qb = kernel_cross_integral(base, [0.2, 0.6])
-        qp = kernel_cross_integral(plus, [0.2, 0.6])
+        qb = sections_cross_integral(factor_kernel(base, [0.2, 0.6]))
+        qp = sections_cross_integral(factor_kernel(plus, [0.2, 0.6]))
         assert np.abs(qp - qb - 0.25).max() < 1e-15

@@ -228,13 +228,10 @@ class TestAise:
 
     def test_monte_carlo_oracle(self, small_fit):
         # brute-force integration of (fitted - true)^2 at random points,
-        # folding the factor pseudo-inverses through the kernel expansion
+        # evaluating the coefficient basis through the factors' cosine maps
         setting, spec, fit = small_fit
         value = aise(fit, spec, setting, 21)
-        mats = []
-        for gf in fit.grams:
-            e_l, w = basis_matrix(spec, gf.locations)
-            mats.append((w[None, :] * e_l).T @ gf.pinv.T)
+        mats = [gf.coef_map.T for gf in fit.grams]
         b_sq = fit.coeff_square()
         lam = setting.eigenvalues
         rng = np.random.default_rng(2024)

@@ -4,7 +4,7 @@ from scipy.integrate import simpson
 from scipy.linalg import subspace_angles
 
 from mfcov.data import FunctionalDataset, cross_products, gram_factors
-from mfcov.kernel import GramFactor, KernelSpec, kernel_eval
+from mfcov.kernel import GramFactor, KernelSpec
 from mfcov.solver import CovarianceFit, FitConfig, precompute
 from mfcov.spectral import (
     evaluate_cov,
@@ -113,13 +113,11 @@ class TestEvaluateCov:
         with pytest.raises(ValueError, match="point"):
             evaluate_cov(fit, SPEC, [0.5], [0.5, 0.5])
 
-    def test_missing_locations_rejected(self):
+    def test_missing_coef_map_rejected(self):
         rng = np.random.default_rng(12)
-        f = rng.standard_normal((8, 2))
-        bare = GramFactor(gram=f @ f.T, factor=f, pinv=np.linalg.pinv(f),
-                          retained_rank=2)
+        bare = GramFactor(factor=rng.standard_normal((8, 2)), retained_rank=2)
         fit = cov_fit([bare], seed=13)
-        with pytest.raises(ValueError, match="locations"):
+        with pytest.raises(ValueError, match="coefficient map"):
             evaluate_cov(fit, SPEC, [0.5], [0.5])
 
     def test_grid_matches_pointwise(self):
@@ -227,20 +225,12 @@ class TestL2EigenSystem:
         u = eig.section_coefficients(0)
         ax = np.linspace(0.05, 0.95, 3)
         vals = eig.eigenfunction_grid(0, [ax, ax])
-        for i, s1 in enumerate(ax):
-            for j, s2 in enumerate(ax):
-                z1 = kernel_eval(SPEC, s1, eig.locations[0])
-                z2 = kernel_eval(SPEC, s2, eig.locations[1])
-                assert u @ np.kron(z1, z2) == pytest.approx(
+        k = np.arange(1, SPEC.truncation_order + 1)
+        e = np.sqrt(2.0) * np.cos(np.pi * np.outer(ax, k))
+        for i in range(ax.size):
+            for j in range(ax.size):
+                assert u @ np.kron(e[i], e[j]) == pytest.approx(
                     vals[i, j], abs=1e-10)
-
-    def test_inconsistent_metric_rejected(self, monkeypatch):
-        _, grams = kernel_problem(p=1, n=4, m=4, seed=35, cap=2)
-        fit = cov_fit(grams, seed=36)
-        monkeypatch.setattr("mfcov.spectral.kernel_cross_integral",
-                            lambda spec, coords: -np.eye(len(coords)))
-        with pytest.raises(ValueError, match="negative"):
-            l2_eigensystem(fit, SPEC)
 
 
 class TestMarginalBasis:
