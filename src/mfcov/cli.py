@@ -338,16 +338,18 @@ def cmd_cv(cfg):
     spec = cfg.kernel_spec()
     grams = gram_factors(data, spec, tol=cfg.gram_tol, cap=cfg.gram_cap)
     folds = make_folds(data, cfg.n_folds, cfg.fold_seed)
-    chosen, scores = cv_select(data, grams, cfg.lambda_grid, cfg.beta_grid,
-                               folds=folds, base=cfg.fit_config())
+    chosen, scores, cells = cv_select(data, grams, cfg.lambda_grid, cfg.beta_grid,
+                                      folds=folds, base=cfg.fit_config())
     outdir = _outdir(cfg)
     with open(outdir / "cv_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lambda", "beta", "score"])
+        writer.writerow(["lambda", "beta", "score", "n_iters", "unconverged_folds"])
         for li, lam in enumerate(cfg.lambda_grid):
             for bj, beta in enumerate(cfg.beta_grid):
                 writer.writerow([repr(float(lam)), repr(float(beta)),
-                                 repr(float(scores[li, bj]))])
+                                 repr(float(scores[li, bj])),
+                                 int(cells.n_iters[li, bj]),
+                                 int(cells.unconverged_folds[li, bj])])
     selected = replace(cfg, command="fit", lam=chosen.lam, beta=chosen.beta)
     _write_json(outdir / "selected_config.json", selected.to_dict())
     _persist_config(cfg, outdir)

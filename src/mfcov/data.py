@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Finite values whose products leave the float64 range make the loss
+# meaningless; cross_products and the solver's precompute refuse them.
+CROSS_OVERFLOW = "cross-products overflow float64; rescale the values"
+
+
 @dataclass
 class FunctionalDataset:
     """n subjects with per-subject locations (m_i, p) and values (m_i,)."""
@@ -220,7 +225,11 @@ def cross_products(data, mean=None):
     zs, res = [], []
     for locs, vals in zip(data.locations, data.values):
         r = vals - mean(locs)
-        zs.append(np.outer(r, r))
+        with np.errstate(over="ignore"):
+            z = np.outer(r, r)
+        if np.isfinite(r).all() and not np.isfinite(z).all():
+            raise ValueError(CROSS_OVERFLOW)
+        zs.append(z)
         res.append(r)
     return CrossProducts(z=zs, residuals=res)
 

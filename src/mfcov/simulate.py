@@ -279,9 +279,9 @@ def run_replication(setting, protocol=None):
         chosen = replace(protocol.base, lam=protocol.lambda_grid[0],
                          beta=protocol.beta_grid[0])
     else:
-        chosen, _ = cv_select(data, grams, protocol.lambda_grid,
-                              protocol.beta_grid, base=protocol.base,
-                              n_folds=protocol.n_folds)
+        chosen, _, _ = cv_select(data, grams, protocol.lambda_grid,
+                                 protocol.beta_grid, base=protocol.base,
+                                 n_folds=protocol.n_folds)
     fit = admm_fit(data, cross_products(data), grams, chosen)
     ranks = rank_report(fit)
     return {

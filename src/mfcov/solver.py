@@ -9,7 +9,10 @@ where G, h, c0 aggregate the per-subject factor rows L_i (Khatri-Rao
 products of the gram-factor rows) against the off-diagonal cross-products.
 vec is documented as column-stacking; every matrix the solver vectorizes is
 symmetric, so this coincides with the row-major ravel used by the code, and
-the quadratic-form consistency test pins the convention.
+the quadratic-form consistency test pins the convention.  G is assembled by
+batched products: one gemm over the stacked vec(L_i^T L_i) for the
+Kronecker part, and row blocks of the pooled vec(l l^T) for the diagonal
+correction.
 
 The penalty couples the trace norm of the square unfolding (through a
 positive-semidefinite indicator) with the trace norms of the one-way
@@ -18,29 +21,40 @@ eigenvalue and p singular-value soft-thresholds, updates scaled duals, and
 extrapolates with a Nesterov momentum sequence (restarted whenever the
 objective increases).
 
+The iteration advances a stack of cells: (lambda, beta) settings that share
+one loss system.  Their proximal steps run as stacked eigh/svd calls, while
+momentum, restarts, eta, the stopping test and the non-finite aborts stay
+per cell; a converged cell leaves the stack, so its iteration count is the
+one it would have alone.  A single fit is a stack of one, and
+cross-validation runs a fold's whole grid as one stack on the dense path.
+
 Every iterate's square unfolding is kept exactly symmetric by restricting
 the B-subproblem to the symmetric subspace (the ridge system maps that
 subspace to itself, so this is the subproblem's exact minimizer over
 symmetric B).  The solve is carried out in packed symmetric coordinates of
 dimension Q(Q+1)/2, an isometric change of basis that roughly halves the
-linear-algebra cost.
+linear-algebra cost.  The dense system is never factored by Cholesky: one
+eigendecomposition of the packed G per loss system makes the solve for any
+eta a diagonal scaling, so per-cell and adaptive eta need no
+refactorization.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
+conjugate gradients, and cells run one at a time.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .data import cross_products, make_folds
-from .tensor import matricize, one_way_fold, one_way_unfold, square_fold, square_unfold
+from .data import CROSS_OVERFLOW, cross_products, make_folds
+from .tensor import one_way_unfold, square_fold, square_unfold
 
 __all__ = [
     "FitConfig",
     "FitState",
     "Precompute",
     "CovarianceFit",
+    "CvDiagnostics",
     "precompute",
     "objective",
     "prox_trace_mode_k",
@@ -105,30 +119,33 @@ class FitConfig:
 
 
 class SymPacking:
-    """Isometric packing of symmetric Q x Q matrices into R^{Q(Q+1)/2}."""
+    """Isometric packing of symmetric Q x Q matrices into R^{Q(Q+1)/2}.
+
+    ``pack`` and ``unpack`` act on the last two (resp. last) axes, so a stack
+    of matrices packs in one call.
+    """
 
     def __init__(self, q):
         self.q = q
         iu = np.triu_indices(q)
-        self.iu = iu
         self.off = iu[0] < iu[1]
         self.col_upper = iu[0] * q + iu[1]
         self.col_lower = iu[1] * q + iu[0]
         self.dim = iu[0].size
+        # sqrt(2) on off-diagonal coordinates, 1 on the diagonal
+        self._scale = np.where(self.off, math.sqrt(2.0), 1.0)
 
     def pack(self, m):
         """S^T vec(m): symmetrizes as it packs."""
-        v = 0.5 * (m[self.iu] + m[self.iu[1], self.iu[0]])
-        v[self.off] *= math.sqrt(2.0)
-        return v
+        flat = m.reshape(m.shape[:-2] + (self.q * self.q,))
+        return 0.5 * (flat[..., self.col_upper] + flat[..., self.col_lower]) * self._scale
 
     def unpack(self, x):
-        v = np.array(x, dtype=float)
-        v[self.off] /= math.sqrt(2.0)
-        m = np.empty((self.q, self.q))
-        m[self.iu] = v
-        m[self.iu[1], self.iu[0]] = v
-        return m
+        v = np.asarray(x, dtype=float) / self._scale
+        m = np.empty(v.shape[:-1] + (self.q * self.q,))
+        m[..., self.col_upper] = v
+        m[..., self.col_lower] = v
+        return m.reshape(v.shape[:-1] + (self.q, self.q))
 
     def pack_operator(self, g):
         """S^T G S for a dense (Q^2, Q^2) operator preserving symmetry."""
@@ -234,41 +251,64 @@ def _subject_rows(grams, data):
     return out
 
 
+def _weighted_g(ell, u, subjects, q):
+    """sum_i u_i (kron(C_i, C_i) - W_i^T W_i) over ``subjects``, C_i = L_i^T L_i.
+
+    The Kronecker sum is one gemm over the stacked vec(C_i) followed by an
+    axis permutation; W_i stacks vec(l l^T) over the rows l of L_i, and the
+    W part is accumulated over blocks of Q^2/4 pooled rows, so each block's
+    temporaries stay a quarter of G.  Both products weight their rows by
+    sqrt(u_i), which keeps them in symmetric rank-k form.
+    """
+    qq = q * q
+    root_u = np.sqrt(u[subjects])
+    c = np.stack([ell[i].T @ ell[i] for i in subjects]).reshape(-1, qq) * root_u[:, None]
+    g = (c.T @ c).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(qq, qq)
+    rows = np.concatenate([ell[i] for i in subjects])
+    root_w = np.repeat(root_u, [ell[i].shape[0] for i in subjects])
+    step = max(qq // 4, 1)
+    for start in range(0, rows.shape[0], step):
+        blk = rows[start:start + step]
+        w = (blk[:, :, None] * blk[:, None, :]).reshape(blk.shape[0], qq)
+        w *= root_w[start:start + step, None]
+        g -= w.T @ w
+    return g
+
+
 def precompute(data, cross, grams, folds=None, dense=None):
     """Assemble L_i, G, h, c0 (and per-fold pieces) for the quadratic loss."""
     dims = tuple(gf.retained_rank for gf in grams)
     q = int(np.prod(dims))
     ell = _subject_rows(grams, data)
+    n = data.n
     counts = data.counts
     u = 1.0 / (counts * (counts - 1.0))
-    zt = [cross.masked(i) for i in range(data.n)]
-    c0_raw = np.array([(z * z).sum() for z in zt])
-    h_raw = [2.0 * (li.T @ z @ li).ravel() for li, z in zip(ell, zt)]
+    zt = [cross.masked(i) for i in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0_raw = np.array([(z * z).sum() for z in zt])
+        h_raw = [2.0 * (li.T @ z @ li).ravel() for li, z in zip(ell, zt)]
+        h = sum(ui * hi for ui, hi in zip(u, h_raw)) / n
+        c0 = float(u @ c0_raw) / n
+    if (not (np.isfinite(h).all() and math.isfinite(c0))
+            and all(np.isfinite(z).all() for z in zt)):
+        raise ValueError(CROSS_OVERFLOW)
     if dense is None:
         dense = q * q <= DENSE_LIMIT
     pk = SymPacking(q)
 
-    g_full = None
+    g_norm = g_sym = None
     g_fold = []
     if dense:
-        g_full = np.zeros((q * q, q * q))
-        if folds is not None:
-            g_fold = [np.zeros((q * q, q * q)) for _ in range(folds.n_folds)]
-        for i, li in enumerate(ell):
-            c = li.T @ li
-            gi = np.kron(c, c)
-            w = (li[:, :, None] * li[:, None, :]).reshape(li.shape[0], -1)
-            gi -= w.T @ w
-            gi *= u[i]
-            g_full += gi
-            if folds is not None:
-                g_fold[folds.assignment[i]] += gi
-
-    n = data.n
-    h = sum(ui * hi for ui, hi in zip(u, h_raw)) / n
-    c0 = float(u @ c0_raw) / n
-    g_norm = g_full / n if dense else None
-    g_sym = pk.pack_operator(g_norm) if dense else None
+        if folds is None:
+            g_full = _weighted_g(ell, u, np.arange(n), q)
+        else:
+            g_fold = [_weighted_g(ell, u, folds.valid_subjects(f), q)
+                      for f in range(folds.n_folds)]
+            g_full = g_fold[0].copy()
+            for g in g_fold[1:]:
+                g_full += g
+        g_norm = g_full / n
+        g_sym = pk.pack_operator(g_norm)
     return Precompute(
         grams=list(grams), dims=dims, L=ell, zt=zt, u=u, c0_raw=c0_raw,
         h_raw=h_raw, dense=dense, G=g_norm, h=h, c0=c0, pack=pk,
@@ -277,32 +317,51 @@ def precompute(data, cross, grams, folds=None, dense=None):
 
 
 # ---------------------------------------------------------------------------
-# proximal operators
+# proximal operators (stacked: leading axes index independent problems)
+
+def _one_way_axes(order, mode):
+    """Axis permutation laying out a stacked order-``order`` tensor as its
+    mode-``mode`` unfolding, in ``matricize``'s column order."""
+    rest = [1 + i for i in range(order) if i != mode]
+    return (0, 1 + mode, *reversed(rest))
+
+
+def _prox_one_way(a, mode, v):
+    """Soft-threshold, for each a[c], the singular values of its mode-``mode``
+    one-way unfolding by v[c]."""
+    perm = _one_way_axes(a.ndim - 1, mode)
+    moved = a.transpose(perm)
+    m = moved.reshape(a.shape[0], a.shape[1 + mode], -1)
+    u_m, s, vt = np.linalg.svd(m, full_matrices=False)
+    s = np.maximum(s - v[:, None], 0.0)
+    out = ((u_m * s[:, None, :]) @ vt).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))
+
+
+def _prox_psd(m, v):
+    """PSD projection with eigenvalue soft-threshold v[c] of each m[c].
+
+    Returns the projections and their (thresholded) eigenvalues.
+    """
+    sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+    w, vec = np.linalg.eigh(sym)
+    c = np.maximum(w - v[..., None], 0.0)
+    live = (c > 0.0).reshape(-1, c.shape[-1]).any(axis=0)  # columns kept by any matrix
+    vec_live = vec[..., live]
+    out = (vec_live * c[..., None, live]) @ np.swapaxes(vec_live, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0, c
+
 
 def prox_trace_mode_k(a, mode, v):
     """Soft-threshold the singular values of the mode-``mode`` unfolding."""
     a = np.asarray(a, dtype=float)
     if v < 0:
         raise ValueError("threshold must be nonnegative")
+    if a.ndim % 2 != 0 or not 0 <= mode < a.ndim // 2:
+        raise ValueError(f"one-way mode {mode} invalid for an order-{a.ndim} tensor")
     if v == 0.0:
         return a.copy()
-    m = one_way_unfold(a, mode)
-    u_m, s, vt = np.linalg.svd(m, full_matrices=False)
-    s = np.maximum(s - v, 0.0)
-    return one_way_fold((u_m * s) @ vt, mode, a.shape)
-
-
-def _prox_psd_mat(m, v):
-    """PSD projection with eigenvalue soft-threshold on a square matrix."""
-    sym = (m + m.T) / 2.0
-    w, p_mat = np.linalg.eigh(sym)
-    c = np.maximum(w - v, 0.0)
-    nz = c > 0.0
-    if not nz.any():
-        return np.zeros_like(sym), c
-    pk = p_mat[:, nz]
-    out = (pk * c[nz]) @ pk.T
-    return (out + out.T) / 2.0, c
+    return _prox_one_way(a[None], mode, np.array([v]))[0]
 
 
 def prox_psd(a, v):
@@ -310,7 +369,7 @@ def prox_psd(a, v):
     a = np.asarray(a, dtype=float)
     if v < 0:
         raise ValueError("threshold must be nonnegative")
-    out, _ = _prox_psd_mat(square_unfold(a), v)
+    out, _ = _prox_psd(square_unfold(a), np.asarray(v, dtype=float))
     return square_fold(out, a.shape)
 
 
@@ -318,14 +377,16 @@ def prox_psd(a, v):
 # objective
 
 def _one_way_trace_norms(b_sq, dims):
-    """Trace norms of the one-way unfoldings, via small Gram eigenvalues."""
-    tensor = b_sq.reshape(dims + dims)
-    norms = []
+    """Summed trace norms of the one-way unfoldings of each b_sq[c], via small
+    Gram eigenvalues."""
+    tensor = b_sq.reshape((-1,) + dims + dims)
+    total = 0.0
     for k in range(len(dims)):
-        m = matricize(tensor, k)
-        ev = np.linalg.eigvalsh(m @ m.T)
-        norms.append(float(np.sqrt(np.maximum(ev, 0.0)).sum()))
-    return norms
+        m = tensor.transpose(_one_way_axes(2 * len(dims), k))
+        m = m.reshape(tensor.shape[0], dims[k], -1)
+        ev = np.linalg.eigvalsh(m @ np.swapaxes(m, -1, -2))
+        total = total + np.sqrt(np.maximum(ev, 0.0)).sum(axis=-1)
+    return total
 
 
 def objective(b, pre, config):
@@ -345,9 +406,8 @@ def objective(b, pre, config):
             return float("inf")
         value += config.lam * config.beta * float(np.abs(w).sum())
     if config.beta < 1.0:
-        p = pre.p
-        norms = _one_way_trace_norms(b_sq, pre.dims)
-        value += config.lam * (1.0 - config.beta) / p * sum(norms)
+        norms = float(_one_way_trace_norms(b_sq[None], pre.dims)[0])
+        value += config.lam * (1.0 - config.beta) / pre.p * norms
     return value
 
 
@@ -391,242 +451,239 @@ class CovarianceFit:
 
 
 class _System:
-    """The ridge solve (2 G + (p+1) eta I)^{-1} in packed symmetric coordinates."""
+    """The ridge solves (2 G + (p+1) eta_c I)^{-1} of a stack of cells, in
+    packed symmetric coordinates.
 
-    def __init__(self, pre, subjects, eta, g_sym=None, h=None, c0=None):
+    Dense: G_sym = U diag(g) U^T is decomposed once, and the solve for any
+    eta is a diagonal scaling in U's basis.  Matrix-free: conjugate
+    gradients on G applied subject by subject, one cell at a time.
+    """
+
+    def __init__(self, pre, subjects, g_sym=None):
         self.pre = pre
         self.subjects = subjects
         self.pack = pre.pack
         self.p = pre.p
-        if h is None:
-            h, c0 = pre.subset_pieces(subjects) if subjects is not None else (pre.h, pre.c0)
-        self.h, self.c0 = h, c0
+        h, self.c0 = pre.subset_pieces(subjects) if subjects is not None else (pre.h, pre.c0)
         self.h_packed = self.pack.pack(h.reshape(pre.q_total, pre.q_total))
         self.g_sym = g_sym
         self.dense = g_sym is not None
-        self.eta = None
-        self._factor = None
-        self.set_eta(eta)
-
-    def set_eta(self, eta):
-        if eta == self.eta:
-            return
-        self.eta = eta
         if self.dense:
-            a = 2.0 * self.g_sym + (self.p + 1) * eta * np.eye(self.g_sym.shape[0])
-            self._factor = cho_factor(a, lower=True, check_finite=False)
+            self.g_eig, self.g_vec = np.linalg.eigh(g_sym)
+
+    def _apply(self, x_packed):
+        """G x for each packed row x of the stack."""
+        if self.dense:
+            return x_packed @ self.g_sym
+        pk = self.pack
+        return np.stack([pk.pack(self.pre.apply_G(pk.unpack(x), self.subjects))
+                         for x in x_packed])
 
     def quad(self, x_packed):
-        """Data loss at the packed symmetric coefficient vector."""
+        """Data loss at each packed symmetric coefficient vector of the stack."""
+        return (np.einsum("cp,cp->c", x_packed, self._apply(x_packed))
+                - x_packed @ self.h_packed + self.c0)
+
+    def solve(self, rhs_packed, eta, x0=None):
+        shift = (self.p + 1) * eta
         if self.dense:
-            gx = self.g_sym @ x_packed
-        else:
-            m = self.pack.unpack(x_packed)
-            gx = self.pack.pack(self.pre.apply_G(m, self.subjects))
-        return float(x_packed @ gx) - float(self.h_packed @ x_packed) + self.c0
+            y = rhs_packed @ self.g_vec
+            y /= 2.0 * self.g_eig + shift[:, None]
+            return y @ self.g_vec.T
+        out = np.empty_like(rhs_packed)
+        for c, rhs in enumerate(rhs_packed):
+            def matvec(x, s=shift[c]):
+                return 2.0 * self._apply(x[None])[0] + s * x
 
-    def solve(self, rhs_packed, x0=None):
-        if self.dense:
-            return cho_solve(self._factor, rhs_packed, check_finite=False)
-        pre, subjects, eta, p = self.pre, self.subjects, self.eta, self.p
+            op = LinearOperator((self.pack.dim, self.pack.dim), matvec=matvec,
+                                dtype=float)
+            out[c], info = cg(op, rhs, x0=None if x0 is None else x0[c],
+                              rtol=1e-12, atol=0.0, maxiter=20 * self.pack.dim)
+            if info != 0:
+                raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
+        return out
 
-        def matvec(x):
-            m = self.pack.unpack(x)
-            out = 2.0 * pre.apply_G(m, subjects) + (p + 1) * eta * m
-            return self.pack.pack(out)
-
-        op = LinearOperator((self.pack.dim, self.pack.dim), matvec=matvec,
-                            dtype=float)
-        sol, info = cg(op, rhs_packed, x0=x0, rtol=1e-12, atol=0.0,
-                       maxiter=20 * self.pack.dim)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
-        return sol
-
-    def residual(self, x_packed, rhs_packed):
-        """Stationarity residual of the packed ridge system."""
-        if self.dense:
-            ax = 2.0 * (self.g_sym @ x_packed) + (self.p + 1) * self.eta * x_packed
-        else:
-            m = self.pack.unpack(x_packed)
-            ax = self.pack.pack(
-                2.0 * self.pre.apply_G(m, self.subjects) + (self.p + 1) * self.eta * m
-            )
-        return float(np.linalg.norm(ax - rhs_packed))
+    def residual(self, x_packed, rhs_packed, eta):
+        """Stationarity residual of each packed ridge system."""
+        ax = 2.0 * self._apply(x_packed) + ((self.p + 1) * eta)[:, None] * x_packed
+        return np.linalg.norm(ax - rhs_packed, axis=-1)
 
 
-def _iterate(system, pre, config, initial=None, track=False):
-    """Run the accelerated ADMM on the given loss system."""
+def _frob(x):
+    """Frobenius norms over the last two axes."""
+    return np.sqrt((x * x).sum(axis=(-2, -1)))
+
+
+def _iterate(system, pre, configs, initial=None, track=False):
+    """Run the accelerated ADMM for a stack of cells on one loss system.
+
+    Cell c follows ``configs[c]`` and starts from ``initial`` (a FitState,
+    shared by every cell) or from zero.  Returns one result dict per cell.
+    """
     p = pre.p
     q = pre.q_total
     dims2 = pre.dims + pre.dims
     pk = pre.pack
-    eta = config.eta
-    system.set_eta(eta)  # shared systems (CV cells) may carry a stale eta
-    zero = np.zeros((q, q))
+    n_cells = len(configs)
+    lam = np.array([c.lam for c in configs], dtype=float)
+    beta = np.array([c.beta for c in configs], dtype=float)
+    eta = np.array([c.eta for c in configs], dtype=float)
+    tol = np.array([c.tol for c in configs], dtype=float)
+    max_iters = np.array([c.max_iters for c in configs])
+    adaptive = np.array([c.adaptive_eta for c in configs])
+    w_psd = lam * beta
+    lam_one = lam * (1.0 - beta)
+    has_one = beta < 1.0
+    # Iterate arrays hold one row per active cell; ``cell`` maps rows to
+    # cells, and the per-cell settings above are read through it.
+    cell = np.arange(n_cells)
 
     if initial is None:
-        b = zero.copy()
-        d = [zero.copy() for _ in range(p + 1)]
-        v = [zero.copy() for _ in range(p + 1)]
-        alpha = 1.0
+        d = np.zeros((n_cells, p + 1, q, q))
+        v = np.zeros((n_cells, p + 1, q, q))
+        alpha = np.ones(n_cells)
     else:
         b = square_unfold(np.asarray(initial.B, dtype=float))
         if np.abs(b - b.T).max() > 1e-10 * max(np.abs(b).max(), 1e-300):
             raise ValueError("initial B must have a symmetric square unfolding")
-        d = [square_unfold(np.asarray(x, dtype=float)) for x in initial.D]
-        v = [square_unfold(np.asarray(x, dtype=float)) for x in initial.V]
-        alpha = initial.alpha
-    d_hat = [x.copy() for x in d]
-    v_hat = [x.copy() for x in v]
-    d_prev = [x.copy() for x in d]
-    v_prev = [x.copy() for x in v]
+        d, v = (np.repeat(np.stack([square_unfold(np.asarray(x, dtype=float))
+                                    for x in blocks])[None], n_cells, axis=0)
+                for blocks in (initial.D, initial.V))
+        alpha = np.full(n_cells, float(initial.alpha))
+    d_hat, v_hat, d_prev, v_prev = d.copy(), v.copy(), d.copy(), v.copy()
 
-    thr_psd = config.lam * config.beta / eta
-    thr_one = config.lam * (1.0 - config.beta) / (p * eta)
-
-    def d0_objective(d0_mat, eigs):
-        val = system.quad(pk.pack(d0_mat))
-        val += config.lam * config.beta * float(eigs.sum())
-        if config.beta < 1.0:
-            val += (config.lam * (1.0 - config.beta) / p
-                    * sum(_one_way_trace_norms(d0_mat, pre.dims)))
+    def d0_objective(d0, eigs):
+        val = system.quad(pk.pack(d0)) + w_psd[cell] * eigs.sum(axis=-1)
+        if has_one[cell].any():
+            w_one = np.where(has_one[cell], lam_one[cell] / p, 0.0)
+            val = val + w_one * _one_way_trace_norms(d0, pre.dims)
         return val
 
     if initial is None:
-        obj_prev = system.quad(pk.pack(d[0]))  # zero init: penalties vanish
+        obj_prev = system.quad(pk.pack(d[:, 0]))  # zero init: penalties vanish
     else:
-        w0 = np.linalg.eigvalsh((d[0] + d[0].T) / 2.0)
-        obj_prev = d0_objective(d[0], np.abs(w0))
-    trace = [obj_prev]
-    if not math.isfinite(obj_prev):
+        obj_prev = d0_objective(d[:, 0], np.abs(np.linalg.eigvalsh(
+            (d[:, 0] + np.swapaxes(d[:, 0], -1, -2)) / 2.0)))
+    traces = [[float(o)] for o in obj_prev]
+    bad = np.flatnonzero(~np.isfinite(obj_prev))
+    if bad.size:
         err = RuntimeError(
-            f"non-finite objective ({obj_prev}) at initialization; "
+            f"non-finite objective ({obj_prev[bad[0]]}) at initialization; "
             "check the data for NaN or infinite values"
         )
-        err.trace = np.asarray(trace)
+        err.trace = np.asarray(traces[bad[0]])
         raise err
-    stationarity = [] if track else None
-    max_skew = 0.0
-    converged = False
-    n_iters = 0
+    stationarity = [[] for _ in range(n_cells)] if track else None
+    max_skew = np.zeros(n_cells)
+    results = [None] * n_cells
     b_packed = None
 
-    for t in range(config.max_iters):
-        n_iters = t + 1
-        acc = d_hat[0] - v_hat[0]
+    for t in range(int(max_iters.max())):
+        acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
-            acc = acc + d_hat[k] - v_hat[k]
-        rhs = system.h_packed + eta * pk.pack(acc)
-        b_packed = system.solve(rhs, x0=b_packed)
+            acc = acc + d_hat[:, k] - v_hat[:, k]
+        rhs = system.h_packed + eta[:, None] * pk.pack(acc)
+        b_packed = system.solve(rhs, eta, x0=b_packed)
         b = pk.unpack(b_packed)
         if track:
-            stationarity.append(system.residual(b_packed, rhs))
-            max_skew = max(max_skew, float(np.abs(b - b.T).max()))
+            for c, r in zip(cell, system.residual(b_packed, rhs, eta)):
+                stationarity[c].append(float(r))
+            max_skew = np.maximum(max_skew, np.abs(b - np.swapaxes(b, -1, -2)).max(axis=(-2, -1)))
 
-        eigs = None
-        for k in range(p + 1):
-            ak = b + v_hat[k]
-            if k == 0:
-                dk, eigs = _prox_psd_mat(ak, thr_psd)
-            elif thr_one == 0.0:
-                dk = ak.copy()
-            else:
-                m = one_way_unfold(ak.reshape(dims2), k - 1)
-                u_m, s, vt = np.linalg.svd(m, full_matrices=False)
-                s = np.maximum(s - thr_one, 0.0)
-                dk = square_unfold(one_way_fold((u_m * s) @ vt, k - 1, dims2))
-            vk = v_hat[k] + b - dk
-            d_prev[k], d[k] = d[k], dk
-            v_prev[k], v[k] = v[k], vk
+        # each prox overwrites its block of B + V_hat; the one-way blocks of
+        # beta=1 cells skip the SVD and keep it
+        d_new = b[:, None] + v_hat
+        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], w_psd[cell] / eta)
+        thr_one = lam_one[cell] / (p * eta)
+        svd_rows = np.flatnonzero(thr_one != 0.0)
+        if svd_rows.size:
+            for k in range(1, p + 1):
+                ak = d_new[svd_rows, k].reshape((-1,) + dims2)
+                dk = _prox_one_way(ak, k - 1, thr_one[svd_rows])
+                d_new[svd_rows, k] = dk.reshape(-1, q, q)
+        d_prev, d = d, d_new
+        v_prev, v = v, v_hat + b[:, None] - d_new
 
-        obj = d0_objective(d[0], eigs)
-        trace.append(obj)
-        if not math.isfinite(obj):
+        obj = d0_objective(d[:, 0], eigs)
+        for c, o in zip(cell, obj):
+            traces[c].append(float(o))
+        bad = np.flatnonzero(~np.isfinite(obj))
+        if bad.size:
             err = RuntimeError(
-                f"non-finite objective ({obj}) at iteration {t + 1}; "
+                f"non-finite objective ({obj[bad[0]]}) at iteration {t + 1}; "
                 "the iteration diverged"
             )
-            err.trace = np.asarray(trace)
+            err.trace = np.asarray(traces[cell[bad[0]]])
             raise err
 
-        alpha_next = (1.0 + math.sqrt(1.0 + 4.0 * alpha * alpha)) / 2.0
-        if obj > obj_prev:
-            # restart: drop momentum for this step
-            alpha_next = 1.0
-            gamma = 0.0
-        else:
-            gamma = (alpha - 1.0) / alpha_next
-        for k in range(p + 1):
-            if gamma == 0.0:
-                d_hat[k] = d[k].copy()
-                v_hat[k] = v[k].copy()
-            else:
-                d_hat[k] = d[k] + gamma * (d[k] - d_prev[k])
-                v_hat[k] = v[k] + gamma * (v[k] - v_prev[k])
+        # momentum, dropped for this step where the objective rose (restart)
+        alpha_next = (1.0 + np.sqrt(1.0 + 4.0 * alpha * alpha)) / 2.0
+        restart = obj > obj_prev
+        alpha_next[restart] = 1.0
+        gamma = np.where(restart, 0.0, (alpha - 1.0) / alpha_next)[:, None, None, None]
+        d_hat = d + gamma * (d - d_prev)
+        v_hat = v + gamma * (v - v_prev)
         alpha = alpha_next
 
-        rel = abs(obj - obj_prev) / max(abs(obj_prev), 1e-300)
+        rel = np.abs(obj - obj_prev) / np.maximum(np.abs(obj_prev), 1e-300)
         obj_prev = obj
-        if rel < config.tol:
+        conv = rel < tol[cell]
+        if conv.any():
             # Guard against false plateaus: from a cold start the objective
             # at D_0 can sit exactly at its initial value for several
             # iterations while D_0 is pinned at zero and the duals ramp up.
             # Require consensus between B and the D blocks (relative to the
             # iterate scale, with the first-step magnitude of B as an
             # absolute anchor) before declaring convergence.
-            r_cons = max(float(np.linalg.norm(b - d[k])) for k in range(p + 1))
-            anchor = max(
-                float(np.linalg.norm(b)),
-                float(np.linalg.norm(d[0])),
-                float(np.linalg.norm(system.h_packed)) / ((p + 1) * eta),
-            )
-            if r_cons <= math.sqrt(config.tol) * max(anchor, 1e-300):
-                converged = True
-                break
+            r_cons = _frob(b[:, None] - d).max(axis=1)
+            anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
+                                np.linalg.norm(system.h_packed) / ((p + 1) * eta))
+            conv &= r_cons <= np.sqrt(tol[cell]) * np.maximum(anchor, 1e-300)
 
-        if config.adaptive_eta and (t + 1) % 10 == 0:
-            r_primal = math.sqrt(sum(float(((b - d[k]) ** 2).sum()) for k in range(p + 1)))
-            r_dual = eta * math.sqrt(sum(
-                float(((d[k] - d_prev[k]) ** 2).sum()) for k in range(p + 1)))
-            new_eta = eta
-            if r_primal > 10.0 * r_dual:
-                new_eta = eta * 2.0
-            elif r_dual > 10.0 * r_primal:
-                new_eta = eta / 2.0
-            if new_eta != eta:
-                scale = eta / new_eta
-                for k in range(p + 1):
-                    v[k] *= scale
-                    v_hat[k] *= scale
-                    v_prev[k] *= scale
-                eta = new_eta
-                system.set_eta(eta)
-                thr_psd = config.lam * config.beta / eta
-                thr_one = config.lam * (1.0 - config.beta) / (p * eta)
-                alpha = 1.0
-                d_hat = [x.copy() for x in d]
-                v_hat = [x.copy() for x in v]
+        if (t + 1) % 10 == 0 and adaptive[cell].any():
+            r_primal = np.sqrt(((b[:, None] - d) ** 2).sum(axis=(1, 2, 3)))
+            r_dual = eta * np.sqrt(((d - d_prev) ** 2).sum(axis=(1, 2, 3)))
+            new_eta = np.where(r_primal > 10.0 * r_dual, eta * 2.0,
+                               np.where(r_dual > 10.0 * r_primal, eta / 2.0, eta))
+            moved = adaptive[cell] & ~conv & (new_eta != eta)
+            if moved.any():
+                scale = np.where(moved, eta / new_eta, 1.0)[:, None, None, None]
+                v, v_prev = v * scale, v_prev * scale
+                eta = np.where(moved, new_eta, eta)
+                alpha[moved] = 1.0
+                d_hat[moved] = d[moved]
+                v_hat[moved] = v[moved]
 
-    primal = np.array([np.linalg.norm(b - d[k]) for k in range(p + 1)])
-    final = FitState(
-        B=b.reshape(dims2).copy(),
-        D=[x.reshape(dims2).copy() for x in d],
-        V=[x.reshape(dims2).copy() for x in v],
-        alpha=alpha,
-    )
-    return {
-        "coeffs": d[0].reshape(dims2).copy(),
-        "converged": converged,
-        "n_iters": n_iters,
-        "objective_value": obj_prev,
-        "primal_residuals": primal,
-        "objective_trace": np.asarray(trace),
-        "eta_final": eta,
-        "stationarity": None if stationarity is None else np.asarray(stationarity),
-        "max_skew": max_skew,
-        "state": final,
-    }
+        done = conv | (t + 1 >= max_iters[cell])
+        if not done.any():
+            continue
+        for row in np.flatnonzero(done):
+            c = cell[row]
+            results[c] = {
+                "coeffs": d[row, 0].reshape(dims2).copy(),
+                "converged": bool(conv[row]),
+                "n_iters": t + 1,
+                "objective_value": float(obj_prev[row]),
+                "primal_residuals": _frob(b[row] - d[row]),
+                "objective_trace": np.asarray(traces[c]),
+                "eta_final": float(eta[row]),
+                "stationarity": None if not track else np.asarray(stationarity[c]),
+                "max_skew": float(max_skew[row]),
+                "state": FitState(
+                    B=b[row].reshape(dims2).copy(),
+                    D=[x.reshape(dims2).copy() for x in d[row]],
+                    V=[x.reshape(dims2).copy() for x in v[row]],
+                    alpha=float(alpha[row]),
+                ),
+            }
+        keep = ~done
+        if not keep.any():
+            break
+        cell, b_packed, b = cell[keep], b_packed[keep], b[keep]
+        d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
+        d_prev, v_prev = d_prev[keep], v_prev[keep]
+        alpha, obj_prev, eta, max_skew = alpha[keep], obj_prev[keep], eta[keep], max_skew[keep]
+    return results
 
 
 def admm_fit(data, cross, grams, config, initial=None, pre=None, track=False):
@@ -639,17 +696,9 @@ def admm_fit(data, cross, grams, config, initial=None, pre=None, track=False):
     """
     if pre is None:
         pre = precompute(data, cross, grams)
-    system = _System(pre, None, config.eta, g_sym=pre.G_sym)
-    out = _iterate(system, pre, config, initial=initial, track=track)
-    return CovarianceFit(
-        coeffs=out["coeffs"], config=config, grams=pre.grams,
-        converged=out["converged"], n_iters=out["n_iters"],
-        objective_value=out["objective_value"],
-        primal_residuals=out["primal_residuals"],
-        objective_trace=out["objective_trace"], eta_final=out["eta_final"],
-        stationarity=out["stationarity"], max_skew=out["max_skew"],
-        state=out["state"],
-    )
+    system = _System(pre, None, g_sym=pre.G_sym)
+    (out,) = _iterate(system, pre, [config], initial=initial, track=track)
+    return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
 def rank_report(fit, threshold=None):
@@ -675,6 +724,15 @@ def rank_report(fit, threshold=None):
     return tuple(ranks)
 
 
+@dataclass(frozen=True)
+class CvDiagnostics:
+    """Convergence of each cross-validation cell, as (len(lambda_grid),
+    len(beta_grid)) integer tables."""
+
+    n_iters: np.ndarray            # ADMM iterations summed over the folds
+    unconverged_folds: np.ndarray  # folds whose fit stopped at max_iters
+
+
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
               beta_grid=DEFAULT_BETA_GRID, folds=None, base=None, mean=None,
               n_folds=5, fold_seed=0):
@@ -682,9 +740,12 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
 
     For every fold, the fit uses the training subjects' loss pieces (derived
     from the shared full-data precomputation by subtraction) and is scored by
-    the held-out squared-error loss on the validation subjects.  Ties are
-    broken toward larger lambda, then larger beta.  Returns the winning
-    FitConfig and the (len(lambda_grid), len(beta_grid)) score table.
+    the held-out squared-error loss on the validation subjects.  On the dense
+    path a fold's whole grid runs as one stack of cells; on the matrix-free
+    path the cells run one at a time, which bounds the iterate memory.  Ties
+    are broken toward larger lambda, then larger beta.  Returns the winning
+    FitConfig, the (len(lambda_grid), len(beta_grid)) score table and the
+    cells' CvDiagnostics.
     """
     lambda_grid = list(lambda_grid)
     beta_grid = list(beta_grid)
@@ -697,7 +758,13 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     cross = cross_products(data, mean)
     pre = precompute(data, cross, grams, folds=folds)
 
+    cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
+    configs = [replace(base, lam=float(lambda_grid[li]), beta=float(beta_grid[bj]))
+               for li, bj in cells]
+    size = len(configs) if pre.dense else 1
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
+    n_iters = np.zeros(scores.shape, dtype=int)
+    unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
         train = folds.train_subjects(f)
         valid = folds.valid_subjects(f)
@@ -706,13 +773,14 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
             g_sym = pre.pack.pack_operator(g_train)
         else:
             g_sym = None
-        system = _System(pre, train, base.eta, g_sym=g_sym)
-        for bj, beta in enumerate(beta_grid):
-            for li, lam in enumerate(lambda_grid):
-                cfg = replace(base, lam=float(lam), beta=float(beta))
-                out = _iterate(system, pre, cfg)
+        system = _System(pre, train, g_sym=g_sym)
+        for start in range(0, len(configs), size):
+            outs = _iterate(system, pre, configs[start:start + size])
+            for (li, bj), out in zip(cells[start:start + size], outs):
                 b_sq = square_unfold(out["coeffs"])
                 scores[li, bj] += pre.loss_direct(b_sq, valid)
+                n_iters[li, bj] += out["n_iters"]
+                unconverged[li, bj] += not out["converged"]
     scores /= folds.n_folds
 
     best = None
@@ -723,4 +791,4 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
                 best = (cand, li, bj)
     li, bj = best[1], best[2]
     chosen = replace(base, lam=float(lambda_grid[li]), beta=float(beta_grid[bj]))
-    return chosen, scores
+    return chosen, scores, CvDiagnostics(n_iters=n_iters, unconverged_folds=unconverged)

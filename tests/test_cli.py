@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfcov
 from mfcov.cli import RunConfig, main, read_container, write_container
 from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
 from mfcov.kernel import KernelSpec
@@ -27,6 +32,13 @@ def dataset_csv(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _huge_dataset():
+    """Finite values whose cross-products overflow float64."""
+    data = generate(SimSetting(setting=3, n=8, m=4, sigma=0.2, seed=5))
+    data.values = [v * 1e200 for v in data.values]
+    return data
 
 
 class TestContainer:
@@ -156,18 +168,31 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == f"mfcov fit: {bad}:3: non-finite value\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_failure_exits_one(self, tmp_path, capsys):
-        # finite values whose cross-products overflow make the solver abort
-        data = generate(SimSetting(setting=3, n=8, m=4, sigma=0.2, seed=5))
-        data.values = [v * 1e200 for v in data.values]
+        # finite values whose cross-products overflow are refused up front
         path = tmp_path / "huge.csv"
-        save_csv(data, path)
+        save_csv(_huge_dataset(), path)
         code = run("fit", "--data", path, "--out", tmp_path / "o", *FIT_FLAGS)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("mfcov fit: non-finite objective")
+        assert err.startswith("mfcov fit: cross-products overflow float64")
         assert err.count("\n") == 1
+
+    def test_overflow_writes_one_stderr_line(self, tmp_path):
+        # a real process: numpy's warnings would reach stderr unfiltered
+        path = tmp_path / "huge.csv"
+        save_csv(_huge_dataset(), path)
+        src = str(Path(mfcov.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "mfcov.cli", "fit", "--data", str(path),
+             "--out", str(tmp_path / "o"), *FIT_FLAGS],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "mfcov fit: cross-products overflow float64; rescale the values"]
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = run("fit", "--data", tmp_path / "absent.csv",
@@ -259,7 +284,7 @@ class TestCv:
         assert selected["beta"] == 0.25
         with open(out / "cv_scores.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["lambda", "beta", "score"]
+        assert rows[0] == ["lambda", "beta", "score", "n_iters", "unconverged_folds"]
         assert len(rows) == 2
 
     def test_matches_library_and_feeds_fit(self, dataset_csv, tmp_path):
@@ -272,17 +297,20 @@ class TestCv:
         data = load_csv(dataset_csv)
         grams = gram_factors(data, KernelSpec(), tol=1e-10, cap=4)
         folds = make_folds(data, 3, 0)
-        chosen, scores = cv_select(data, grams, (3e-6, 1e-5), (0.0, 0.5),
-                                   folds=folds, base=FitConfig(eta=1e-9))
+        chosen, scores, cells = cv_select(data, grams, (3e-6, 1e-5), (0.0, 0.5),
+                                          folds=folds, base=FitConfig(eta=1e-9))
         selected = json.loads((out / "selected_config.json").read_text())
         assert selected["lambda"] == chosen.lam
         assert selected["beta"] == chosen.beta
         with open(out / "cv_scores.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        table = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
+        table = {(float(r[0]), float(r[1])): r[2:] for r in rows}
         for li, lam in enumerate((3e-6, 1e-5)):
             for bj, beta in enumerate((0.0, 0.5)):
-                assert table[(lam, beta)] == scores[li, bj]
+                score, n_iters, unconverged = table[(lam, beta)]
+                assert float(score) == scores[li, bj]
+                assert int(n_iters) == cells.n_iters[li, bj] >= 3
+                assert int(unconverged) == cells.unconverged_folds[li, bj]
 
         fit_out = tmp_path / "fit"
         assert run("fit", "--config", out / "selected_config.json",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from mfcov.data import FunctionalDataset, cross_products
+from mfcov import solver
+from mfcov.data import FunctionalDataset, cross_products, make_folds
 from mfcov.kernel import GramFactor
 from mfcov.solver import (
     CovarianceFit,
@@ -149,6 +150,51 @@ class TestPrecompute:
         )
         with pytest.raises(ValueError, match="rows"):
             precompute(other, cross_products(other), grams)
+
+    def test_overflowing_pieces_rejected(self):
+        data, cross, grams, _ = make_problem(p=1, n=4, m=3, q=2)
+        # cross-products near 1e300 stay finite, but their squares do not
+        data = FunctionalDataset(data.locations, [v * 1e150 for v in data.values])
+        with pytest.raises(ValueError, match="cross-products overflow float64"):
+            precompute(data, cross_products(data), grams)
+
+
+def g_oracle(pre, subjects):
+    """Sum of u_i (kron(C_i, C_i) - W_i^T W_i), subject by subject."""
+    total = 0.0
+    for i in subjects:
+        li = pre.L[i]
+        c = li.T @ li
+        w = np.stack([np.kron(row, row) for row in li])
+        total = total + pre.u[i] * (np.kron(c, c) - w.T @ w)
+    return total
+
+
+class TestBatchedG:
+    # 30 pooled rows exceed Q^2 = 9 and 16 for (p, q) = (1, 3) and (2, 2),
+    # not Q^2 = 81 for (2, 3); the Q^2/4-row blocks split all three
+    @pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (2, 3)])
+    def test_matches_per_subject_kron(self, p, q):
+        rng = np.random.default_rng(40 + 3 * p + q)
+        counts = [2, 3, 6, 4, 2, 5, 3, 5]
+        locs = [rng.uniform(size=(m, p)) for m in counts]
+        vals = [rng.standard_normal(m) for m in counts]
+        data = FunctionalDataset(locs, vals)
+        grams = synthetic_grams(rng, sum(counts), [q] * p)
+        folds = make_folds(data, 3, 0)
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+        assert pre.dense
+        n_rows = sum(counts)
+        assert (n_rows > pre.q_total ** 2) == (q ** p < 9)
+        scale = np.abs(pre.G).max()
+        np.testing.assert_allclose(pre.G, g_oracle(pre, range(data.n)) / data.n,
+                                   rtol=0, atol=1e-13 * scale)
+        for f in range(folds.n_folds):
+            oracle = g_oracle(pre, folds.valid_subjects(f))
+            np.testing.assert_allclose(pre.G_fold[f], oracle,
+                                       rtol=0, atol=1e-13 * data.n * scale)
+        plain = precompute(data, cross_products(data), grams)
+        np.testing.assert_allclose(plain.G, pre.G, rtol=0, atol=1e-13 * scale)
 
 
 class TestProxTrace:
@@ -450,6 +496,39 @@ class TestAdmmFit:
         assert roundtrip == FitConfig(lam=0.2, beta=0.75)
 
 
+STACK_CONFIGS = [
+    FitConfig(lam=0.05, beta=0.0, tol=1e-9, max_iters=2000),
+    FitConfig(lam=0.05, beta=0.5, tol=1e-9, max_iters=2000),
+    FitConfig(lam=0.05, beta=1.0, tol=1e-9, max_iters=2000),
+    FitConfig(lam=1e6, beta=0.5),                       # annihilates the fit
+    FitConfig(lam=0.05, beta=0.5, max_iters=3),         # stops at the cap
+    FitConfig(lam=0.01, beta=0.25, eta=10.0, tol=1e-10, max_iters=2000,
+              adaptive_eta=True),
+]
+
+
+class TestStackedAdmm:
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_cells_match_single_cell_runs(self, dense):
+        data, cross, grams, _ = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        pre = precompute(data, cross, grams, dense=dense)
+        system = solver._System(pre, None, g_sym=pre.G_sym)
+        stacked = solver._iterate(system, pre, STACK_CONFIGS)
+        for cfg, out in zip(STACK_CONFIGS, stacked):
+            single = admm_fit(data, cross, grams, cfg, pre=pre)
+            assert out["n_iters"] == single.n_iters
+            assert out["converged"] == single.converged
+            assert out["eta_final"] == single.eta_final
+            ref = np.linalg.norm(single.coeffs)
+            assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-12 * ref
+        n_iters = [out["n_iters"] for out in stacked]
+        assert n_iters[4] == 3 and not stacked[4]["converged"]
+        assert np.linalg.norm(stacked[3]["coeffs"]) == 0.0
+        assert min(n_iters[:3]) > 10 and len(set(n_iters)) > 3
+        assert stacked[5]["eta_final"] != STACK_CONFIGS[5].eta
+
+
 def synthetic_fit(coeffs, threshold=1e-8):
     return CovarianceFit(
         coeffs=coeffs, config=FitConfig(rank_threshold=threshold), grams=[],
@@ -483,31 +562,58 @@ class TestRankReport:
 class TestCvSelect:
     def test_single_point_grid(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=25)
-        best, scores = cv_select(data, grams, [0.1], [0.5], n_folds=3)
+        best, scores, _ = cv_select(data, grams, [0.1], [0.5], n_folds=3)
         assert best.lam == 0.1 and best.beta == 0.5
         assert scores.shape == (1, 1)
         assert np.isfinite(scores).all()
 
     def test_duplicate_lambda_scores_identical(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=26)
-        _, scores = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75], n_folds=3)
+        _, scores, _ = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75], n_folds=3)
         np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_ties_break_toward_larger_lambda_then_beta(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=27)
         # both lambdas annihilate the fit, so all scores tie exactly
-        best, scores = cv_select(data, grams, [1e9, 1e12], [0.25, 0.75],
-                                 n_folds=3)
+        best, scores, _ = cv_select(data, grams, [1e9, 1e12], [0.25, 0.75],
+                                    n_folds=3)
         assert best.lam == 1e12
         assert best.beta == 0.75
         assert np.ptp(scores) == 0.0
 
     def test_deterministic_across_calls(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=28)
-        b1, s1 = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
-        b2, s2 = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
+        b1, s1, _ = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
+        b2, s2, _ = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
         assert b1 == b2
         np.testing.assert_array_equal(s1, s2)
+
+    def test_dense_and_matrix_free_agree(self, monkeypatch):
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
+        best_d, scores_d, cells_d = cv_select(data, grams, *grid, n_folds=3)
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        best_m, scores_m, cells_m = cv_select(data, grams, *grid, n_folds=3)
+        assert best_m == best_d
+        np.testing.assert_allclose(scores_m, scores_d, rtol=1e-8)
+        assert np.ptp(scores_d) > 1e-3 * scores_d.max()
+        np.testing.assert_array_equal(cells_m.unconverged_folds,
+                                      cells_d.unconverged_folds)
+
+    def test_unconverged_cells_are_reported(self):
+        data, cross, grams, _ = make_problem(
+            p=1, n=6, m=4, q=2, seed=31, model_scale=1.5, noise=0.2)
+        grid = ([1e-3, 1e9], [0.5])
+        _, _, capped = cv_select(data, grams, *grid, n_folds=3,
+                                 base=FitConfig(max_iters=4, tol=1e-12))
+        assert capped.n_iters.shape == (2, 1)
+        assert (capped.n_iters == 12).all()
+        assert (capped.unconverged_folds == 3).all()
+        _, _, free = cv_select(data, grams, *grid, n_folds=3,
+                               base=FitConfig(tol=1e-12))
+        assert (free.n_iters > 12).all()
+        assert (free.unconverged_folds == 0).all()
 
     def test_empty_grid_rejected(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
