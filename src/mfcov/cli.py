@@ -20,6 +20,7 @@ refuses a container whose provenance does not match the dataset it is given.
 import argparse
 import csv
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass, fields, replace
@@ -76,11 +77,13 @@ def read_container(path):
     if len(blob) < len(MAGIC) + 1:
         raise ValueError(f"{path}: truncated header")
     ndim = blob[len(MAGIC)]
+    if ndim == 0:
+        raise ValueError(f"{path}: tensor order 0 in the shape header")
     head = len(MAGIC) + 1 + 8 * ndim
     if len(blob) < head:
         raise ValueError(f"{path}: truncated shape header")
     shape = struct.unpack(f"<{ndim}Q", blob[len(MAGIC) + 1 : head])
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 0
+    count = math.prod(shape)  # exact: int64 products of large dims wrap
     end = head + 8 * count
     if len(blob) < end:
         raise ValueError(

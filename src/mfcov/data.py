@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import factor_kernel, kernel_eval
+from .kernel import basis_matrix, factor_kernel
 
 __all__ = [
     "FunctionalDataset",
@@ -100,37 +100,43 @@ def load_csv(path):
     Subjects keep their order of first appearance.  Subjects with fewer than
     two rows are dropped with a warning; malformed rows, out-of-range
     coordinates or non-finite values abort with the offending line number.
+    Every defect of the file's content raises ValueError.
     """
     by_subject = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0] != "subject" or header[-1] != "y":
-            raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
-        p = len(header) - 2
-        if [c for c in header[1:-1]] != [f"t{k}" for k in range(1, p + 1)]:
-            raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise ValueError(f"{path}:{lineno}: expected {p + 2} fields, got {len(row)}")
-            try:
-                coords = [float(c) for c in row[1:-1]]
-                y = float(row[-1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-            if any(not 0.0 <= c <= 1.0 for c in coords):
-                raise ValueError(f"{path}:{lineno}: coordinate outside [0, 1]")
-            if not math.isfinite(y):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            by_subject.setdefault(row[0], []).append((coords, y))
-    dropped = [sid for sid, rows in by_subject.items() if len(rows) < 2]
-    if dropped:
-        warnings.warn(f"dropped subjects with fewer than 2 observations: {dropped}")
+        try:
+            header = next(reader, None)
+            if header is None or len(header) < 3 or header[0] != "subject" or header[-1] != "y":
+                raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
+            p = len(header) - 2
+            if [c for c in header[1:-1]] != [f"t{k}" for k in range(1, p + 1)]:
+                raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != p + 2:
+                    raise ValueError(f"{path}:{lineno}: expected {p + 2} fields, got {len(row)}")
+                try:
+                    coords = [float(c) for c in row[1:-1]]
+                    y = float(row[-1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+                if any(not 0.0 <= c <= 1.0 for c in coords):
+                    raise ValueError(f"{path}:{lineno}: coordinate outside [0, 1]")
+                if not math.isfinite(y):
+                    raise ValueError(f"{path}:{lineno}: non-finite value")
+                by_subject.setdefault(row[0], []).append((coords, y))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not {exc.encoding} text") from None
     kept = {sid: rows for sid, rows in by_subject.items() if len(rows) >= 2}
     if not kept:
         raise ValueError(f"{path}: no subject has at least 2 observations")
+    dropped = [sid for sid, rows in by_subject.items() if len(rows) < 2]
+    if dropped:
+        warnings.warn(f"dropped subjects with fewer than 2 observations: {dropped}")
     locations = [np.array([r[0] for r in rows]) for rows in kept.values()]
     values = [np.array([r[1] for r in rows]) for rows in kept.values()]
     return FunctionalDataset(locations, values)
@@ -165,10 +171,13 @@ class MeanEstimate:
 
 
 def _tensor_product_kernel(spec, a, b):
-    """Product over dimensions of the univariate kernel, (len(a), len(b))."""
+    """Product over dimensions of the univariate kernel, (len(a), len(b)),
+    each factor formed as (E_a w) E_b^T from the cosine basis."""
     out = np.ones((a.shape[0], b.shape[0]))
     for k in range(a.shape[1]):
-        out *= kernel_eval(spec, a[:, k, None], b[None, :, k])
+        e_a, w = basis_matrix(spec, a[:, k])
+        e_b, _ = basis_matrix(spec, b[:, k])
+        out *= (e_a * w) @ e_b.T
     return out
 
 
@@ -210,12 +219,6 @@ class CrossProducts:
 
     z: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-
-    def masked(self, i):
-        """Z_i with the diagonal zeroed."""
-        zi = self.z[i].copy()
-        np.fill_diagonal(zi, 0.0)
-        return zi
 
 
 def cross_products(data, mean=None):

@@ -9,10 +9,15 @@ where G, h, c0 aggregate the per-subject factor rows L_i (Khatri-Rao
 products of the gram-factor rows) against the off-diagonal cross-products.
 vec is documented as column-stacking; every matrix the solver vectorizes is
 symmetric, so this coincides with the row-major ravel used by the code, and
-the quadratic-form consistency test pins the convention.  G is assembled by
+the quadratic-form consistency test pins the convention.
+
+The data term has one layout: subjects grouped by observation count into
+dense batches (``CountGroup``), so unequal counts need no padding.  The
+forward map B -> offdiag(L_i B L_i^T) and its adjoint
+Y -> sum_i u_i L_i^T Y_i L_i, batched over subjects and stacks of cells,
+give h, the held-out loss and the matrix-free G x.  G is assembled by
 batched products: one gemm over the stacked vec(L_i^T L_i) for the
-Kronecker part, and row blocks of the pooled vec(l l^T) for the diagonal
-correction.
+Kronecker part, and row blocks of vec(l l^T) for the diagonal correction.
 
 The penalty couples the trace norm of the square unfolding (through a
 positive-semidefinite indicator) with the trace norms of the one-way
@@ -47,7 +52,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .data import CROSS_OVERFLOW, cross_products, make_folds
-from .tensor import one_way_unfold, square_fold, square_unfold
+from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
     "FitConfig",
@@ -158,30 +163,74 @@ class SymPacking:
         return (out + out.T) / 2.0
 
 
+@dataclass(frozen=True)
+class CountGroup:
+    """The subjects sharing one observation count m, as dense batches."""
+
+    subjects: np.ndarray    # (n_g,) subject indices, ascending
+    rows: np.ndarray        # (n_g, m, Q) factor rows L_i
+    z: np.ndarray           # (n_g, m, m) cross-products, diagonal zeroed
+    u: float                # subject weight 1/(m (m - 1))
+
+    def forward(self, b):
+        """offdiag(L_i B L_i^T) of each subject, for each B of the stack
+        ``b`` (..., Q, Q): shape (..., n_g, m, m)."""
+        n_g, m, q = self.rows.shape
+        t = (self.rows.reshape(-1, q) @ b).reshape(b.shape[:-2] + (n_g, m, q))
+        y = t @ np.swapaxes(self.rows, -1, -2)
+        y[..., np.arange(m), np.arange(m)] = 0.0
+        return y
+
+    def adjoint(self, y):
+        """sum_i u L_i^T Y_i L_i over the group, for each stack entry of
+        ``y`` (..., n_g, m, m): shape (..., Q, Q)."""
+        n_g, m, q = self.rows.shape
+        t = (y @ self.rows).reshape(y.shape[:-3] + (n_g * m, q))
+        return self.u * (self.rows.reshape(-1, q).T @ t)
+
+
+def _select(groups, subjects):
+    """The count groups restricted to ``subjects`` (all when None)."""
+    if subjects is None:
+        return groups
+    keep = [np.isin(g.subjects, subjects) for g in groups]
+    return [CountGroup(g.subjects[k], g.rows[k], g.z[k], g.u)
+            for g, k in zip(groups, keep) if k.any()]
+
+
+def _size(groups):
+    return sum(g.subjects.size for g in groups)
+
+
+def _data_pieces(groups):
+    """Normalized (h, c0) of the loss over the groups' subjects, h as Q x Q."""
+    n_sub = _size(groups)
+    h = 2.0 * sum(g.adjoint(g.z) for g in groups) / n_sub
+    c0 = sum(g.u * float((g.z * g.z).sum()) for g in groups) / n_sub
+    return h, c0
+
+
 @dataclass
 class Precompute:
-    """Per-subject factor rows and aggregated quadratic-loss pieces.
+    """Factor rows grouped by observation count, and the quadratic-loss pieces.
 
     ``G``/``h``/``c0`` describe the full-data loss.  When built with a fold
-    assignment, raw per-fold sums are kept so training/validation loss
-    pieces come from subtraction rather than a second pass.
+    assignment on the dense path, ``G_fold[f]`` holds the packed raw sum of
+    u_i G_i over fold f's subjects, so a training operator comes from one
+    subtraction.
     """
 
     grams: list
     dims: tuple
-    L: list
-    zt: list
-    u: np.ndarray            # raw subject weights 1/(m_i (m_i - 1))
-    c0_raw: np.ndarray       # per-subject sum of squared off-diagonal Z
-    h_raw: list              # per-subject 2 L^T Z~ L (unweighted by u)
+    L: list                  # per-subject views of the pooled factor rows
+    groups: list             # CountGroup batches covering every subject
     dense: bool
     G: np.ndarray | None     # full-data (Q^2, Q^2), None in matrix-free mode
     h: np.ndarray            # full-data (Q^2,)
     c0: float
     pack: SymPacking
     G_sym: np.ndarray | None
-    folds: object = None
-    G_fold: list = field(default_factory=list)   # raw valid-fold sums of u_i G_i
+    G_fold: list = field(default_factory=list)   # packed (D, D) raw fold sums
 
     @property
     def q_total(self):
@@ -195,102 +244,79 @@ class Precompute:
     def p(self):
         return len(self.dims)
 
-    def subset_pieces(self, subjects):
-        """Normalized (h, c0) plus row data for a subject subset."""
-        subjects = np.asarray(subjects)
-        n_sub = subjects.size
-        h = sum(self.u[i] * self.h_raw[i] for i in subjects) / n_sub
-        c0 = float(self.u[subjects] @ self.c0_raw[subjects]) / n_sub
-        return h, c0
-
     def loss_direct(self, b_sq, subjects=None):
-        """Off-diagonal squared-error loss of the square unfolding ``b_sq``."""
-        idx = range(self.n) if subjects is None else subjects
-        idx = list(idx)
-        total = 0.0
-        for i in idx:
-            li = self.L[i]
-            resid = self.zt[i] - li @ b_sq @ li.T
-            np.fill_diagonal(resid, 0.0)
-            total += self.u[i] * float((resid * resid).sum())
-        return total / len(idx)
-
-    def apply_G(self, x_mat, subjects=None):
-        """G vec, reshaped: sum_i w_i L_i^T offdiag(L_i X L_i^T) L_i."""
-        idx = range(self.n) if subjects is None else subjects
-        idx = list(idx)
-        out = np.zeros_like(x_mat)
-        for i in idx:
-            li = self.L[i]
-            y = li @ x_mat @ li.T
-            np.fill_diagonal(y, 0.0)
-            out += self.u[i] * (li.T @ y @ li)
-        out /= len(idx)
-        return out
+        """Off-diagonal squared-error loss of the square unfolding ``b_sq``,
+        or of each matrix of a stack (..., Q, Q)."""
+        groups = _select(self.groups, subjects)
+        return sum(g.u * ((g.z - g.forward(b_sq)) ** 2).sum(axis=(-3, -2, -1))
+                   for g in groups) / _size(groups)
 
 
-def _subject_rows(grams, data):
-    """Per-subject Khatri-Rao factor rows L_i; validates the row partition."""
-    slices = data.subject_slices()
-    n_pooled = int(data.counts.sum())
+def _layout(grams, data, cross):
+    """The Khatri-Rao factor rows of every pooled observation, and the count
+    groups gathered from them and the cross-products; validates the row
+    partition."""
+    counts = data.counts
     for k, gf in enumerate(grams):
-        if gf.factor.shape[0] != n_pooled:
+        if gf.factor.shape[0] != counts.sum():
             raise ValueError(
                 f"gram factor {k} has {gf.factor.shape[0]} rows but the "
-                f"dataset pools {n_pooled} observations"
+                f"dataset pools {counts.sum()} observations"
             )
     if len(grams) != data.p:
         raise ValueError(f"need {data.p} gram factors, got {len(grams)}")
-    out = []
-    for sl in slices:
-        li = grams[0].factor[sl]
-        for gf in grams[1:]:
-            block = gf.factor[sl]
-            li = (li[:, :, None] * block[:, None, :]).reshape(li.shape[0], -1)
-        out.append(np.ascontiguousarray(li))
-    return out
+    rows = grams[0].factor
+    for gf in grams[1:]:
+        rows = khatri_rao(rows.T, gf.factor.T).T
+    starts = np.cumsum(counts) - counts
+    z_pooled = np.concatenate(cross.z, axis=None)
+    z_starts = np.cumsum(counts * counts) - counts * counts
+    groups = []
+    for m in np.unique(counts):
+        subjects = np.flatnonzero(counts == m)
+        z = z_pooled[z_starts[subjects, None] + np.arange(m * m)].reshape(-1, m, m)
+        z[:, np.arange(m), np.arange(m)] = 0.0
+        groups.append(CountGroup(subjects=subjects,
+                                 rows=rows[starts[subjects, None] + np.arange(m)],
+                                 z=z, u=1.0 / (m * (m - 1.0))))
+    return rows, groups
 
 
-def _weighted_g(ell, u, subjects, q):
-    """sum_i u_i (kron(C_i, C_i) - W_i^T W_i) over ``subjects``, C_i = L_i^T L_i.
+def _weighted_g(groups, q):
+    """sum_i u_i (kron(C_i, C_i) - W_i^T W_i) over the groups' subjects,
+    C_i = L_i^T L_i.
 
     The Kronecker sum is one gemm over the stacked vec(C_i) followed by an
     axis permutation; W_i stacks vec(l l^T) over the rows l of L_i, and the
-    W part is accumulated over blocks of Q^2/4 pooled rows, so each block's
+    W part is accumulated over blocks of Q^2/4 rows of a group, so each block's
     temporaries stay a quarter of G.  Both products weight their rows by
     sqrt(u_i), which keeps them in symmetric rank-k form.
     """
     qq = q * q
-    root_u = np.sqrt(u[subjects])
-    c = np.stack([ell[i].T @ ell[i] for i in subjects]).reshape(-1, qq) * root_u[:, None]
-    g = (c.T @ c).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(qq, qq)
-    rows = np.concatenate([ell[i] for i in subjects])
-    root_w = np.repeat(root_u, [ell[i].shape[0] for i in subjects])
+    c = np.concatenate([(np.swapaxes(g.rows, -1, -2) @ g.rows).reshape(-1, qq)
+                        * math.sqrt(g.u) for g in groups])
+    out = (c.T @ c).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(qq, qq)
     step = max(qq // 4, 1)
-    for start in range(0, rows.shape[0], step):
-        blk = rows[start:start + step]
-        w = (blk[:, :, None] * blk[:, None, :]).reshape(blk.shape[0], qq)
-        w *= root_w[start:start + step, None]
-        g -= w.T @ w
-    return g
+    for g in groups:
+        rows = g.rows.reshape(-1, q)
+        for start in range(0, rows.shape[0], step):
+            blk = rows[start:start + step]
+            w = (blk[:, :, None] * blk[:, None, :]).reshape(blk.shape[0], qq)
+            w *= math.sqrt(g.u)
+            out -= w.T @ w
+    return out
 
 
 def precompute(data, cross, grams, folds=None, dense=None):
-    """Assemble L_i, G, h, c0 (and per-fold pieces) for the quadratic loss."""
+    """Assemble the count groups, G, h, c0 (and packed per-fold G pieces)
+    for the quadratic loss."""
+    rows, groups = _layout(grams, data, cross)
     dims = tuple(gf.retained_rank for gf in grams)
     q = int(np.prod(dims))
-    ell = _subject_rows(grams, data)
-    n = data.n
-    counts = data.counts
-    u = 1.0 / (counts * (counts - 1.0))
-    zt = [cross.masked(i) for i in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):
-        c0_raw = np.array([(z * z).sum() for z in zt])
-        h_raw = [2.0 * (li.T @ z @ li).ravel() for li, z in zip(ell, zt)]
-        h = sum(ui * hi for ui, hi in zip(u, h_raw)) / n
-        c0 = float(u @ c0_raw) / n
+        h, c0 = _data_pieces(groups)
     if (not (np.isfinite(h).all() and math.isfinite(c0))
-            and all(np.isfinite(z).all() for z in zt)):
+            and all(np.isfinite(g.z).all() for g in groups)):
         raise ValueError(CROSS_OVERFLOW)
     if dense is None:
         dense = q * q <= DENSE_LIMIT
@@ -300,36 +326,29 @@ def precompute(data, cross, grams, folds=None, dense=None):
     g_fold = []
     if dense:
         if folds is None:
-            g_full = _weighted_g(ell, u, np.arange(n), q)
+            g_full = _weighted_g(groups, q)
         else:
-            g_fold = [_weighted_g(ell, u, folds.valid_subjects(f), q)
-                      for f in range(folds.n_folds)]
-            g_full = g_fold[0].copy()
-            for g in g_fold[1:]:
-                g_full += g
-        g_norm = g_full / n
+            g_full = np.zeros((q * q, q * q))
+            for f in range(folds.n_folds):
+                g_valid = _weighted_g(_select(groups, folds.valid_subjects(f)), q)
+                g_full += g_valid
+                g_fold.append(pk.pack_operator(g_valid))
+        g_norm = g_full / data.n
         g_sym = pk.pack_operator(g_norm)
     return Precompute(
-        grams=list(grams), dims=dims, L=ell, zt=zt, u=u, c0_raw=c0_raw,
-        h_raw=h_raw, dense=dense, G=g_norm, h=h, c0=c0, pack=pk,
-        G_sym=g_sym, folds=folds, G_fold=g_fold,
+        grams=list(grams), dims=dims, L=np.split(rows, np.cumsum(data.counts)[:-1]),
+        groups=groups, dense=dense, G=g_norm, h=h.ravel(), c0=c0, pack=pk,
+        G_sym=g_sym, G_fold=g_fold,
     )
 
 
 # ---------------------------------------------------------------------------
 # proximal operators (stacked: leading axes index independent problems)
 
-def _one_way_axes(order, mode):
-    """Axis permutation laying out a stacked order-``order`` tensor as its
-    mode-``mode`` unfolding, in ``matricize``'s column order."""
-    rest = [1 + i for i in range(order) if i != mode]
-    return (0, 1 + mode, *reversed(rest))
-
-
 def _prox_one_way(a, mode, v):
     """Soft-threshold, for each a[c], the singular values of its mode-``mode``
     one-way unfolding by v[c]."""
-    perm = _one_way_axes(a.ndim - 1, mode)
+    perm = (0, *(1 + i for i in matricize_axes(a.ndim - 1, mode)))
     moved = a.transpose(perm)
     m = moved.reshape(a.shape[0], a.shape[1 + mode], -1)
     u_m, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -382,7 +401,7 @@ def _one_way_trace_norms(b_sq, dims):
     tensor = b_sq.reshape((-1,) + dims + dims)
     total = 0.0
     for k in range(len(dims)):
-        m = tensor.transpose(_one_way_axes(2 * len(dims), k))
+        m = tensor.transpose(0, *(1 + i for i in matricize_axes(2 * len(dims), k)))
         m = m.reshape(tensor.shape[0], dims[k], -1)
         ev = np.linalg.eigvalsh(m @ np.swapaxes(m, -1, -2))
         total = total + np.sqrt(np.maximum(ev, 0.0)).sum(axis=-1)
@@ -439,7 +458,6 @@ class CovarianceFit:
     objective_trace: np.ndarray
     eta_final: float
     stationarity: np.ndarray | None = None
-    max_skew: float = 0.0
     state: FitState | None = None
 
     @property
@@ -456,16 +474,16 @@ class _System:
 
     Dense: G_sym = U diag(g) U^T is decomposed once, and the solve for any
     eta is a diagonal scaling in U's basis.  Matrix-free: conjugate
-    gradients on G applied subject by subject, one cell at a time.
+    gradients, one cell at a time, on G x = sum over the subjects' count
+    groups of adjoint(forward(X)).
     """
 
     def __init__(self, pre, subjects, g_sym=None):
-        self.pre = pre
-        self.subjects = subjects
         self.pack = pre.pack
         self.p = pre.p
-        h, self.c0 = pre.subset_pieces(subjects) if subjects is not None else (pre.h, pre.c0)
-        self.h_packed = self.pack.pack(h.reshape(pre.q_total, pre.q_total))
+        self.groups = _select(pre.groups, subjects)
+        h, self.c0 = _data_pieces(self.groups)
+        self.h_packed = self.pack.pack(h)
         self.g_sym = g_sym
         self.dense = g_sym is not None
         if self.dense:
@@ -476,8 +494,8 @@ class _System:
         if self.dense:
             return x_packed @ self.g_sym
         pk = self.pack
-        return np.stack([pk.pack(self.pre.apply_G(pk.unpack(x), self.subjects))
-                         for x in x_packed])
+        x = pk.unpack(x_packed)
+        return pk.pack(sum(g.adjoint(g.forward(x)) for g in self.groups)) / _size(self.groups)
 
     def quad(self, x_packed):
         """Data loss at each packed symmetric coefficient vector of the stack."""
@@ -574,7 +592,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
         err.trace = np.asarray(traces[bad[0]])
         raise err
     stationarity = [[] for _ in range(n_cells)] if track else None
-    max_skew = np.zeros(n_cells)
     results = [None] * n_cells
     b_packed = None
 
@@ -588,7 +605,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
         if track:
             for c, r in zip(cell, system.residual(b_packed, rhs, eta)):
                 stationarity[c].append(float(r))
-            max_skew = np.maximum(max_skew, np.abs(b - np.swapaxes(b, -1, -2)).max(axis=(-2, -1)))
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the SVD and keep it
@@ -668,7 +684,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
                 "objective_trace": np.asarray(traces[c]),
                 "eta_final": float(eta[row]),
                 "stationarity": None if not track else np.asarray(stationarity[c]),
-                "max_skew": float(max_skew[row]),
                 "state": FitState(
                     B=b[row].reshape(dims2).copy(),
                     D=[x.reshape(dims2).copy() for x in d[row]],
@@ -682,7 +697,7 @@ def _iterate(system, pre, configs, initial=None, track=False):
         cell, b_packed, b = cell[keep], b_packed[keep], b[keep]
         d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
         d_prev, v_prev = d_prev[keep], v_prev[keep]
-        alpha, obj_prev, eta, max_skew = alpha[keep], obj_prev[keep], eta[keep], max_skew[keep]
+        alpha, obj_prev, eta = alpha[keep], obj_prev[keep], eta[keep]
     return results
 
 
@@ -691,8 +706,7 @@ def admm_fit(data, cross, grams, config, initial=None, pre=None, track=False):
 
     Returns a CovarianceFit whose ``coeffs`` is the final PSD-projected
     iterate.  ``pre`` may carry a reusable precomputation bundle; ``track``
-    additionally records per-iteration stationarity residuals and the worst
-    symmetry defect of the ridge iterate.
+    additionally records per-iteration stationarity residuals.
     """
     if pre is None:
         pre = precompute(data, cross, grams)
@@ -767,18 +781,14 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
         train = folds.train_subjects(f)
-        valid = folds.valid_subjects(f)
-        if pre.dense:
-            g_train = (pre.G * pre.n - pre.G_fold[f]) / train.size
-            g_sym = pre.pack.pack_operator(g_train)
-        else:
-            g_sym = None
+        g_sym = (pre.G_sym * pre.n - pre.G_fold[f]) / train.size if pre.dense else None
         system = _System(pre, train, g_sym=g_sym)
         for start in range(0, len(configs), size):
             outs = _iterate(system, pre, configs[start:start + size])
-            for (li, bj), out in zip(cells[start:start + size], outs):
-                b_sq = square_unfold(out["coeffs"])
-                scores[li, bj] += pre.loss_direct(b_sq, valid)
+            b_sq = np.stack([square_unfold(out["coeffs"]) for out in outs])
+            held_out = pre.loss_direct(b_sq, folds.valid_subjects(f))
+            for (li, bj), out, score in zip(cells[start:start + size], outs, held_out):
+                scores[li, bj] += score
                 n_iters[li, bj] += out["n_iters"]
                 unconverged[li, bj] += not out["converged"]
     scores /= folds.n_folds

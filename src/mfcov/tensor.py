@@ -32,7 +32,6 @@ __all__ = [
     "square_fold",
     "one_way_unfold",
     "one_way_fold",
-    "kronecker",
     "khatri_rao",
     "tucker_compose",
     "PairGrouping",
@@ -71,6 +70,13 @@ def n_mode_product(a, p_mat, mode):
     return np.moveaxis(out, 0, mode)
 
 
+def matricize_axes(order, mode):
+    """Axis order laying an order-``order`` tensor out as its mode-``mode``
+    matricization: mode ``mode`` first, then the other modes, latest first,
+    so that a C-order reshape lets the earlier ones vary fastest."""
+    return (mode, *reversed([i for i in range(order) if i != mode]))
+
+
 def matricize(a, mode):
     """Mode-n matricization with earlier non-n modes varying fastest.
 
@@ -80,7 +86,7 @@ def matricize(a, mode):
     a = np.asarray(a)
     if not 0 <= mode < a.ndim:
         raise ValueError(f"mode {mode} out of range for order-{a.ndim} tensor")
-    return np.reshape(np.moveaxis(a, mode, 0), (a.shape[mode], -1), order="F")
+    return a.transpose(matricize_axes(a.ndim, mode)).reshape(a.shape[mode], -1)
 
 
 def fold_matricized(mat, mode, shape):
@@ -139,11 +145,6 @@ def one_way_fold(mat, mode, shape):
     return fold_matricized(mat, mode, shape)
 
 
-def kronecker(a, b):
-    """Kronecker product of two matrices (first factor takes the larger stride)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def khatri_rao(a, b):
     """Columnwise Kronecker product of two matrices with equal column counts."""
     a = np.asarray(a)
@@ -180,24 +181,6 @@ class PairGrouping:
     def __init__(self, m, groups):
         self.m = m
         self.groups = groups
-
-    def validate(self):
-        """Check the 1-factorization invariants by enumeration."""
-        m = self.m
-        if len(self.groups) != m - 1:
-            return False
-        seen = set()
-        for grp in self.groups:
-            if len(grp) != m // 2:
-                return False
-            members = [j for pair in grp for j in pair]
-            if len(set(members)) != len(members):
-                return False
-            for j, jp in grp:
-                if not (1 <= j < jp <= m):
-                    return False
-                seen.add((j, jp))
-        return len(seen) == m * (m - 1) // 2
 
 
 def round_robin_grouping(m):

@@ -1,15 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import mfcov
-from mfcov.cli import RunConfig, main, read_container, write_container
+from mfcov.cli import MAGIC, RunConfig, main, read_container, write_container
 from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
 from mfcov.kernel import KernelSpec
 from mfcov.simulate import SimSetting, generate
@@ -82,6 +88,96 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="not valid JSON"):
             read_container(path)
+
+    def test_element_count_does_not_wrap(self, tmp_path):
+        # 2^32 * 2^32 wraps to 0 in int64
+        path = tmp_path / "c.mcov"
+        path.write_bytes(MAGIC + struct.pack("<B2Q", 2, 2 ** 32, 2 ** 32) + b"{}")
+        with pytest.raises(ValueError, match=f"^{path}: .*needs {2 ** 64}$"):
+            read_container(path)
+
+    def test_order_zero_rejected(self, tmp_path):
+        path = tmp_path / "c.mcov"
+        path.write_bytes(MAGIC + b"\x00" + b"{}")
+        with pytest.raises(ValueError, match=f"^{path}: tensor order 0"):
+            read_container(path)
+
+
+def container_bytes():
+    """Arbitrary bytes, and MCOV1 headers with arbitrary shapes and tails."""
+    header = st.builds(
+        lambda dims, rest: MAGIC + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + rest,
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 64 - 1)), max_size=4),
+        st.binary(max_size=64))
+    return st.one_of(st.binary(max_size=200),
+                     st.binary(max_size=200).map(lambda b: MAGIC + b), header)
+
+
+def run_captured(*argv):
+    """Exit code and stderr lines of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = run(*argv)
+    return code, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def fitted_container(dataset_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz-fit")
+    assert run("fit", "--data", dataset_csv, "--out", out, *FIT_FLAGS) == 0
+    return out / "coeffs.mcov"
+
+
+class TestBadInputFuzz:
+    @given(container_bytes())
+    def test_container_loads_or_raises_value_error(self, fuzz_dir, blob):
+        path = fuzz_dir / "c.mcov"
+        path.write_bytes(blob)
+        try:
+            coeffs, sidecar = read_container(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert isinstance(sidecar, dict) and coeffs.dtype == np.float64
+
+    @given(container_bytes())
+    def test_eigen_on_unreadable_container_exits_one(self, fuzz_dir, dataset_csv, blob):
+        path = fuzz_dir / "c.mcov"
+        path.write_bytes(blob)
+        try:
+            read_container(path)
+            assume(False)
+        except ValueError:
+            pass
+        code, err = run_captured("eigen", "--container", path, "--data", dataset_csv,
+                                 "--out", fuzz_dir / "o")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("mfcov eigen: ")
+
+    @given(st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode),
+                     st.text(alphabet="ab,.0123456789e-+\"\n inf", max_size=300).map(
+                         lambda body: ("subject,t1,y\n" + body).encode())))
+    def test_fit_and_eigen_on_unloadable_csv_exit_one(self, fuzz_dir, fitted_container, blob):
+        path = fuzz_dir / "data.csv"
+        path.write_bytes(blob)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                load_csv(path)
+            assume(False)
+        except ValueError:
+            pass
+        for argv in (["fit", "--data", path], ["eigen", "--container", fitted_container,
+                                               "--data", path]):
+            code, err = run_captured(*argv, "--out", fuzz_dir / "o")
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith(f"mfcov {argv[0]}: {path}")
 
 
 class TestRunConfig:

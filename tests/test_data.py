@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfcov.data import (
     FunctionalDataset,
@@ -10,7 +15,11 @@ from mfcov.data import (
     make_folds,
     save_csv,
 )
-from mfcov.kernel import KernelSpec
+from mfcov.kernel import KernelSpec, kernel_eval
+
+# Text shaped like the CSV format, so examples get past the header check.
+CSV_LIKE = st.text(alphabet="ab,.0123456789e-+\"\n\r inf", max_size=300).map(
+    lambda body: "subject,t1,y\n" + body)
 
 
 def toy_dataset():
@@ -79,6 +88,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             load_csv(f)
 
+    def test_oversized_field_names_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("subject,t1,y\na,0.1,1.0\n" + "a" * 140_000 + ",0.2,2.0\n")
+        with pytest.raises(ValueError, match="bad.csv:3: field larger than field limit"):
+            load_csv(f)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"subject,t1,y\n\xff\xfe,0.1,1.0\n")
+        with pytest.raises(ValueError, match="bad.csv: not"):
+            load_csv(f)
+
     def test_single_row_subject_dropped_with_warning(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("subject,t1,y\na,0.1,1.0\nb,0.2,2.0\nb,0.3,3.0\n")
@@ -99,6 +120,36 @@ class TestCsvRoundTrip:
             assert np.array_equal(a, b)
         for a, b in zip(data.values, back.values):
             assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.csv"
+
+
+def loads_or_value_error(path):
+    """True when ``path`` loads; False when it raises ValueError.  Any
+    other exception propagates and fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert isinstance(load_csv(path), FunctionalDataset)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+        return False
+    return True
+
+
+class TestLoadCsvFuzz:
+    @given(st.binary(max_size=300))
+    def test_bytes(self, fuzz_file, blob):
+        fuzz_file.write_bytes(blob)
+        loads_or_value_error(fuzz_file)
+
+    @given(st.one_of(st.text(max_size=300), CSV_LIKE))
+    def test_text(self, fuzz_file, text):
+        fuzz_file.write_text(text)
+        loads_or_value_error(fuzz_file)
 
 
 class TestFitMean:
@@ -123,15 +174,33 @@ class TestFitMean:
         spec = KernelSpec(truncation_order=25, include_constant=True)
         ridge = 0.1
         mean = fit_mean(const, spec=spec, ridge=ridge, mode="kernel-ridge")
-        from mfcov.data import _tensor_product_kernel
+
+        def product_kernel(a, b):
+            return np.prod([kernel_eval(spec, a[:, k, None], b[None, :, k])
+                            for k in range(a.shape[1])], axis=0)
 
         anchors = const.pooled_locations()
-        k = _tensor_product_kernel(spec, anchors, anchors)
+        k = product_kernel(anchors, anchors)
         k = (k + k.T) / 2.0
         coef = np.linalg.inv(k + ridge * np.eye(len(anchors))) @ np.full(len(anchors), c)
         grid = np.random.default_rng(3).uniform(size=(40, 2))
-        oracle = _tensor_product_kernel(spec, grid, anchors) @ coef
+        oracle = product_kernel(grid, anchors) @ coef
         assert np.abs(mean(grid) - oracle).max() < 1e-10
+
+    def test_memory_stays_near_one_n_by_n_matrix(self):
+        # N = 800 pooled points: one N x N float64 matrix is 5.1 MB, while an
+        # N x N x T temporary (T = 50) would be 256 MB
+        rng = np.random.default_rng(4)
+        data = FunctionalDataset([rng.uniform(size=(2, 2)) for _ in range(400)],
+                                 [rng.standard_normal(2) for _ in range(400)])
+        tracemalloc.start()
+        try:
+            mean = fit_mean(data, spec=KernelSpec(), ridge=1e-3, mode="kernel-ridge")
+            assert np.isfinite(mean(rng.uniform(size=(50, 2)))).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_bad_modes(self):
         with pytest.raises(ValueError):
@@ -168,14 +237,6 @@ class TestCrossProducts:
             assert np.allclose(z, np.outer(r, r))
             s = np.linalg.svd(z, compute_uv=False)
             assert s[1] < 1e-10 * max(s[0], 1e-300)
-
-    def test_masked_zeroes_diagonal(self):
-        data = toy_dataset()
-        cp = cross_products(data)
-        zm = cp.masked(0)
-        assert np.all(np.diag(zm) == 0)
-        off = ~np.eye(zm.shape[0], dtype=bool)
-        assert np.array_equal(zm[off], cp.z[0][off])
 
 
 class TestMakeFolds:

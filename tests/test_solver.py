@@ -159,42 +159,114 @@ class TestPrecompute:
             precompute(data, cross_products(data), grams)
 
 
-def g_oracle(pre, subjects):
+def g_oracle(pre, data, subjects):
     """Sum of u_i (kron(C_i, C_i) - W_i^T W_i), subject by subject."""
     total = 0.0
     for i in subjects:
         li = pre.L[i]
+        m = data.counts[i]
         c = li.T @ li
         w = np.stack([np.kron(row, row) for row in li])
-        total = total + pre.u[i] * (np.kron(c, c) - w.T @ w)
+        total = total + (np.kron(c, c) - w.T @ w) / (m * (m - 1.0))
     return total
+
+
+def unequal_counts_problem(p, q, seed):
+    """Eight subjects with counts 2..6 (five count groups) and 3 folds."""
+    rng = np.random.default_rng(seed)
+    counts = [2, 3, 6, 4, 2, 5, 3, 5]
+    locs = [rng.uniform(size=(m, p)) for m in counts]
+    vals = [rng.standard_normal(m) for m in counts]
+    data = FunctionalDataset(locs, vals)
+    grams = synthetic_grams(rng, sum(counts), [q] * p)
+    return data, grams, make_folds(data, 3, 0)
+
+
+def subject_rows(data, grams, i):
+    """L_i built row by row with np.kron from the gram factors."""
+    sl = data.subject_slices()[i]
+    rows = [grams[0].factor[sl][j] for j in range(data.counts[i])]
+    for gf in grams[1:]:
+        rows = [np.kron(r, gf.factor[sl][j]) for j, r in enumerate(rows)]
+    return np.array(rows)
+
+
+def assert_rel(got, want, rel=1e-13):
+    assert np.abs(np.asarray(got) - want).max() <= rel * np.abs(want).max()
 
 
 class TestBatchedG:
     # 30 pooled rows exceed Q^2 = 9 and 16 for (p, q) = (1, 3) and (2, 2),
-    # not Q^2 = 81 for (2, 3); the Q^2/4-row blocks split all three
+    # not Q^2 = 81 for (2, 3); the Q^2/4-row blocks split the larger count
+    # groups (6 and 10 rows) in the first two
     @pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (2, 3)])
     def test_matches_per_subject_kron(self, p, q):
-        rng = np.random.default_rng(40 + 3 * p + q)
-        counts = [2, 3, 6, 4, 2, 5, 3, 5]
-        locs = [rng.uniform(size=(m, p)) for m in counts]
-        vals = [rng.standard_normal(m) for m in counts]
-        data = FunctionalDataset(locs, vals)
-        grams = synthetic_grams(rng, sum(counts), [q] * p)
-        folds = make_folds(data, 3, 0)
+        data, grams, folds = unequal_counts_problem(p, q, 40 + 3 * p + q)
         pre = precompute(data, cross_products(data), grams, folds=folds)
         assert pre.dense
-        n_rows = sum(counts)
+        n_rows = int(data.counts.sum())
         assert (n_rows > pre.q_total ** 2) == (q ** p < 9)
         scale = np.abs(pre.G).max()
-        np.testing.assert_allclose(pre.G, g_oracle(pre, range(data.n)) / data.n,
+        np.testing.assert_allclose(pre.G, g_oracle(pre, data, range(data.n)) / data.n,
                                    rtol=0, atol=1e-13 * scale)
         for f in range(folds.n_folds):
-            oracle = g_oracle(pre, folds.valid_subjects(f))
+            oracle = pre.pack.pack_operator(g_oracle(pre, data, folds.valid_subjects(f)))
+            assert pre.G_fold[f].shape == (pre.pack.dim,) * 2
             np.testing.assert_allclose(pre.G_fold[f], oracle,
                                        rtol=0, atol=1e-13 * data.n * scale)
         plain = precompute(data, cross_products(data), grams)
         np.testing.assert_allclose(plain.G, pre.G, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_grouped_layout_matches_per_subject_oracles(self, p):
+        data, grams, folds = unequal_counts_problem(p, 2, 60 + p)
+        cross = cross_products(data)
+        pre = precompute(data, cross, grams, folds=folds)
+        assert len(pre.groups) == 5
+        q = pre.q_total
+        rows = [subject_rows(data, grams, i) for i in range(data.n)]
+        zt = [z - np.diag(np.diag(z)) for z in cross.z]
+        u = 1.0 / (data.counts * (data.counts - 1.0))
+        for i in range(data.n):
+            np.testing.assert_array_equal(pre.L[i], rows[i])
+
+        h = sum(u[i] * 2.0 * (rows[i].T @ zt[i] @ rows[i]).ravel()
+                for i in range(data.n)) / data.n
+        c0 = sum(u[i] * (zt[i] ** 2).sum() for i in range(data.n)) / data.n
+        assert_rel(pre.h, h)
+        assert pre.c0 == pytest.approx(c0, rel=1e-13)
+
+        rng = np.random.default_rng(70 + p)
+        stack = rng.standard_normal((4, q, q))
+        stack = stack + np.swapaxes(stack, 1, 2)
+        for f in range(folds.n_folds):
+            valid = folds.valid_subjects(f)
+            train = folds.train_subjects(f)
+            # the stacked held-out loss, one value per matrix of the stack
+            want = []
+            for b in stack:
+                total = 0.0
+                for i in valid:
+                    resid = zt[i] - rows[i] @ b @ rows[i].T
+                    np.fill_diagonal(resid, 0.0)
+                    total += u[i] * (resid ** 2).sum()
+                want.append(total / valid.size)
+            assert_rel(pre.loss_direct(stack, valid), np.array(want))
+            # packed training operator and the matrix-free G x over train
+            g_train = g_oracle(pre, data, train) / train.size
+            packed = (pre.G_sym * data.n - pre.G_fold[f]) / train.size
+            assert_rel(packed, pre.pack.pack_operator(g_train))
+            want_gx = []
+            for x in stack:
+                out = 0.0
+                for i in train:
+                    y = rows[i] @ x @ rows[i].T
+                    np.fill_diagonal(y, 0.0)
+                    out = out + u[i] * (rows[i].T @ y @ rows[i])
+                want_gx.append(pre.pack.pack(out / train.size))
+            system = solver._System(pre, train)
+            assert not system.dense
+            assert_rel(system._apply(pre.pack.pack(stack)), np.array(want_gx))
 
 
 class TestProxTrace:
@@ -365,7 +437,6 @@ class TestAdmmFit:
         cfg = FitConfig(lam=0.05, beta=0.5)
         fit = admm_fit(data, cross, grams, cfg, pre=pre, track=True)
         assert np.linalg.norm(fit.coeffs) > 1e-3  # one-way prox engaged
-        assert fit.max_skew <= 1e-10
         assert fit.stationarity.max() <= 1e-8 * np.linalg.norm(pre.h)
         b_sq = fit.coeff_square()
         w = np.linalg.eigvalsh(b_sq)

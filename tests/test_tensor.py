@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from mfcov.tensor import (
-    PairGrouping,
     fold_matricized,
     khatri_rao,
-    kronecker,
     matricize,
     n_mode_product,
     one_way_fold,
@@ -190,23 +188,6 @@ class TestOneWayUnfold:
 
 
 class TestKroneckerKhatriRao:
-    def test_kron_identities(self):
-        assert np.array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
-        a = np.array([[1.0], [2.0]])
-        b = np.array([[3.0], [4.0]])
-        assert np.array_equal(kronecker(a, b), [[3.0], [4.0], [6.0], [8.0]])
-        assert np.all(kronecker(np.ones((2, 2)), np.zeros((2, 2))) == 0)
-
-    def test_kron_mixed_product(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4))
-        x = rng.standard_normal(2)
-        y = rng.standard_normal(4)
-        assert np.allclose(
-            kronecker(a, b) @ np.kron(x, y), np.kron(a @ x, b @ y), atol=1e-13
-        )
-
     def test_khatri_rao_identity_columns(self):
         out = khatri_rao(np.eye(2), np.eye(2))
         expect = np.zeros((4, 2))
@@ -268,6 +249,15 @@ class TestTuckerCompose:
                 assert np.allclose(matricize(a, n), expect, atol=1e-12)
 
 
+def is_one_factorization(g):
+    """m-1 groups of m/2 disjoint pairs that together cover every pair once."""
+    m = g.m
+    pairs = [pair for grp in g.groups for pair in grp]
+    return (len(g.groups) == m - 1
+            and all(len({j for pair in grp for j in pair}) == m for grp in g.groups)
+            and sorted(pairs) == list(itertools.combinations(range(1, m + 1), 2)))
+
+
 class TestRoundRobinGrouping:
     def test_m4_matches_known_construction(self):
         g = round_robin_grouping(4)
@@ -285,17 +275,11 @@ class TestRoundRobinGrouping:
         g = round_robin_grouping(10)
         assert len(g.groups) == 9
         assert all(len(grp) == 5 for grp in g.groups)
-        assert g.validate()
+        assert is_one_factorization(g)
 
     def test_all_even_m_up_to_20(self):
         for m in range(2, 21, 2):
-            assert round_robin_grouping(m).validate()
-
-    def test_validate_catches_bad_groupings(self):
-        bad = PairGrouping(4, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(1, 3), (2, 4)]])
-        assert not bad.validate()
-        repeated = PairGrouping(2, [[(1, 1)]])
-        assert not repeated.validate()
+            assert is_one_factorization(round_robin_grouping(m))
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
