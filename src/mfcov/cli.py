@@ -23,6 +23,7 @@ import json
 import math
 import struct
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -305,6 +306,7 @@ def cmd_fit(cfg):
     _write_json(outdir / "fit.json", {
         "converged": bool(fit.converged),
         "n_iters": int(fit.n_iters),
+        "zero_solution": not fit.coeffs.any(),
         "objective_value": float(fit.objective_value),
         "eta_final": float(fit.eta_final),
         "primal_residuals": [float(r) for r in fit.primal_residuals],
@@ -359,10 +361,33 @@ def cmd_cv(cfg):
     return 0
 
 
-def _check_provenance(sidecar, grams, coeffs, container):
-    gram_info = sidecar.get("gram", {})
-    hashes = gram_info.get("locations_sha256")
-    if not hashes or len(hashes) != len(grams):
+def _sidecar_parts(container, sidecar):
+    """The kernel spec, gram tolerance and cap, location hashes and fit
+    record of a container's sidecar.  A missing key or a wrongly typed
+    value raises a ValueError naming the container."""
+    try:
+        spec = KernelSpec.from_dict(sidecar["kernel"])
+        gram, fit = sidecar["gram"], sidecar["fit"]
+        tol, cap = float(gram["tol"]), int(gram["cap"])
+        hashes = gram["locations_sha256"]
+        if cap < 1:
+            raise ValueError(f"gram cap {cap} is below 1")
+        record = {
+            "config": FitConfig.from_dict(fit["config"]),
+            "converged": bool(fit["converged"]),
+            "n_iters": int(fit["n_iters"]),
+            "objective_value": float(fit["objective_value"]),
+            "eta_final": float(fit["eta_final"]),
+        }
+    except KeyError as exc:
+        raise ValueError(f"{container}: sidecar lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{container}: malformed sidecar: {exc}") from None
+    return spec, tol, cap, hashes, record
+
+
+def _check_provenance(hashes, grams, coeffs, container):
+    if not isinstance(hashes, list) or len(hashes) != len(grams):
         raise ValueError(f"{container}: sidecar lacks per-dimension location hashes")
     for k, (gf, expect) in enumerate(zip(grams, hashes), start=1):
         if gf.locations_hash() != expect:
@@ -382,23 +407,13 @@ def cmd_eigen(cfg):
     """Container + matching dataset -> spectrum JSON and gridded CSV exports."""
     _require(cfg, "container", "data", "out")
     coeffs, sidecar = read_container(cfg.container)
-    for key in ("kernel", "gram", "fit"):
-        if key not in sidecar:
-            raise ValueError(f"{cfg.container}: sidecar lacks '{key}'")
+    spec, tol, cap, hashes, record = _sidecar_parts(cfg.container, sidecar)
     data = load_csv(cfg.data)
-    spec = KernelSpec.from_dict(sidecar["kernel"])
-    grams = gram_factors(data, spec, tol=sidecar["gram"]["tol"],
-                         cap=sidecar["gram"]["cap"])
-    _check_provenance(sidecar, grams, coeffs, cfg.container)
+    grams = gram_factors(data, spec, tol=tol, cap=cap)
+    _check_provenance(hashes, grams, coeffs, cfg.container)
     p = len(grams)
-    fit = CovarianceFit(
-        coeffs=coeffs, config=FitConfig.from_dict(sidecar["fit"]["config"]),
-        grams=grams, converged=bool(sidecar["fit"]["converged"]),
-        n_iters=int(sidecar["fit"]["n_iters"]),
-        objective_value=float(sidecar["fit"]["objective_value"]),
-        primal_residuals=np.zeros(p + 1), objective_trace=np.zeros(0),
-        eta_final=float(sidecar["fit"]["eta_final"]),
-    )
+    fit = CovarianceFit(coeffs=coeffs, grams=grams, primal_residuals=np.zeros(p + 1),
+                        objective_trace=np.zeros(0), **record)
     eig = l2_eigensystem(fit, spec)
     outdir = _outdir(cfg)
     ax = np.linspace(0.0, 1.0, int(cfg.eigen_grid))
@@ -520,29 +535,40 @@ def _parser():
     return parser
 
 
+def _run(command, config_path, ns):
+    merged = {}
+    if config_path:
+        with open(config_path) as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: config must be a JSON object")
+        if isinstance(loaded.get("run_config"), dict):
+            loaded = loaded["run_config"]  # a fit.json replays directly
+        loaded.pop("command", None)
+        merged.update(loaded)
+    merged.update(ns)
+    merged["command"] = command
+    cfg = RunConfig.from_dict(merged).resolved()
+    return _COMMANDS[command](cfg)
+
+
 def main(argv=None):
+    """Run one subcommand.  Each failure and each warning (such as a dropped
+    subject) reaches stderr as one ``mfcov <command>: ...`` line."""
     args = _parser().parse_args(argv)
     ns = vars(args).copy()
     command = ns.pop("command")
     config_path = ns.pop("config", None)
-    merged = {}
-    try:
-        if config_path:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(f"{config_path}: config must be a JSON object")
-            if isinstance(loaded.get("run_config"), dict):
-                loaded = loaded["run_config"]  # a fit.json replays directly
-            loaded.pop("command", None)
-            merged.update(loaded)
-        merged.update(ns)
-        merged["command"] = command
-        cfg = RunConfig.from_dict(merged).resolved()
-        return _COMMANDS[command](cfg)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"mfcov {command}: {exc}", file=sys.stderr)
-        return 1
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _run(command, config_path, ns)
+        except (ValueError, OSError, RuntimeError) as exc:
+            code, failure = 1, exc
+    messages = [w.message for w in caught] + ([failure] if failure is not None else [])
+    for message in messages:
+        print(f"mfcov {command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -50,10 +50,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.truncation_order < 1:
             raise ValueError("truncation_order must be >= 1")
-        if self.decay_exponent <= 1.0:
-            raise ValueError("decay_exponent must exceed 1 for a summable series")
-        if self.include_constant and self.constant_coef < 0:
-            raise ValueError("constant_coef must be nonnegative")
+        if not 1.0 < self.decay_exponent < math.inf:
+            raise ValueError("decay_exponent must be a finite number above 1 "
+                             "(a summable series)")
+        if self.include_constant and not 0.0 <= self.constant_coef < math.inf:
+            raise ValueError("constant_coef must be finite and nonnegative")
 
     def to_dict(self):
         return {

@@ -43,10 +43,22 @@ eigendecomposition of the packed G per loss system makes the solve for any
 eta a diagonal scaling, so per-cell and adaptive eta need no
 refactorization.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
 conjugate gradients, and cells run one at a time.
+
+Before iterating, each loss system certifies the cells whose optimum is the
+zero covariance; they never enter the stack.  With h the square unfolding of
+the linear term, rho_0 = max(lambda_max(h), 0), rho_1 = max_k ||h_(k)||_2
+(spectral norms of the one-way unfoldings) and
+theta = max(0, 1 - lambda (1 - beta) / rho_1) (0 when rho_1 = 0), a cell is
+certified when theta rho_0 <= lambda beta.  Proof: for PSD B, <theta h, B>
+<= theta rho_0 tr B <= lambda beta tr B, and <(1 - theta) h, B>
+= (1/p) sum_k <(1 - theta) h_(k), B_(k)> <= lambda (1 - beta) / p
+sum_k ||B_(k)||_*, so with G PSD, F(B) - F(0) = <B, G B> - <h, B> + penalty
+>= 0.  At beta = 1 the test is exact: lambda >= lambda_max(h).
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -484,10 +496,28 @@ class _System:
         self.groups = _select(pre.groups, subjects)
         h, self.c0 = _data_pieces(self.groups)
         self.h_packed = self.pack.pack(h)
+        self.dims = pre.dims
         self.g_sym = g_sym
         self.dense = g_sym is not None
         if self.dense:
             self.g_eig, self.g_vec = np.linalg.eigh(g_sym)
+
+    @cached_property
+    def _zero_bounds(self):
+        """(rho_0, rho_1) of the linear term; see the module docstring."""
+        h = self.pack.unpack(self.h_packed)
+        rho0 = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
+        h = h.reshape(self.dims + self.dims)
+        rho1 = max(float(np.linalg.norm(one_way_unfold(h, k), 2))
+                   for k in range(len(self.dims)))
+        return rho0, rho1
+
+    def zero_certified(self, lam, beta):
+        """Whether B = 0 is optimal for each cell (lam[c], beta[c])."""
+        rho0, rho1 = self._zero_bounds
+        theta = (np.maximum(1.0 - lam * (1.0 - beta) / rho1, 0.0) if rho1 > 0.0
+                 else np.zeros_like(lam))
+        return theta * rho0 <= lam * beta
 
     def _apply(self, x_packed):
         """G x for each packed row x of the stack."""
@@ -536,7 +566,8 @@ def _iterate(system, pre, configs, initial=None, track=False):
     """Run the accelerated ADMM for a stack of cells on one loss system.
 
     Cell c follows ``configs[c]`` and starts from ``initial`` (a FitState,
-    shared by every cell) or from zero.  Returns one result dict per cell.
+    shared by every cell) or from zero.  Returns one result dict per cell;
+    a cell the zero certificate covers returns the zero fit at 0 iterations.
     """
     p = pre.p
     q = pre.q_total
@@ -568,7 +599,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
                                     for x in blocks])[None], n_cells, axis=0)
                 for blocks in (initial.D, initial.V))
         alpha = np.full(n_cells, float(initial.alpha))
-    d_hat, v_hat, d_prev, v_prev = d.copy(), v.copy(), d.copy(), v.copy()
 
     def d0_objective(d0, eigs):
         val = system.quad(pk.pack(d0)) + w_psd[cell] * eigs.sum(axis=-1)
@@ -593,9 +623,37 @@ def _iterate(system, pre, configs, initial=None, track=False):
         raise err
     stationarity = [[] for _ in range(n_cells)] if track else None
     results = [None] * n_cells
+
+    def finish(c, b, d, v, alpha, eta, converged, n_iters, obj):
+        results[c] = {
+            "coeffs": d[0].reshape(dims2).copy(),
+            "converged": bool(converged),
+            "n_iters": n_iters,
+            "objective_value": float(obj),
+            "primal_residuals": _frob(b - d),
+            "objective_trace": np.asarray(traces[c]),
+            "eta_final": float(eta),
+            "stationarity": None if not track else np.asarray(stationarity[c]),
+            "state": FitState(
+                B=b.reshape(dims2).copy(),
+                D=[x.reshape(dims2).copy() for x in d],
+                V=[x.reshape(dims2).copy() for x in v],
+                alpha=float(alpha),
+            ),
+        }
+
+    # certified cells return the zero fit and never enter the stack
+    zero = system.zero_certified(lam, beta)
+    blocks0 = np.zeros((p + 1, q, q))
+    for c in np.flatnonzero(zero):
+        traces[c] = [system.c0]
+        finish(c, blocks0[0], blocks0, blocks0, 1.0, eta[c], True, 0, system.c0)
+    cell = np.flatnonzero(~zero)
+    d, v, alpha, obj_prev, eta = d[cell], v[cell], alpha[cell], obj_prev[cell], eta[cell]
+    d_hat, v_hat, d_prev, v_prev = d.copy(), v.copy(), d.copy(), v.copy()
     b_packed = None
 
-    for t in range(int(max_iters.max())):
+    for t in range(int(max_iters[cell].max(initial=0))):
         acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
             acc = acc + d_hat[:, k] - v_hat[:, k]
@@ -674,23 +732,8 @@ def _iterate(system, pre, configs, initial=None, track=False):
         if not done.any():
             continue
         for row in np.flatnonzero(done):
-            c = cell[row]
-            results[c] = {
-                "coeffs": d[row, 0].reshape(dims2).copy(),
-                "converged": bool(conv[row]),
-                "n_iters": t + 1,
-                "objective_value": float(obj_prev[row]),
-                "primal_residuals": _frob(b[row] - d[row]),
-                "objective_trace": np.asarray(traces[c]),
-                "eta_final": float(eta[row]),
-                "stationarity": None if not track else np.asarray(stationarity[c]),
-                "state": FitState(
-                    B=b[row].reshape(dims2).copy(),
-                    D=[x.reshape(dims2).copy() for x in d[row]],
-                    V=[x.reshape(dims2).copy() for x in v[row]],
-                    alpha=float(alpha[row]),
-                ),
-            }
+            finish(cell[row], b[row], d[row], v[row], alpha[row], eta[row],
+                   conv[row], t + 1, obj_prev[row])
         keep = ~done
         if not keep.any():
             break
@@ -743,7 +786,8 @@ class CvDiagnostics:
     """Convergence of each cross-validation cell, as (len(lambda_grid),
     len(beta_grid)) integer tables."""
 
-    n_iters: np.ndarray            # ADMM iterations summed over the folds
+    n_iters: np.ndarray            # ADMM iterations summed over the folds,
+                                   # 0 for a cell certified zero in every fold
     unconverged_folds: np.ndarray  # folds whose fit stopped at max_iters
 
 

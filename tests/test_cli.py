@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -38,6 +39,16 @@ def dataset_csv(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """One CLI call in a fresh interpreter, where warnings reach stderr
+    unfiltered."""
+    src = str(Path(mfcov.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-m", "mfcov.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def _huge_dataset():
@@ -134,6 +145,25 @@ def fitted_container(dataset_csv, tmp_path_factory):
     return out / "coeffs.mcov"
 
 
+def json_paths(node, prefix=()):
+    """Key paths of every value nested inside a JSON object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+# small JSON values: wrong types for every sidecar field, but no magnitude
+# that would make a kernel or gram factorization expensive
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3.0, 3.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
 class TestBadInputFuzz:
     @given(container_bytes())
     def test_container_loads_or_raises_value_error(self, fuzz_dir, blob):
@@ -159,6 +189,26 @@ class TestBadInputFuzz:
                                  "--out", fuzz_dir / "o")
         assert code == 1
         assert len(err) == 1 and err[0].startswith("mfcov eigen: ")
+
+    @given(st.data())
+    def test_eigen_on_altered_sidecar_exits_zero_or_one(self, fuzz_dir, dataset_csv,
+                                                        fitted_container, data):
+        coeffs, sidecar = read_container(fitted_container)
+        where = data.draw(st.sampled_from(sorted(json_paths(sidecar), key=str)))
+        node = sidecar
+        for key in where[:-1]:
+            node = node[key]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[where[-1]]
+        else:
+            node[where[-1]] = data.draw(json_values)
+        path = fuzz_dir / "altered.mcov"
+        write_container(path, coeffs, sidecar)
+        code, err = run_captured("eigen", "--container", path, "--data", dataset_csv,
+                                 "--out", fuzz_dir / "o")
+        assert code in (0, 1)
+        assert len(err) == code
+        assert all(line.startswith("mfcov eigen: ") for line in err)
 
     @given(st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode),
                      st.text(alphabet="ab,.0123456789e-+\"\n inf", max_size=300).map(
@@ -209,6 +259,7 @@ class TestFit:
             "coeffs.mcov", "fit.json", "rank_report.json"]
         diag = json.loads((out / "fit.json").read_text())
         assert diag["converged"] is True
+        assert diag["zero_solution"] is False
         assert "max_skew" not in diag
         ranks = json.loads((out / "rank_report.json").read_text())
         assert ranks["two_way"] >= 0 and len(ranks["one_way"]) == 2
@@ -279,16 +330,28 @@ class TestFit:
         # a real process: numpy's warnings would reach stderr unfiltered
         path = tmp_path / "huge.csv"
         save_csv(_huge_dataset(), path)
-        src = str(Path(mfcov.__file__).resolve().parent.parent)
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run(
-            [sys.executable, "-m", "mfcov.cli", "fit", "--data", str(path),
-             "--out", str(tmp_path / "o"), *FIT_FLAGS],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_process("fit", "--data", path, "--out", tmp_path / "o", *FIT_FLAGS)
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
             "mfcov fit: cross-products overflow float64; rescale the values"]
+
+    def test_dropped_subject_writes_one_stderr_line(self, dataset_csv, tmp_path):
+        path = tmp_path / "lonely.csv"
+        path.write_text(dataset_csv.read_text() + "lonely,0.5,0.5,1.0\n")
+        done = run_process("fit", "--data", path, "--out", tmp_path / "o", *FIT_FLAGS)
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [
+            "mfcov fit: dropped subjects with fewer than 2 observations: ['lonely']"]
+
+    def test_zero_solution_is_flagged(self, dataset_csv, tmp_path):
+        out = tmp_path / "fit"
+        assert run("fit", "--data", dataset_csv, "--out", out, *FIT_FLAGS,
+                   "--lambda", "1e6") == 0
+        diag = json.loads((out / "fit.json").read_text())
+        assert diag["zero_solution"] is True
+        assert diag["converged"] is True and diag["n_iters"] == 0
+        coeffs, _ = read_container(out / "coeffs.mcov")
+        assert not coeffs.any()
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = run("fit", "--data", tmp_path / "absent.csv",
@@ -493,6 +556,18 @@ class TestEigen:
                    "--data", dataset_csv, "--out", tmp_path / "o")
         assert code == 1
         assert "provenance mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [{"kernel": 1, "gram": {}, "fit": {}},
+                                         {"kernel": {}, "gram": {}, "fit": {}}])
+    def test_wrongly_typed_sidecar_exits_one(self, dataset_csv, fitted, tmp_path,
+                                             sidecar):
+        coeffs, _ = read_container(fitted / "coeffs.mcov")
+        path = tmp_path / "coeffs.mcov"
+        write_container(path, coeffs, sidecar)
+        code, err = run_captured("eigen", "--container", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "o")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"mfcov eigen: {path}: ")
 
     def test_wrong_dataset_exits_one(self, fitted, tmp_path, capsys):
         other = tmp_path / "other.csv"

@@ -78,6 +78,11 @@ class TestKernelEval:
             KernelSpec(decay_exponent=1.0)
         with pytest.raises(ValueError):
             KernelSpec(truncation_order=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                KernelSpec(decay_exponent=bad)
+            with pytest.raises(ValueError):
+                KernelSpec(include_constant=True, constant_coef=bad)
 
     def test_spec_round_trips_through_dict(self):
         spec = KernelSpec(3.5, 17, True, 0.25)

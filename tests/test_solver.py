@@ -600,6 +600,101 @@ class TestStackedAdmm:
         assert stacked[5]["eta_final"] != STACK_CONFIGS[5].eta
 
 
+def linear_term_bounds(pre):
+    """(lambda_max(h), max_k ||h_(k)||_2) of the full-data linear term,
+    computed directly from ``pre.h``."""
+    h = pre.h.reshape(pre.q_total, pre.q_total)
+    h = (h + h.T) / 2.0
+    rho0 = max(np.linalg.eigvalsh(h).max(), 0.0)
+    h = h.reshape(pre.dims * 2)
+    rho1 = max(np.linalg.svd(one_way_unfold(h, k), compute_uv=False).max()
+               for k in range(pre.p))
+    return rho0, rho1
+
+
+def certified(pre, lam, beta):
+    system = solver._System(pre, None, g_sym=pre.G_sym)
+    return system.zero_certified(np.atleast_1d(lam), np.atleast_1d(beta))
+
+
+class TestZeroCertificate:
+    # beta = 1 above lambda_max used to run to the cap without converging
+    FOUND = dict(p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e6])
+    def test_beta_one_above_lambda_max_is_exact_zero(self, lam):
+        data, cross, grams, pre = make_problem(**self.FOUND)
+        assert lam > linear_term_bounds(pre)[0]
+        fit = admm_fit(data, cross, grams, FitConfig(lam=lam, beta=1.0), pre=pre)
+        assert not fit.coeffs.any()
+        assert fit.converged and fit.n_iters == 0
+        assert fit.objective_value == pre.c0
+        assert not fit.primal_residuals.any()
+
+    def test_beta_one_threshold_is_lambda_max(self):
+        data, cross, grams, pre = make_problem(**self.FOUND)
+        lam_max = linear_term_bounds(pre)[0]
+        assert certified(pre, lam_max * (1 + 1e-9), 1.0).all()
+        below = lam_max * (1 - 1e-3)
+        assert not certified(pre, below, 1.0).any()
+        fit = admm_fit(data, cross, grams, FitConfig(lam=below, beta=1.0), pre=pre)
+        assert fit.n_iters > 0
+        assert np.linalg.norm(fit.coeffs) > 0.0
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_certified_cells_are_optimal_at_zero(self, seed):
+        p = 1 + seed % 2
+        data, cross, grams, pre = make_problem(
+            p=p, n=6, m=4, q=2, seed=seed, model_scale=1.5, noise=0.3)
+        rho0, rho1 = linear_term_bounds(pre)
+        q = pre.q_total
+        h = pre.h.reshape(q, q)
+        top = np.linalg.eigh((h + h.T) / 2.0)[1][:, -1]
+        rng = np.random.default_rng(seed)
+        n_certified = 0
+        for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+            # the smallest lambda the certificate accepts at this beta
+            lam_min = rho0 / (beta + (1.0 - beta) * rho0 / rho1)
+            for lam in lam_min * np.array([0.25, 0.5, 0.75, 0.9, 1 + 1e-9, 1.5]):
+                if not certified(pre, lam, beta).all():
+                    continue
+                n_certified += 1
+                cfg = FitConfig(lam=lam, beta=beta)
+                at_zero = objective(np.zeros(pre.dims * 2), pre, cfg)
+                slack = 1e-12 * (1.0 + abs(at_zero))
+                # random PSD points, the top eigendirection of h, and where
+                # a plain ADMM run (which knows no certificate) ends up
+                cands = [reference_unaccelerated(pre, lam, beta, 0.1, 500)]
+                for scale in (1e-6, 1e-3, 1e-1, 1.0):
+                    a = rng.standard_normal((q, rng.integers(1, q + 1)))
+                    cands += [square_fold(scale * b_sq, pre.dims * 2)
+                              for b_sq in (a @ a.T, np.outer(top, top))]
+                for b in cands:
+                    assert objective(b, pre, cfg) >= at_zero - slack
+        assert n_certified == 10  # exactly the cells at or above lam_min
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_mixed_stack_leaves_iterating_cells_bit_identical(self, dense):
+        data, cross, grams, _ = make_problem(**self.FOUND)
+        pre = precompute(data, cross, grams, dense=dense)
+        iterating = [FitConfig(lam=0.03, beta=0.5), FitConfig(lam=0.01, beta=1.0),
+                     FitConfig(lam=0.05, beta=0.0, max_iters=7)]
+        zero = [FitConfig(lam=1e6, beta=0.5), FitConfig(lam=1.0, beta=1.0)]
+        system = solver._System(pre, None, g_sym=pre.G_sym)
+        alone = solver._iterate(system, pre, iterating)
+        mixed = solver._iterate(system, pre, [zero[0], iterating[0], zero[1],
+                                              iterating[1], iterating[2]])
+        for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
+            assert ref["n_iters"] == out["n_iters"] > 0
+            assert ref["converged"] == out["converged"]
+            for key in ("coeffs", "objective_trace", "primal_residuals"):
+                assert np.array_equal(ref[key], out[key])
+        for out in (mixed[0], mixed[2]):
+            assert not out["coeffs"].any()
+            assert out["converged"] and out["n_iters"] == 0
+            assert out["objective_value"] == system.c0
+
+
 def synthetic_fit(coeffs, threshold=1e-8):
     return CovarianceFit(
         coeffs=coeffs, config=FitConfig(rank_threshold=threshold), grams=[],
@@ -675,16 +770,21 @@ class TestCvSelect:
     def test_unconverged_cells_are_reported(self):
         data, cross, grams, _ = make_problem(
             p=1, n=6, m=4, q=2, seed=31, model_scale=1.5, noise=0.2)
-        grid = ([1e-3, 1e9], [0.5])
+        grid = ([1e-3, 1e-1], [0.0, 1.0])   # no cell is certified zero
         _, _, capped = cv_select(data, grams, *grid, n_folds=3,
                                  base=FitConfig(max_iters=4, tol=1e-12))
-        assert capped.n_iters.shape == (2, 1)
+        assert capped.n_iters.shape == (2, 2)
         assert (capped.n_iters == 12).all()
         assert (capped.unconverged_folds == 3).all()
         _, _, free = cv_select(data, grams, *grid, n_folds=3,
                                base=FitConfig(tol=1e-12))
         assert (free.n_iters > 12).all()
         assert (free.unconverged_folds == 0).all()
+        # a cell far above lambda_max is certified zero in every fold
+        _, _, zero = cv_select(data, grams, [1e9], [0.5], n_folds=3,
+                               base=FitConfig(max_iters=4, tol=1e-12))
+        assert zero.n_iters[0, 0] == 0
+        assert zero.unconverged_folds[0, 0] == 0
 
     def test_empty_grid_rejected(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
