@@ -406,6 +406,11 @@ def _check_provenance(hashes, grams, coeffs, container):
 def cmd_eigen(cfg):
     """Container + matching dataset -> spectrum JSON and gridded CSV exports."""
     _require(cfg, "container", "data", "out")
+    grid, components = int(cfg.eigen_grid), int(cfg.components)
+    if grid < 1:
+        raise ValueError(f"--eigen-grid must be >= 1, got {grid}")
+    if components < 0:
+        raise ValueError(f"--components must be >= 0, got {components}")
     coeffs, sidecar = read_container(cfg.container)
     spec, tol, cap, hashes, record = _sidecar_parts(cfg.container, sidecar)
     data = load_csv(cfg.data)
@@ -416,8 +421,8 @@ def cmd_eigen(cfg):
                         objective_trace=np.zeros(0), **record)
     eig = l2_eigensystem(fit, spec)
     outdir = _outdir(cfg)
-    ax = np.linspace(0.0, 1.0, int(cfg.eigen_grid))
-    n_exported = min(int(cfg.components), len(eig))
+    ax = np.linspace(0.0, 1.0, grid)
+    n_exported = min(components, len(eig))
     total = float(eig.eigenvalues.sum()) if len(eig) else 0.0
     shares = [float(v) / total for v in eig.eigenvalues] if total > 0 else []
 
@@ -563,7 +568,7 @@ def main(argv=None):
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = _run(command, config_path, ns)
-        except (ValueError, OSError, RuntimeError) as exc:
+        except (ValueError, OSError, RuntimeError, MemoryError) as exc:
             code, failure = 1, exc
     messages = [w.message for w in caught] + ([failure] if failure is not None else [])
     for message in messages:

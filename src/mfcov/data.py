@@ -1,8 +1,9 @@
-"""Functional-data ingestion, mean handling, cross-products, and CV folds.
+"""Functional-data ingestion, cross-products, and CV folds.
 
 A dataset holds n subjects; subject i carries m_i observation locations in
 [0,1]^p and scalar measurements.  The loss operates on the off-diagonal
-cross-products Z_ijj' = (Y_ij - mu(T_ij)) (Y_ij' - mu(T_ij')), j != j'.
+cross-products Z_ijj' = Y_ij Y_ij', j != j', so the values must be centered
+(zero-mean) before fitting.
 """
 
 import csv
@@ -12,16 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import basis_matrix, factor_kernel
+from .kernel import factor_kernel
 
 __all__ = [
     "FunctionalDataset",
-    "MeanEstimate",
     "CrossProducts",
     "FoldAssignment",
     "load_csv",
     "save_csv",
-    "fit_mean",
     "cross_products",
     "make_folds",
     "gram_factors",
@@ -153,88 +152,26 @@ def save_csv(data, path):
 
 
 @dataclass
-class MeanEstimate:
-    """Mean function: identically zero, or kernel ridge over pooled locations."""
-
-    mode: str = "zero"
-    spec: object = None           # KernelSpec for the kernel-ridge mode
-    anchors: np.ndarray = None    # (N, p) pooled locations
-    coef: np.ndarray = None       # (N,) ridge coefficients
-    ridge: float = 0.0
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.mode == "zero":
-            return np.zeros(pts.shape[0])
-        k = _tensor_product_kernel(self.spec, pts, self.anchors)
-        return k @ self.coef
-
-
-def _tensor_product_kernel(spec, a, b):
-    """Product over dimensions of the univariate kernel, (len(a), len(b)),
-    each factor formed as (E_a w) E_b^T from the cosine basis."""
-    out = np.ones((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        e_a, w = basis_matrix(spec, a[:, k])
-        e_b, _ = basis_matrix(spec, b[:, k])
-        out *= (e_a * w) @ e_b.T
-    return out
-
-
-def fit_mean(data, spec=None, ridge=0.0, mode="zero"):
-    """Fit the mean function.
-
-    mode="zero" returns the zero function (the default convention).
-    mode="kernel-ridge" solves (K + ridge I) c = y over the pooled
-    tensor-product kernel; ridge must be positive when locations repeat.
-    """
-    if mode == "zero":
-        return MeanEstimate(mode="zero")
-    if mode != "kernel-ridge":
-        raise ValueError(f"unknown mean mode {mode!r}")
-    if spec is None:
-        raise ValueError("kernel-ridge mean needs a kernel spec")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    anchors = data.pooled_locations()
-    y = np.concatenate(data.values)
-    k = _tensor_product_kernel(spec, anchors, anchors)
-    k = (k + k.T) / 2.0
-    try:
-        coef = np.linalg.solve(k + ridge * np.eye(len(y)), y)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "singular kernel system (duplicated locations?); set ridge > 0"
-        ) from None
-    return MeanEstimate(mode="kernel-ridge", spec=spec, anchors=anchors, coef=coef, ridge=ridge)
-
-
-@dataclass
 class CrossProducts:
-    """Per-subject cross-product matrices Z_i = r_i r_i^T (residual outer products).
+    """Per-subject cross-product matrices Z_i = y_i y_i^T of the values.
 
     The diagonal never enters the loss; consumers mask it with the indicator
     of j != j'.
     """
 
     z: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
 
 
-def cross_products(data, mean=None):
-    """Residual outer products Z_ijj' = (Y_ij - mu(T_ij)) (Y_ij' - mu(T_ij'))."""
-    if mean is None:
-        mean = MeanEstimate(mode="zero")
-    zs, res = [], []
-    for locs, vals in zip(data.locations, data.values):
-        r = vals - mean(locs)
+def cross_products(data):
+    """Outer products Z_ijj' = Y_ij Y_ij' of each subject's (centered) values."""
+    zs = []
+    for vals in data.values:
         with np.errstate(over="ignore"):
-            z = np.outer(r, r)
-        if np.isfinite(r).all() and not np.isfinite(z).all():
+            z = np.outer(vals, vals)
+        if np.isfinite(vals).all() and not np.isfinite(z).all():
             raise ValueError(CROSS_OVERFLOW)
         zs.append(z)
-        res.append(r)
-    return CrossProducts(z=zs, residuals=res)
+    return CrossProducts(z=zs)
 
 
 @dataclass

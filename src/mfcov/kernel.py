@@ -159,6 +159,10 @@ def factor_kernel(spec, coords, tol=1e-10, cap=12):
     positive) so refactorizing the same coordinates on a different BLAS
     reproduces the same basis.
     """
+    if cap < 1:
+        raise ValueError(f"gram cap must be >= 1, got {cap}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"gram tol must be finite and nonnegative, got {tol}")
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     if coords.size == 0:
         raise ValueError("empty coordinate list")

@@ -68,7 +68,6 @@ from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, squ
 
 __all__ = [
     "FitConfig",
-    "FitState",
     "Precompute",
     "CovarianceFit",
     "CvDiagnostics",
@@ -446,17 +445,6 @@ def objective(b, pre, config):
 # the accelerated ADMM
 
 @dataclass
-class FitState:
-    """ADMM iterate bundle: initialization for ``admm_fit`` (warm starts),
-    and the final state carried on a ``CovarianceFit``."""
-
-    B: np.ndarray
-    D: list
-    V: list
-    alpha: float = 1.0
-
-
-@dataclass
 class CovarianceFit:
     """Result of a fit: final PSD-projected coefficients plus diagnostics."""
 
@@ -469,8 +457,6 @@ class CovarianceFit:
     primal_residuals: np.ndarray
     objective_trace: np.ndarray
     eta_final: float
-    stationarity: np.ndarray | None = None
-    state: FitState | None = None
 
     @property
     def dims(self):
@@ -551,23 +537,18 @@ class _System:
                 raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
         return out
 
-    def residual(self, x_packed, rhs_packed, eta):
-        """Stationarity residual of each packed ridge system."""
-        ax = 2.0 * self._apply(x_packed) + ((self.p + 1) * eta)[:, None] * x_packed
-        return np.linalg.norm(ax - rhs_packed, axis=-1)
-
 
 def _frob(x):
     """Frobenius norms over the last two axes."""
     return np.sqrt((x * x).sum(axis=(-2, -1)))
 
 
-def _iterate(system, pre, configs, initial=None, track=False):
+def _iterate(system, pre, configs):
     """Run the accelerated ADMM for a stack of cells on one loss system.
 
-    Cell c follows ``configs[c]`` and starts from ``initial`` (a FitState,
-    shared by every cell) or from zero.  Returns one result dict per cell;
-    a cell the zero certificate covers returns the zero fit at 0 iterations.
+    Cell c follows ``configs[c]`` and starts from zero.  Returns one result
+    dict per cell; a cell the zero certificate covers returns the zero fit at
+    0 iterations.
     """
     p = pre.p
     q = pre.q_total
@@ -587,18 +568,9 @@ def _iterate(system, pre, configs, initial=None, track=False):
     # cells, and the per-cell settings above are read through it.
     cell = np.arange(n_cells)
 
-    if initial is None:
-        d = np.zeros((n_cells, p + 1, q, q))
-        v = np.zeros((n_cells, p + 1, q, q))
-        alpha = np.ones(n_cells)
-    else:
-        b = square_unfold(np.asarray(initial.B, dtype=float))
-        if np.abs(b - b.T).max() > 1e-10 * max(np.abs(b).max(), 1e-300):
-            raise ValueError("initial B must have a symmetric square unfolding")
-        d, v = (np.repeat(np.stack([square_unfold(np.asarray(x, dtype=float))
-                                    for x in blocks])[None], n_cells, axis=0)
-                for blocks in (initial.D, initial.V))
-        alpha = np.full(n_cells, float(initial.alpha))
+    d = np.zeros((n_cells, p + 1, q, q))
+    v = np.zeros((n_cells, p + 1, q, q))
+    alpha = np.ones(n_cells)
 
     def d0_objective(d0, eigs):
         val = system.quad(pk.pack(d0)) + w_psd[cell] * eigs.sum(axis=-1)
@@ -607,11 +579,7 @@ def _iterate(system, pre, configs, initial=None, track=False):
             val = val + w_one * _one_way_trace_norms(d0, pre.dims)
         return val
 
-    if initial is None:
-        obj_prev = system.quad(pk.pack(d[:, 0]))  # zero init: penalties vanish
-    else:
-        obj_prev = d0_objective(d[:, 0], np.abs(np.linalg.eigvalsh(
-            (d[:, 0] + np.swapaxes(d[:, 0], -1, -2)) / 2.0)))
+    obj_prev = system.quad(pk.pack(d[:, 0]))  # zero init: penalties vanish
     traces = [[float(o)] for o in obj_prev]
     bad = np.flatnonzero(~np.isfinite(obj_prev))
     if bad.size:
@@ -621,10 +589,9 @@ def _iterate(system, pre, configs, initial=None, track=False):
         )
         err.trace = np.asarray(traces[bad[0]])
         raise err
-    stationarity = [[] for _ in range(n_cells)] if track else None
     results = [None] * n_cells
 
-    def finish(c, b, d, v, alpha, eta, converged, n_iters, obj):
+    def finish(c, b, d, eta, converged, n_iters, obj):
         results[c] = {
             "coeffs": d[0].reshape(dims2).copy(),
             "converged": bool(converged),
@@ -633,13 +600,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
             "primal_residuals": _frob(b - d),
             "objective_trace": np.asarray(traces[c]),
             "eta_final": float(eta),
-            "stationarity": None if not track else np.asarray(stationarity[c]),
-            "state": FitState(
-                B=b.reshape(dims2).copy(),
-                D=[x.reshape(dims2).copy() for x in d],
-                V=[x.reshape(dims2).copy() for x in v],
-                alpha=float(alpha),
-            ),
         }
 
     # certified cells return the zero fit and never enter the stack
@@ -647,7 +607,7 @@ def _iterate(system, pre, configs, initial=None, track=False):
     blocks0 = np.zeros((p + 1, q, q))
     for c in np.flatnonzero(zero):
         traces[c] = [system.c0]
-        finish(c, blocks0[0], blocks0, blocks0, 1.0, eta[c], True, 0, system.c0)
+        finish(c, blocks0[0], blocks0, eta[c], True, 0, system.c0)
     cell = np.flatnonzero(~zero)
     d, v, alpha, obj_prev, eta = d[cell], v[cell], alpha[cell], obj_prev[cell], eta[cell]
     d_hat, v_hat, d_prev, v_prev = d.copy(), v.copy(), d.copy(), v.copy()
@@ -660,9 +620,6 @@ def _iterate(system, pre, configs, initial=None, track=False):
         rhs = system.h_packed + eta[:, None] * pk.pack(acc)
         b_packed = system.solve(rhs, eta, x0=b_packed)
         b = pk.unpack(b_packed)
-        if track:
-            for c, r in zip(cell, system.residual(b_packed, rhs, eta)):
-                stationarity[c].append(float(r))
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the SVD and keep it
@@ -732,8 +689,8 @@ def _iterate(system, pre, configs, initial=None, track=False):
         if not done.any():
             continue
         for row in np.flatnonzero(done):
-            finish(cell[row], b[row], d[row], v[row], alpha[row], eta[row],
-                   conv[row], t + 1, obj_prev[row])
+            finish(cell[row], b[row], d[row], eta[row], conv[row], t + 1,
+                   obj_prev[row])
         keep = ~done
         if not keep.any():
             break
@@ -744,17 +701,16 @@ def _iterate(system, pre, configs, initial=None, track=False):
     return results
 
 
-def admm_fit(data, cross, grams, config, initial=None, pre=None, track=False):
-    """Fit the coefficient tensor by the accelerated ADMM.
+def admm_fit(data, cross, grams, config, pre=None):
+    """Fit the coefficient tensor by the accelerated ADMM, from zero.
 
     Returns a CovarianceFit whose ``coeffs`` is the final PSD-projected
-    iterate.  ``pre`` may carry a reusable precomputation bundle; ``track``
-    additionally records per-iteration stationarity residuals.
+    iterate.  ``pre`` may carry a reusable precomputation bundle.
     """
     if pre is None:
         pre = precompute(data, cross, grams)
     system = _System(pre, None, g_sym=pre.G_sym)
-    (out,) = _iterate(system, pre, [config], initial=initial, track=track)
+    (out,) = _iterate(system, pre, [config])
     return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
@@ -792,7 +748,7 @@ class CvDiagnostics:
 
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
-              beta_grid=DEFAULT_BETA_GRID, folds=None, base=None, mean=None,
+              beta_grid=DEFAULT_BETA_GRID, folds=None, base=None,
               n_folds=5, fold_seed=0):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
@@ -813,7 +769,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
         base = FitConfig()
     if folds is None:
         folds = make_folds(data, n_folds, fold_seed)
-    cross = cross_products(data, mean)
+    cross = cross_products(data)
     pre = precompute(data, cross, grams, folds=folds)
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]

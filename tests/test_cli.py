@@ -28,6 +28,10 @@ from mfcov.spectral import l2_eigensystem, marginal_basis
 FIT_FLAGS = ["--gram-cap", "4", "--eta", "1e-9", "--lambda", "3e-6",
              "--beta", "0.5"]
 
+# A kernel truncation order whose cosine basis (8 bytes per term) exceeds any
+# 64-bit address space.
+HUGE_ORDER = 10 ** 17
+
 
 @pytest.fixture(scope="module")
 def dataset_csv(tmp_path_factory):
@@ -335,6 +339,29 @@ class TestFit:
         assert done.stderr.splitlines() == [
             "mfcov fit: cross-products overflow float64; rescale the values"]
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_order_beyond_memory_writes_one_stderr_line(self, dataset_csv, tmp_path,
+                                                       command):
+        # the basis for this order exceeds any address space, so its
+        # allocation fails up front
+        done = run_process(command, "--data", dataset_csv, "--out", tmp_path / "o",
+                           "--truncation-order", HUGE_ORDER)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"mfcov {command}: Unable to allocate")
+
+    @pytest.mark.parametrize("option, value", [("--gram-cap", "0"),
+                                               ("--gram-tol", "nan"),
+                                               ("--gram-tol", "inf"),
+                                               ("--gram-tol", "-1e-10")])
+    def test_bad_gram_parameter_exits_one(self, dataset_csv, tmp_path, option, value):
+        code, err = run_captured("fit", "--data", dataset_csv, "--out", tmp_path / "o",
+                                 f"{option}={value}")
+        assert code == 1
+        name = option.removeprefix("--").replace("-", " ")
+        assert len(err) == 1 and err[0].startswith(f"mfcov fit: {name} must be")
+
     def test_dropped_subject_writes_one_stderr_line(self, dataset_csv, tmp_path):
         path = tmp_path / "lonely.csv"
         path.write_text(dataset_csv.read_text() + "lonely,0.5,0.5,1.0\n")
@@ -568,6 +595,29 @@ class TestEigen:
                                  "--out", tmp_path / "o")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"mfcov eigen: {path}: ")
+
+    def test_sidecar_order_beyond_memory_writes_one_stderr_line(self, dataset_csv,
+                                                                fitted, tmp_path):
+        coeffs, sidecar = read_container(fitted / "coeffs.mcov")
+        sidecar["kernel"]["truncation_order"] = HUGE_ORDER
+        path = tmp_path / "coeffs.mcov"
+        write_container(path, coeffs, sidecar)
+        done = run_process("eigen", "--container", path, "--data", dataset_csv,
+                           "--out", tmp_path / "o")
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mfcov eigen: Unable to allocate")
+
+    @pytest.mark.parametrize("option, value, least", [("--components", "-2", 0),
+                                                      ("--eigen-grid", "0", 1)])
+    def test_bad_export_option_exits_one(self, dataset_csv, fitted, tmp_path,
+                                         option, value, least):
+        out = tmp_path / "o"
+        code, err = run_captured("eigen", "--container", fitted / "coeffs.mcov",
+                                 "--data", dataset_csv, "--out", out, option, value)
+        assert code == 1
+        assert err == [f"mfcov eigen: {option} must be >= {least}, got {value}"]
+        assert not out.exists()
 
     def test_wrong_dataset_exits_one(self, fitted, tmp_path, capsys):
         other = tmp_path / "other.csv"

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,16 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfcov.data import (
-    FunctionalDataset,
-    MeanEstimate,
-    cross_products,
-    fit_mean,
-    load_csv,
-    make_folds,
-    save_csv,
-)
-from mfcov.kernel import KernelSpec, kernel_eval
+from mfcov.data import FunctionalDataset, cross_products, load_csv, make_folds, save_csv
 
 # Text shaped like the CSV format, so examples get past the header check.
 CSV_LIKE = st.text(alphabet="ab,.0123456789e-+\"\n\r inf", max_size=300).map(
@@ -152,89 +142,17 @@ class TestLoadCsvFuzz:
         loads_or_value_error(fuzz_file)
 
 
-class TestFitMean:
-    def test_zero_mode(self):
-        mean = fit_mean(toy_dataset())
-        pts = np.random.default_rng(2).uniform(size=(5, 2))
-        assert np.all(mean(pts) == 0)
-
-    def test_interpolation_limit(self):
-        # single observation, ridge -> 0+: the fit approaches the value
-        data = FunctionalDataset([np.array([[0.3], [0.7]])], [np.array([2.0, 2.0])])
-        spec = KernelSpec(include_constant=True)
-        mean = fit_mean(data, spec=spec, ridge=1e-12, mode="kernel-ridge")
-        fitted = mean(np.array([[0.3]]))[0]
-        assert abs(fitted - 2.0) < 1e-6
-
-    def test_matches_dense_solve_oracle(self):
-        # constant data, modest ridge: compare to an explicit-inverse solve
-        data = toy_dataset()
-        c = 1.7
-        const = FunctionalDataset(data.locations, [np.full(m, c) for m in data.counts])
-        spec = KernelSpec(truncation_order=25, include_constant=True)
-        ridge = 0.1
-        mean = fit_mean(const, spec=spec, ridge=ridge, mode="kernel-ridge")
-
-        def product_kernel(a, b):
-            return np.prod([kernel_eval(spec, a[:, k, None], b[None, :, k])
-                            for k in range(a.shape[1])], axis=0)
-
-        anchors = const.pooled_locations()
-        k = product_kernel(anchors, anchors)
-        k = (k + k.T) / 2.0
-        coef = np.linalg.inv(k + ridge * np.eye(len(anchors))) @ np.full(len(anchors), c)
-        grid = np.random.default_rng(3).uniform(size=(40, 2))
-        oracle = product_kernel(grid, anchors) @ coef
-        assert np.abs(mean(grid) - oracle).max() < 1e-10
-
-    def test_memory_stays_near_one_n_by_n_matrix(self):
-        # N = 800 pooled points: one N x N float64 matrix is 5.1 MB, while an
-        # N x N x T temporary (T = 50) would be 256 MB
-        rng = np.random.default_rng(4)
-        data = FunctionalDataset([rng.uniform(size=(2, 2)) for _ in range(400)],
-                                 [rng.standard_normal(2) for _ in range(400)])
-        tracemalloc.start()
-        try:
-            mean = fit_mean(data, spec=KernelSpec(), ridge=1e-3, mode="kernel-ridge")
-            assert np.isfinite(mean(rng.uniform(size=(50, 2)))).all()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 30e6
-
-    def test_bad_modes(self):
-        with pytest.raises(ValueError):
-            fit_mean(toy_dataset(), mode="median")
-        with pytest.raises(ValueError):
-            fit_mean(toy_dataset(), mode="kernel-ridge")  # no spec
-        with pytest.raises(ValueError):
-            fit_mean(toy_dataset(), spec=KernelSpec(), ridge=-1.0, mode="kernel-ridge")
-
-
 class TestCrossProducts:
     def test_outer_product_values(self):
         data = FunctionalDataset([np.array([[0.1], [0.2], [0.3]])], [np.array([1.0, 2.0, 3.0])])
         cp = cross_products(data)
         assert np.array_equal(cp.z[0], [[1, 2, 3], [2, 4, 6], [3, 6, 9]])
 
-    def test_mean_equal_to_values_gives_zero(self):
-        data = toy_dataset()
-
-        class Interp(MeanEstimate):
-            def __call__(self, pts):
-                for locs, vals in zip(data.locations, data.values):
-                    if locs.shape == pts.shape and np.array_equal(locs, pts):
-                        return vals
-                raise AssertionError("unexpected points")
-
-        cp = cross_products(data, Interp())
-        assert all(np.all(z == 0) for z in cp.z)
-
     def test_rank_one_per_subject(self):
         data = toy_dataset()
         cp = cross_products(data)
-        for z, r in zip(cp.z, cp.residuals):
-            assert np.allclose(z, np.outer(r, r))
+        for z, vals in zip(cp.z, data.values):
+            assert np.array_equal(z, np.outer(vals, vals))
             s = np.linalg.svd(z, compute_uv=False)
             assert s[1] < 1e-10 * max(s[0], 1e-300)
 
