@@ -33,7 +33,7 @@ from .data import cross_products, gram_factors, load_csv, make_folds
 from .kernel import KernelSpec
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_json, save_table
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
-                     FitConfig, admm_fit, cv_select, rank_report)
+                     FitConfig, _drop_adaptive_eta, admm_fit, cv_select, rank_report)
 from .spectral import l2_eigensystem, marginal_basis
 
 __all__ = [
@@ -132,7 +132,6 @@ class RunConfig:
     max_iters: int = None
     tol: float = None
     rank_threshold: float = None
-    adaptive_eta: bool = None
     # cross-validation
     lambda_grid: list = None
     beta_grid: list = None
@@ -160,13 +159,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        d = _drop_adaptive_eta(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValueError(f"unknown config key '{unknown[0]}'")
+        for f in fields(cls):
+            value = d.get(f.name)
+            if value is not None and not _has_type(value, f.type):
+                key = "lambda" if f.name == "lam" else f.name
+                raise ValueError(f"config key '{key}' must be {f.type.__name__}, "
+                                 f"got {type(value).__name__}")
         return cls(**d)
 
     def resolved(self):
@@ -191,7 +196,6 @@ class RunConfig:
             lam=self.lam, beta=self.beta, eta=self.eta,
             max_iters=self.max_iters, tol=self.tol,
             rank_threshold=self.rank_threshold,
-            adaptive_eta=self.adaptive_eta,
         )
 
     def protocol(self):
@@ -206,6 +210,16 @@ class RunConfig:
     def sim_setting(self):
         return SimSetting(setting=self.setting, n=self.n, m=self.m,
                           sigma=self.sigma, seed=self.seed)
+
+
+def _has_type(value, kind):
+    """Whether a config value fits a RunConfig annotation: a bool is not a
+    number, an int is a float, and a list holds numbers."""
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 def _defaults(command):
@@ -226,21 +240,17 @@ def _defaults(command):
             gram_tol=proto.gram_tol, gram_cap=proto.gram_cap,
             lambda_grid=list(proto.lambda_grid), beta_grid=list(proto.beta_grid),
             n_folds=proto.n_folds, aise_grid=proto.aise_grid,
-            lam=base.lam, beta=base.beta, eta=base.eta,
-            max_iters=base.max_iters, tol=base.tol,
-            rank_threshold=base.rank_threshold, adaptive_eta=base.adaptive_eta,
             setting=1, n=100, m=10, sigma=0.1, seed=0, reps=20, threads=1,
         )
     else:
         base = FitConfig()
         out.update(
             gram_tol=1e-10, gram_cap=12,
-            lam=base.lam, beta=base.beta, eta=base.eta,
-            max_iters=base.max_iters, tol=base.tol,
-            rank_threshold=base.rank_threshold, adaptive_eta=base.adaptive_eta,
             lambda_grid=[float(x) for x in DEFAULT_LAMBDA_GRID],
             beta_grid=[float(x) for x in DEFAULT_BETA_GRID],
         )
+    out.update(lam=base.lam, beta=base.beta, eta=base.eta, max_iters=base.max_iters,
+               tol=base.tol, rank_threshold=base.rank_threshold)
     if command == "eigen":
         out.update(eigen_grid=21, components=8)
     return out
@@ -260,9 +270,9 @@ def _outdir(cfg):
 
 
 def _write_json(path, payload):
+    text = json.dumps(payload, indent=2, allow_nan=False)  # fails before the file opens
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _persist_config(cfg, outdir):
@@ -284,7 +294,6 @@ def _fit_sidecar(cfg, spec, grams, fit):
             "converged": bool(fit.converged),
             "n_iters": int(fit.n_iters),
             "objective_value": float(fit.objective_value),
-            "eta_final": float(fit.eta_final),
         },
     }
 
@@ -308,7 +317,6 @@ def cmd_fit(cfg):
         "n_iters": int(fit.n_iters),
         "zero_solution": not fit.coeffs.any(),
         "objective_value": float(fit.objective_value),
-        "eta_final": float(fit.eta_final),
         "primal_residuals": [float(r) for r in fit.primal_residuals],
         "dims": [int(d) for d in fit.dims],
         "dataset": data.stats(),
@@ -377,7 +385,6 @@ def _sidecar_parts(container, sidecar):
             "converged": bool(fit["converged"]),
             "n_iters": int(fit["n_iters"]),
             "objective_value": float(fit["objective_value"]),
-            "eta_final": float(fit["eta_final"]),
         }
     except KeyError as exc:
         raise ValueError(f"{container}: sidecar lacks {exc}") from None
@@ -418,7 +425,7 @@ def cmd_eigen(cfg):
     _check_provenance(hashes, grams, coeffs, cfg.container)
     p = len(grams)
     fit = CovarianceFit(coeffs=coeffs, grams=grams, primal_residuals=np.zeros(p + 1),
-                        objective_trace=np.zeros(0), **record)
+                        **record)
     eig = l2_eigensystem(fit, spec)
     outdir = _outdir(cfg)
     ax = np.linspace(0.0, 1.0, grid)
@@ -489,7 +496,6 @@ def _add_kernel_gram_fit(parser):
     _add_option(parser, "max_iters", type=int)
     _add_option(parser, "tol", type=float)
     _add_option(parser, "rank_threshold", type=float)
-    _add_option(parser, "adaptive_eta", action=argparse.BooleanOptionalAction)
 
 
 def _add_grids(parser):
@@ -572,7 +578,8 @@ def main(argv=None):
             code, failure = 1, exc
     messages = [w.message for w in caught] + ([failure] if failure is not None else [])
     for message in messages:
-        print(f"mfcov {command}: {message}", file=sys.stderr)
+        # messages quote user text, which may hold line breaks
+        print(f"mfcov {command}: " + " ".join(str(message).splitlines()), file=sys.stderr)
     return code
 
 

@@ -27,10 +27,10 @@ extrapolates with a Nesterov momentum sequence (restarted whenever the
 objective increases).
 
 The iteration advances a stack of cells: (lambda, beta) settings that share
-one loss system.  Their proximal steps run as stacked eigh/svd calls, while
-momentum, restarts, eta, the stopping test and the non-finite aborts stay
-per cell; a converged cell leaves the stack, so its iteration count is the
-one it would have alone.  A single fit is a stack of one, and
+one loss system, eta, tolerance and iteration cap.  Their proximal steps
+run as stacked eigh/svd calls, while momentum, restarts and the stopping
+test stay per cell; a converged cell leaves the stack, so its iteration
+count is the one it would have alone.  A single fit is a stack of one, and
 cross-validation runs a fold's whole grid as one stack on the dense path.
 
 Every iterate's square unfolding is kept exactly symmetric by restricting
@@ -40,8 +40,7 @@ symmetric B).  The solve is carried out in packed symmetric coordinates of
 dimension Q(Q+1)/2, an isometric change of basis that roughly halves the
 linear-algebra cost.  The dense system is never factored by Cholesky: one
 eigendecomposition of the packed G per loss system makes the solve for any
-eta a diagonal scaling, so per-cell and adaptive eta need no
-refactorization.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
+eta a diagonal scaling.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
 conjugate gradients, and cells run one at a time.
 
 Before iterating, each loss system certifies the cells whose optimum is the
@@ -101,17 +100,20 @@ class FitConfig:
     max_iters: int = 500
     tol: float = 1e-6
     rank_threshold: float = 1e-4
-    adaptive_eta: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        # ranges, so that NaN fails every check
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not 0.0 <= self.rank_threshold < math.inf:
+            raise ValueError("rank_threshold must be finite and nonnegative, "
+                             f"got {self.rank_threshold}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -123,15 +125,22 @@ class FitConfig:
             "max_iters": self.max_iters,
             "tol": self.tol,
             "rank_threshold": self.rank_threshold,
-            "adaptive_eta": self.adaptive_eta,
         }
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        d = _drop_adaptive_eta(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         return cls(**d)
+
+
+def _drop_adaptive_eta(d):
+    """``d`` without ``adaptive_eta``, which older configs hold as false."""
+    d = dict(d)
+    if d.pop("adaptive_eta", False) is not False:
+        raise ValueError("adaptive_eta is no longer supported")
+    return d
 
 
 class SymPacking:
@@ -455,8 +464,6 @@ class CovarianceFit:
     n_iters: int
     objective_value: float
     primal_residuals: np.ndarray
-    objective_trace: np.ndarray
-    eta_final: float
 
     @property
     def dims(self):
@@ -467,7 +474,7 @@ class CovarianceFit:
 
 
 class _System:
-    """The ridge solves (2 G + (p+1) eta_c I)^{-1} of a stack of cells, in
+    """The ridge solves (2 G + (p+1) eta I)^{-1} of a stack of cells, in
     packed symmetric coordinates.
 
     Dense: G_sym = U diag(g) U^T is decomposed once, and the solve for any
@@ -522,15 +529,15 @@ class _System:
         shift = (self.p + 1) * eta
         if self.dense:
             y = rhs_packed @ self.g_vec
-            y /= 2.0 * self.g_eig + shift[:, None]
+            y /= 2.0 * self.g_eig + shift
             return y @ self.g_vec.T
+
+        def matvec(x):
+            return 2.0 * self._apply(x[None])[0] + shift * x
+
+        op = LinearOperator((self.pack.dim, self.pack.dim), matvec=matvec, dtype=float)
         out = np.empty_like(rhs_packed)
         for c, rhs in enumerate(rhs_packed):
-            def matvec(x, s=shift[c]):
-                return 2.0 * self._apply(x[None])[0] + s * x
-
-            op = LinearOperator((self.pack.dim, self.pack.dim), matvec=matvec,
-                                dtype=float)
             out[c], info = cg(op, rhs, x0=None if x0 is None else x0[c],
                               rtol=1e-12, atol=0.0, maxiter=20 * self.pack.dim)
             if info != 0:
@@ -543,34 +550,25 @@ def _frob(x):
     return np.sqrt((x * x).sum(axis=(-2, -1)))
 
 
-def _iterate(system, pre, configs):
+def _iterate(system, pre, base, lam, beta):
     """Run the accelerated ADMM for a stack of cells on one loss system.
 
-    Cell c follows ``configs[c]`` and starts from zero.  Returns one result
-    dict per cell; a cell the zero certificate covers returns the zero fit at
-    0 iterations.
+    Cell c penalizes with (lam[c], beta[c]) and starts from zero; eta, tol and
+    max_iters come from the FitConfig ``base``.  Returns one result dict per
+    cell; a cell the zero certificate covers returns the zero fit at 0
+    iterations.
     """
     p = pre.p
     q = pre.q_total
     dims2 = pre.dims + pre.dims
     pk = pre.pack
-    n_cells = len(configs)
-    lam = np.array([c.lam for c in configs], dtype=float)
-    beta = np.array([c.beta for c in configs], dtype=float)
-    eta = np.array([c.eta for c in configs], dtype=float)
-    tol = np.array([c.tol for c in configs], dtype=float)
-    max_iters = np.array([c.max_iters for c in configs])
-    adaptive = np.array([c.adaptive_eta for c in configs])
+    eta = base.eta
+    lam = np.asarray(lam, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    n_cells = lam.size
     w_psd = lam * beta
     lam_one = lam * (1.0 - beta)
     has_one = beta < 1.0
-    # Iterate arrays hold one row per active cell; ``cell`` maps rows to
-    # cells, and the per-cell settings above are read through it.
-    cell = np.arange(n_cells)
-
-    d = np.zeros((n_cells, p + 1, q, q))
-    v = np.zeros((n_cells, p + 1, q, q))
-    alpha = np.ones(n_cells)
 
     def d0_objective(d0, eigs):
         val = system.quad(pk.pack(d0)) + w_psd[cell] * eigs.sum(axis=-1)
@@ -579,45 +577,41 @@ def _iterate(system, pre, configs):
             val = val + w_one * _one_way_trace_norms(d0, pre.dims)
         return val
 
-    obj_prev = system.quad(pk.pack(d[:, 0]))  # zero init: penalties vanish
-    traces = [[float(o)] for o in obj_prev]
+    obj_prev = system.quad(np.zeros((n_cells, pk.dim)))  # zero init: penalties vanish
     bad = np.flatnonzero(~np.isfinite(obj_prev))
     if bad.size:
-        err = RuntimeError(
+        raise RuntimeError(
             f"non-finite objective ({obj_prev[bad[0]]}) at initialization; "
             "check the data for NaN or infinite values"
         )
-        err.trace = np.asarray(traces[bad[0]])
-        raise err
     results = [None] * n_cells
 
-    def finish(c, b, d, eta, converged, n_iters, obj):
+    def finish(c, b, d, converged, n_iters, obj):
         results[c] = {
             "coeffs": d[0].reshape(dims2).copy(),
             "converged": bool(converged),
             "n_iters": n_iters,
             "objective_value": float(obj),
             "primal_residuals": _frob(b - d),
-            "objective_trace": np.asarray(traces[c]),
-            "eta_final": float(eta),
         }
 
     # certified cells return the zero fit and never enter the stack
     zero = system.zero_certified(lam, beta)
     blocks0 = np.zeros((p + 1, q, q))
     for c in np.flatnonzero(zero):
-        traces[c] = [system.c0]
-        finish(c, blocks0[0], blocks0, eta[c], True, 0, system.c0)
+        finish(c, blocks0[0], blocks0, True, 0, system.c0)
+    # Iterate arrays, never written in place, hold one row per active cell;
+    # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
-    d, v, alpha, obj_prev, eta = d[cell], v[cell], alpha[cell], obj_prev[cell], eta[cell]
-    d_hat, v_hat, d_prev, v_prev = d.copy(), v.copy(), d.copy(), v.copy()
+    d = v = d_hat = v_hat = d_prev = v_prev = np.zeros((cell.size, p + 1, q, q))
+    alpha, obj_prev = np.ones(cell.size), obj_prev[cell]
     b_packed = None
 
-    for t in range(int(max_iters[cell].max(initial=0))):
+    for t in range(base.max_iters if cell.size else 0):
         acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
             acc = acc + d_hat[:, k] - v_hat[:, k]
-        rhs = system.h_packed + eta[:, None] * pk.pack(acc)
+        rhs = system.h_packed + eta * pk.pack(acc)
         b_packed = system.solve(rhs, eta, x0=b_packed)
         b = pk.unpack(b_packed)
 
@@ -636,16 +630,12 @@ def _iterate(system, pre, configs):
         v_prev, v = v, v_hat + b[:, None] - d_new
 
         obj = d0_objective(d[:, 0], eigs)
-        for c, o in zip(cell, obj):
-            traces[c].append(float(o))
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
-            err = RuntimeError(
+            raise RuntimeError(
                 f"non-finite objective ({obj[bad[0]]}) at iteration {t + 1}; "
                 "the iteration diverged"
             )
-            err.trace = np.asarray(traces[cell[bad[0]]])
-            raise err
 
         # momentum, dropped for this step where the objective rose (restart)
         alpha_next = (1.0 + np.sqrt(1.0 + 4.0 * alpha * alpha)) / 2.0
@@ -658,7 +648,7 @@ def _iterate(system, pre, configs):
 
         rel = np.abs(obj - obj_prev) / np.maximum(np.abs(obj_prev), 1e-300)
         obj_prev = obj
-        conv = rel < tol[cell]
+        conv = rel < base.tol
         if conv.any():
             # Guard against false plateaus: from a cold start the objective
             # at D_0 can sit exactly at its initial value for several
@@ -669,35 +659,20 @@ def _iterate(system, pre, configs):
             r_cons = _frob(b[:, None] - d).max(axis=1)
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
                                 np.linalg.norm(system.h_packed) / ((p + 1) * eta))
-            conv &= r_cons <= np.sqrt(tol[cell]) * np.maximum(anchor, 1e-300)
+            conv &= r_cons <= np.sqrt(base.tol) * np.maximum(anchor, 1e-300)
 
-        if (t + 1) % 10 == 0 and adaptive[cell].any():
-            r_primal = np.sqrt(((b[:, None] - d) ** 2).sum(axis=(1, 2, 3)))
-            r_dual = eta * np.sqrt(((d - d_prev) ** 2).sum(axis=(1, 2, 3)))
-            new_eta = np.where(r_primal > 10.0 * r_dual, eta * 2.0,
-                               np.where(r_dual > 10.0 * r_primal, eta / 2.0, eta))
-            moved = adaptive[cell] & ~conv & (new_eta != eta)
-            if moved.any():
-                scale = np.where(moved, eta / new_eta, 1.0)[:, None, None, None]
-                v, v_prev = v * scale, v_prev * scale
-                eta = np.where(moved, new_eta, eta)
-                alpha[moved] = 1.0
-                d_hat[moved] = d[moved]
-                v_hat[moved] = v[moved]
-
-        done = conv | (t + 1 >= max_iters[cell])
+        done = conv | (t + 1 >= base.max_iters)
         if not done.any():
             continue
         for row in np.flatnonzero(done):
-            finish(cell[row], b[row], d[row], eta[row], conv[row], t + 1,
-                   obj_prev[row])
+            finish(cell[row], b[row], d[row], conv[row], t + 1, obj_prev[row])
         keep = ~done
         if not keep.any():
             break
         cell, b_packed, b = cell[keep], b_packed[keep], b[keep]
         d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
         d_prev, v_prev = d_prev[keep], v_prev[keep]
-        alpha, obj_prev, eta = alpha[keep], obj_prev[keep], eta[keep]
+        alpha, obj_prev = alpha[keep], obj_prev[keep]
     return results
 
 
@@ -710,7 +685,7 @@ def admm_fit(data, cross, grams, config, pre=None):
     if pre is None:
         pre = precompute(data, cross, grams)
     system = _System(pre, None, g_sym=pre.G_sym)
-    (out,) = _iterate(system, pre, [config])
+    (out,) = _iterate(system, pre, config, [config.lam], [config.beta])
     return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
@@ -761,21 +736,22 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     FitConfig, the (len(lambda_grid), len(beta_grid)) score table and the
     cells' CvDiagnostics.
     """
-    lambda_grid = list(lambda_grid)
-    beta_grid = list(beta_grid)
-    if not lambda_grid or not beta_grid:
-        raise ValueError("empty tuning grid")
     if base is None:
         base = FitConfig()
+    # a FitConfig per grid value validates the grids
+    lambda_grid = [replace(base, lam=float(x)).lam for x in lambda_grid]
+    beta_grid = [replace(base, beta=float(x)).beta for x in beta_grid]
+    if not lambda_grid or not beta_grid:
+        raise ValueError("empty tuning grid")
     if folds is None:
         folds = make_folds(data, n_folds, fold_seed)
     cross = cross_products(data)
     pre = precompute(data, cross, grams, folds=folds)
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
-    configs = [replace(base, lam=float(lambda_grid[li]), beta=float(beta_grid[bj]))
-               for li, bj in cells]
-    size = len(configs) if pre.dense else 1
+    cell_lam = np.array([lambda_grid[li] for li, _ in cells])
+    cell_beta = np.array([beta_grid[bj] for _, bj in cells])
+    size = len(cells) if pre.dense else 1
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
     unconverged = np.zeros(scores.shape, dtype=int)
@@ -783,11 +759,12 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
         train = folds.train_subjects(f)
         g_sym = (pre.G_sym * pre.n - pre.G_fold[f]) / train.size if pre.dense else None
         system = _System(pre, train, g_sym=g_sym)
-        for start in range(0, len(configs), size):
-            outs = _iterate(system, pre, configs[start:start + size])
+        for start in range(0, len(cells), size):
+            stack = slice(start, start + size)
+            outs = _iterate(system, pre, base, cell_lam[stack], cell_beta[stack])
             b_sq = np.stack([square_unfold(out["coeffs"]) for out in outs])
             held_out = pre.loss_direct(b_sq, folds.valid_subjects(f))
-            for (li, bj), out, score in zip(cells[start:start + size], outs, held_out):
+            for (li, bj), out, score in zip(cells[stack], outs, held_out):
                 scores[li, bj] += score
                 n_iters[li, bj] += out["n_iters"]
                 unconverged[li, bj] += not out["converged"]
@@ -800,5 +777,5 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
             if best is None or cand < best[0]:
                 best = (cand, li, bj)
     li, bj = best[1], best[2]
-    chosen = replace(base, lam=float(lambda_grid[li]), beta=float(beta_grid[bj]))
+    chosen = replace(base, lam=lambda_grid[li], beta=beta_grid[bj])
     return chosen, scores, CvDiagnostics(n_iters=n_iters, unconverged_folds=unconverged)

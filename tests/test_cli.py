@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import mfcov
+from mfcov import cli
 from mfcov.cli import MAGIC, RunConfig, main, read_container, write_container
 from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
 from mfcov.kernel import KernelSpec
@@ -252,6 +254,85 @@ class TestRunConfig:
         assert cfg.setting == 1
         assert len(cfg.lambda_grid) >= 1
 
+    @pytest.mark.parametrize("command", ["fit", "cv", "simulate"])
+    def test_every_fit_config_key_is_a_field_and_flag(self, command):
+        # a persisted FitConfig replays only if each of its keys is both
+        run_fields = {f.name for f in fields(RunConfig)}
+        for key in FitConfig().to_dict():
+            name = "lam" if key == "lambda" else key
+            assert name in run_fields
+            ns = cli._parser().parse_args([command, "--" + key.replace("_", "-"), "1"])
+            assert getattr(ns, name) == 1
+
+    @pytest.mark.parametrize("config", [{"n_folds": "3"}, {"n_folds": True},
+                                        {"lambda": "1e-3"}, {"lambda_grid": 0.1},
+                                        {"include_constant": 1}])
+    def test_wrongly_typed_config_value_exits_one(self, dataset_csv, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, err = run_captured("cv", "--config", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "o")
+        assert code == 1
+        (key,) = config
+        assert len(err) == 1 and err[0].startswith(f"mfcov cv: config key '{key}' must be")
+
+    def test_line_break_in_config_key_stays_on_one_line(self, dataset_csv, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a\nb": 1}))
+        code, err = run_captured("fit", "--config", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "o")
+        assert code == 1
+        assert err == ["mfcov fit: unknown config key 'a b'"]
+
+
+class TestRetiredAdaptiveEta:
+    """Outputs written while adaptive eta existed carry ``adaptive_eta``
+    false; they replay, and true is refused with one line."""
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_fit_json_and_selected_config(self, dataset_csv, fitted, tmp_path, flag):
+        cv_out = tmp_path / "cv"
+        assert run("cv", "--data", dataset_csv, "--out", cv_out, *CV_FLAGS,
+                   "--lambda-grid", "3e-6", "--beta-grid", "0.5") == 0
+        for name, fresh in (("fit.json", fitted / "fit.json"),
+                            ("selected_config.json", cv_out / "selected_config.json")):
+            old = json.loads(fresh.read_text())
+            old.get("run_config", old)["adaptive_eta"] = flag
+            path = tmp_path / name
+            path.write_text(json.dumps(old))
+            out = tmp_path / f"replay-{name}"
+            code, err = run_captured("fit", "--config", path, "--out", out)
+            if flag:
+                assert code == 1
+                assert err == ["mfcov fit: adaptive_eta is no longer supported"]
+                continue
+            assert code == 0 and err == []
+            same = tmp_path / f"fresh-{name}"
+            assert run("fit", "--config", fresh, "--out", same) == 0
+            for output in ("coeffs.mcov", "rank_report.json"):
+                assert (out / output).read_bytes() == (same / output).read_bytes()
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_container_sidecar(self, dataset_csv, fitted, tmp_path, flag):
+        coeffs, sidecar = read_container(fitted / "coeffs.mcov")
+        sidecar["fit"]["config"]["adaptive_eta"] = flag
+        sidecar["fit"]["eta_final"] = sidecar["fit"]["config"]["eta"]
+        path = tmp_path / "old.mcov"
+        write_container(path, coeffs, sidecar)
+        code, err = run_captured("eigen", "--container", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "old")
+        if flag:
+            assert code == 1
+            assert err == [f"mfcov eigen: {path}: malformed sidecar: "
+                           "adaptive_eta is no longer supported"]
+            return
+        assert code == 0 and err == []
+        assert run("eigen", "--container", fitted / "coeffs.mcov", "--data", dataset_csv,
+                   "--out", tmp_path / "fresh") == 0
+        for output in ("eigen.json", "eigenfunction_01.csv", "marginal_1.csv"):
+            assert ((tmp_path / "old" / output).read_bytes()
+                    == (tmp_path / "fresh" / output).read_bytes())
+
 
 class TestFit:
     def test_writes_three_outputs_and_exits_zero(self, dataset_csv, tmp_path):
@@ -361,6 +442,26 @@ class TestFit:
         assert code == 1
         name = option.removeprefix("--").replace("-", " ")
         assert len(err) == 1 and err[0].startswith(f"mfcov fit: {name} must be")
+
+    @pytest.mark.parametrize("option", ["--lambda", "--eta", "--tol", "--rank-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fit_parameter_exits_one(self, dataset_csv, tmp_path, option,
+                                                value):
+        out = tmp_path / "o"
+        code, err = run_captured("fit", "--data", dataset_csv, "--out", out,
+                                 *FIT_FLAGS, f"{option}={value}")
+        assert code == 1
+        name = "lam" if option == "--lambda" else option[2:].replace("-", "_")
+        assert len(err) == 1 and err[0].startswith(f"mfcov fit: {name} must be finite")
+        assert not out.exists()
+
+    def test_dropped_subject_with_line_break_in_id(self, dataset_csv, tmp_path):
+        path = tmp_path / "lonely.csv"
+        path.write_text(dataset_csv.read_text() + '"lone\nly",0.5,0.5,1.0\n')
+        code, err = run_captured("fit", "--data", path, "--out", tmp_path / "o",
+                                 *FIT_FLAGS)
+        assert code == 0
+        assert len(err) == 1 and err[0].startswith("mfcov fit: dropped subjects")
 
     def test_dropped_subject_writes_one_stderr_line(self, dataset_csv, tmp_path):
         path = tmp_path / "lonely.csv"
@@ -595,6 +696,17 @@ class TestEigen:
                                  "--out", tmp_path / "o")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"mfcov eigen: {path}: ")
+
+    def test_line_break_in_sidecar_key_stays_on_one_line(self, dataset_csv, fitted,
+                                                        tmp_path):
+        coeffs, sidecar = read_container(fitted / "coeffs.mcov")
+        sidecar["fit"]["config"] = {"\x1e": None}
+        path = tmp_path / "coeffs.mcov"
+        write_container(path, coeffs, sidecar)
+        code, err = run_captured("eigen", "--container", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "o")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"mfcov eigen: {path}: malformed")
 
     def test_sidecar_order_beyond_memory_writes_one_stderr_line(self, dataset_csv,
                                                                 fitted, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -439,7 +441,7 @@ class TestAdmmFit:
         b_sq = fit.coeff_square()
         w = np.linalg.eigvalsh(b_sq)
         assert w.min() >= -1e-10 * max(w.max(), 1e-300)
-        assert np.all(np.isfinite(fit.objective_trace))
+        assert np.isfinite(fit.objective_value)
 
     def test_primal_residuals_vanish_at_convergence(self):
         data, cross, grams, pre = make_problem(
@@ -515,17 +517,6 @@ class TestAdmmFit:
         np.testing.assert_allclose(fit_m.coeffs, fit_d.coeffs, atol=1e-8)
         assert fit_m.objective_value == pytest.approx(fit_d.objective_value, abs=1e-9)
 
-    def test_adaptive_eta_reaches_same_objective(self):
-        data, cross, grams, pre = make_problem(
-            p=1, n=5, m=4, q=3, seed=21, model_scale=1.5, noise=0.2)
-        base = FitConfig(lam=0.01, beta=0.5, tol=1e-10, max_iters=4000)
-        fit = admm_fit(data, cross, grams, base, pre=pre)
-        fit_a = admm_fit(data, cross, grams,
-                         FitConfig(lam=0.01, beta=0.5, tol=1e-10, max_iters=4000,
-                                   adaptive_eta=True),
-                         pre=pre)
-        assert fit_a.objective_value == pytest.approx(fit.objective_value, abs=1e-6)
-
     def test_nan_data_aborts_with_trace(self):
         rng = np.random.default_rng(22)
         locs = [rng.uniform(size=(3, 1)) for _ in range(3)]
@@ -543,8 +534,19 @@ class TestAdmmFit:
             FitConfig(beta=1.5)
         with pytest.raises(ValueError):
             FitConfig(lam=-1.0)
+        for key in ("lam", "eta", "tol"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=key):
+                    FitConfig(**{key: bad})
         roundtrip = FitConfig.from_dict(FitConfig(lam=0.2, beta=0.75).to_dict())
         assert roundtrip == FitConfig(lam=0.2, beta=0.75)
+
+    def test_persisted_adaptive_eta(self):
+        # configs written while adaptive eta existed carry it as false
+        old = {**FitConfig(lam=0.2).to_dict(), "adaptive_eta": False}
+        assert FitConfig.from_dict(old) == FitConfig(lam=0.2)
+        with pytest.raises(ValueError, match="no longer supported"):
+            FitConfig.from_dict({**old, "adaptive_eta": True})
 
 
 class TestRidgeSolve:
@@ -557,23 +559,17 @@ class TestRidgeSolve:
         g_sym = precompute(data, cross, grams, dense=True).G_sym
         pre = precompute(data, cross, grams, dense=dense)
         system = solver._System(pre, None, g_sym=pre.G_sym)
-        eta = np.array([1e-3, 0.1, 1.0, 10.0])
-        rhs = np.random.default_rng(24).standard_normal((eta.size, pre.pack.dim))
-        x = system.solve(rhs, eta)
-        res = 2.0 * x @ g_sym + ((pre.p + 1) * eta)[:, None] * x - rhs
-        assert (np.linalg.norm(res, axis=1)
-                <= 1e-8 * np.linalg.norm(rhs, axis=1)).all()
+        rhs = np.random.default_rng(24).standard_normal((3, pre.pack.dim))
+        for eta in (1e-3, 0.1, 1.0, 10.0):
+            x = system.solve(rhs, eta)
+            res = 2.0 * x @ g_sym + (pre.p + 1) * eta * x - rhs
+            assert (np.linalg.norm(res, axis=1)
+                    <= 1e-8 * np.linalg.norm(rhs, axis=1)).all()
 
 
-STACK_CONFIGS = [
-    FitConfig(lam=0.05, beta=0.0, tol=1e-9, max_iters=2000),
-    FitConfig(lam=0.05, beta=0.5, tol=1e-9, max_iters=2000),
-    FitConfig(lam=0.05, beta=1.0, tol=1e-9, max_iters=2000),
-    FitConfig(lam=1e6, beta=0.5),                       # annihilates the fit
-    FitConfig(lam=0.05, beta=0.5, max_iters=3),         # stops at the cap
-    FitConfig(lam=0.01, beta=0.25, eta=10.0, tol=1e-10, max_iters=2000,
-              adaptive_eta=True),
-]
+# (lambda, beta) of a stack's cells; the fourth annihilates the fit
+STACK_LAM = [0.3, 0.3, 0.3, 1e6, 0.01]
+STACK_BETA = [0.0, 0.5, 1.0, 0.5, 1.0]
 
 
 class TestStackedAdmm:
@@ -583,19 +579,25 @@ class TestStackedAdmm:
             p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
         pre = precompute(data, cross, grams, dense=dense)
         system = solver._System(pre, None, g_sym=pre.G_sym)
-        stacked = solver._iterate(system, pre, STACK_CONFIGS)
-        for cfg, out in zip(STACK_CONFIGS, stacked):
-            single = admm_fit(data, cross, grams, cfg, pre=pre)
-            assert out["n_iters"] == single.n_iters
-            assert out["converged"] == single.converged
-            assert out["eta_final"] == single.eta_final
-            ref = np.linalg.norm(single.coeffs)
-            assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-12 * ref
-        n_iters = [out["n_iters"] for out in stacked]
-        assert n_iters[4] == 3 and not stacked[4]["converged"]
-        assert np.linalg.norm(stacked[3]["coeffs"]) == 0.0
-        assert min(n_iters[:3]) > 10 and len(set(n_iters)) > 3
-        assert stacked[5]["eta_final"] != STACK_CONFIGS[5].eta
+        free = FitConfig(eta=10.0, tol=1e-9, max_iters=2000)
+        capped = FitConfig(max_iters=3)
+        for base in (free, capped):
+            stacked = solver._iterate(system, pre, base, STACK_LAM, STACK_BETA)
+            for lam, beta, out in zip(STACK_LAM, STACK_BETA, stacked):
+                single = admm_fit(data, cross, grams, replace(base, lam=lam, beta=beta),
+                                  pre=pre)
+                assert out["n_iters"] == single.n_iters
+                assert out["converged"] == single.converged
+                ref = np.linalg.norm(single.coeffs)
+                assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-12 * ref
+            n_iters = [out["n_iters"] for out in stacked]
+            assert np.linalg.norm(stacked[3]["coeffs"]) == 0.0
+            assert n_iters[3] == 0 and stacked[3]["converged"]
+            if base is capped:
+                assert n_iters == [3, 3, 3, 0, 3]
+                assert not any(stacked[c]["converged"] for c in (0, 1, 2, 4))
+            else:
+                assert min(n_iters[:3]) > 10 and len(set(n_iters)) == 5
 
 
 def linear_term_bounds(pre):
@@ -675,29 +677,29 @@ class TestZeroCertificate:
     def test_mixed_stack_leaves_iterating_cells_bit_identical(self, dense):
         data, cross, grams, _ = make_problem(**self.FOUND)
         pre = precompute(data, cross, grams, dense=dense)
-        iterating = [FitConfig(lam=0.03, beta=0.5), FitConfig(lam=0.01, beta=1.0),
-                     FitConfig(lam=0.05, beta=0.0, max_iters=7)]
-        zero = [FitConfig(lam=1e6, beta=0.5), FitConfig(lam=1.0, beta=1.0)]
+        iterating = [(0.03, 0.5), (0.01, 1.0), (0.05, 0.0)]
+        zero = [(1e6, 0.5), (1.0, 1.0)]
+        mixed_cells = [zero[0], iterating[0], zero[1], iterating[1], iterating[2]]
         system = solver._System(pre, None, g_sym=pre.G_sym)
-        alone = solver._iterate(system, pre, iterating)
-        mixed = solver._iterate(system, pre, [zero[0], iterating[0], zero[1],
-                                              iterating[1], iterating[2]])
-        for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
-            assert ref["n_iters"] == out["n_iters"] > 0
-            assert ref["converged"] == out["converged"]
-            for key in ("coeffs", "objective_trace", "primal_residuals"):
-                assert np.array_equal(ref[key], out[key])
-        for out in (mixed[0], mixed[2]):
-            assert not out["coeffs"].any()
-            assert out["converged"] and out["n_iters"] == 0
-            assert out["objective_value"] == system.c0
+        for base in (FitConfig(), FitConfig(max_iters=7)):   # free, and capped
+            alone = solver._iterate(system, pre, base, *zip(*iterating))
+            mixed = solver._iterate(system, pre, base, *zip(*mixed_cells))
+            for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
+                assert ref["n_iters"] == out["n_iters"] > 0
+                assert ref["converged"] == out["converged"]
+                for key in ("coeffs", "objective_value", "primal_residuals"):
+                    assert np.array_equal(ref[key], out[key])
+            for out in (mixed[0], mixed[2]):
+                assert not out["coeffs"].any()
+                assert out["converged"] and out["n_iters"] == 0
+                assert out["objective_value"] == system.c0
 
 
 def synthetic_fit(coeffs, threshold=1e-8):
     return CovarianceFit(
         coeffs=coeffs, config=FitConfig(rank_threshold=threshold), grams=[],
         converged=True, n_iters=1, objective_value=0.0,
-        primal_residuals=np.zeros(1), objective_trace=np.zeros(1), eta_final=1.0)
+        primal_residuals=np.zeros(1))
 
 
 class TestRankReport:

@@ -46,8 +46,7 @@ def cov_fit(grams, seed=0, rank=None, decay=0.6):
     return CovarianceFit(
         coeffs=square_fold(b_sq, dims + dims), config=FitConfig(),
         grams=list(grams), converged=True, n_iters=1, objective_value=0.0,
-        primal_residuals=np.zeros(1), objective_trace=np.zeros(1),
-        eta_final=1.0)
+        primal_residuals=np.zeros(1))
 
 
 def zero_fit(grams):
