@@ -1,7 +1,10 @@
 """Command-line interface: fit, simulate, eigen, cv.
 
-Every subcommand reads an optional JSON config file whose keys mirror the
-flags one-to-one (flags override the file), resolves the remaining defaults,
+Each option is declared once, as a ``RunConfig`` field; ``_FLAGS`` lists
+which fields each subcommand exposes, and the flag, its type, its default
+and its config-file key all derive from the field.  Every subcommand reads
+an optional JSON config file whose keys mirror the flags one-to-one (flags
+override the file), resolves the remaining defaults,
 and persists the effective configuration next to its outputs, so any run can
 be replayed exactly: simulate, eigen, and cv write ``run_config.json``, while
 fit keeps to its three outputs and records the configuration inside
@@ -24,7 +27,7 @@ import math
 import struct
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .data import cross_products, gram_factors, load_csv, make_folds
 from .kernel import KernelSpec
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_json, save_table
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
-                     FitConfig, _drop_adaptive_eta, admm_fit, cv_select, rank_report)
+                     FitConfig, _drop_adaptive_eta, _key, admm_fit, cv_select, rank_report)
 from .spectral import l2_eigensystem, marginal_basis
 
 __all__ = [
@@ -151,28 +154,21 @@ class RunConfig:
     components: int = None
 
     def to_dict(self):
-        out = {}
-        for f in fields(self):
-            key = "lambda" if f.name == "lam" else f.name
-            out[key] = getattr(self, f.name)
-        return out
+        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
         d = _drop_adaptive_eta(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        known = {_key(f.name): f for f in fields(cls)}
+        unknown = sorted(set(d) - set(known))
         if unknown:
             raise ValueError(f"unknown config key '{unknown[0]}'")
-        for f in fields(cls):
-            value = d.get(f.name)
+        for key, f in known.items():
+            value = d.get(key)
             if value is not None and not _has_type(value, f.type):
-                key = "lambda" if f.name == "lam" else f.name
                 raise ValueError(f"config key '{key}' must be {f.type.__name__}, "
                                  f"got {type(value).__name__}")
-        return cls(**d)
+        return cls(**{f.name: d[key] for key, f in known.items() if key in d})
 
     def resolved(self):
         """One copy with every unset field filled by the command's default."""
@@ -183,20 +179,14 @@ class RunConfig:
         return out
 
     # --- domain objects -------------------------------------------------
+    def _pick(self, cls, names):
+        return cls(**{name: getattr(self, name) for name in names})
+
     def kernel_spec(self):
-        return KernelSpec(
-            decay_exponent=self.decay_exponent,
-            truncation_order=self.truncation_order,
-            include_constant=self.include_constant,
-            constant_coef=self.constant_coef,
-        )
+        return self._pick(KernelSpec, _KERNEL)
 
     def fit_config(self):
-        return FitConfig(
-            lam=self.lam, beta=self.beta, eta=self.eta,
-            max_iters=self.max_iters, tol=self.tol,
-            rank_threshold=self.rank_threshold,
-        )
+        return self._pick(FitConfig, _FIT)
 
     def protocol(self):
         return FitProtocol(
@@ -208,8 +198,30 @@ class RunConfig:
         )
 
     def sim_setting(self):
-        return SimSetting(setting=self.setting, n=self.n, m=self.m,
-                          sigma=self.sigma, seed=self.seed)
+        return self._pick(SimSetting, _SIM)
+
+
+_KERNEL = tuple(f.name for f in fields(KernelSpec))
+_FIT = tuple(f.name for f in fields(FitConfig))
+_SIM = ("setting", "n", "m", "sigma", "seed")
+_MODEL = _KERNEL + ("gram_tol", "gram_cap") + _FIT
+_GRIDS = ("lambda_grid", "beta_grid", "n_folds", "fold_seed")
+
+#: Each subcommand's options, in flag order, by RunConfig field name.
+_FLAGS = {
+    "fit": ("out", "data") + _MODEL,
+    "simulate": ("out",) + _MODEL + _GRIDS + _SIM + ("reps", "aise_grid", "threads"),
+    "eigen": ("out", "container", "data", "eigen_grid", "components"),
+    "cv": ("out", "data") + _MODEL + _GRIDS,
+}
+
+_HELP = {
+    "out": "output directory",
+    "data": "input dataset CSV",
+    ("eigen", "data"): "dataset CSV the fit was built from",
+    "container": "MCOV1 coefficient container",
+    "threads": "worker processes for the replications",
+}
 
 
 def _has_type(value, kind):
@@ -224,23 +236,15 @@ def _has_type(value, kind):
 
 def _defaults(command):
     """Per-subcommand defaults, taken from the library objects themselves."""
-    spec = KernelSpec()
-    out = {
-        "decay_exponent": spec.decay_exponent,
-        "truncation_order": spec.truncation_order,
-        "include_constant": spec.include_constant,
-        "constant_coef": spec.constant_coef,
-        "n_folds": 5,
-        "fold_seed": 0,
-    }
+    out = {**asdict(KernelSpec()), "n_folds": 5, "fold_seed": 0}
     if command == "simulate":
-        proto = FitProtocol()
+        proto, setting = FitProtocol(), SimSetting()
         base = proto.base
         out.update(
             gram_tol=proto.gram_tol, gram_cap=proto.gram_cap,
             lambda_grid=list(proto.lambda_grid), beta_grid=list(proto.beta_grid),
-            n_folds=proto.n_folds, aise_grid=proto.aise_grid,
-            setting=1, n=100, m=10, sigma=0.1, seed=0, reps=20, threads=1,
+            n_folds=proto.n_folds, aise_grid=proto.aise_grid, reps=20, threads=1,
+            **{name: getattr(setting, name) for name in _SIM},
         )
     else:
         base = FitConfig()
@@ -249,18 +253,20 @@ def _defaults(command):
             lambda_grid=[float(x) for x in DEFAULT_LAMBDA_GRID],
             beta_grid=[float(x) for x in DEFAULT_BETA_GRID],
         )
-    out.update(lam=base.lam, beta=base.beta, eta=base.eta, max_iters=base.max_iters,
-               tol=base.tol, rank_threshold=base.rank_threshold)
+    out.update(asdict(base))
     if command == "eigen":
         out.update(eigen_grid=21, components=8)
     return out
 
 
+def _flag(name):
+    return "--" + _key(name).replace("_", "-")
+
+
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
-            flag = name.replace("_", "-")
-            raise ValueError(f"missing required option --{flag} (config key '{name}')")
+            raise ValueError(f"missing required option {_flag(name)} (config key '{name}')")
 
 
 def _outdir(cfg):
@@ -334,6 +340,8 @@ def cmd_fit(cfg):
 def cmd_simulate(cfg):
     """Seeded replication benchmark -> JSON + CSV tables."""
     _require(cfg, "out")
+    if cfg.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {cfg.threads}")
     setting = cfg.sim_setting()
     protocol = cfg.protocol()
     result = run_benchmark(setting, cfg.reps, protocol, workers=cfg.threads)
@@ -348,9 +356,9 @@ def cmd_cv(cfg):
     """Grid search -> score table CSV + a fit-ready selected config."""
     _require(cfg, "data", "out")
     data = load_csv(cfg.data)
+    folds = make_folds(data, cfg.n_folds, cfg.fold_seed)
     spec = cfg.kernel_spec()
     grams = gram_factors(data, spec, tol=cfg.gram_tol, cap=cfg.gram_cap)
-    folds = make_folds(data, cfg.n_folds, cfg.fold_seed)
     chosen, scores, cells = cv_select(data, grams, cfg.lambda_grid, cfg.beta_grid,
                                       folds=folds, base=cfg.fit_config())
     outdir = _outdir(cfg)
@@ -363,7 +371,7 @@ def cmd_cv(cfg):
                                  repr(float(scores[li, bj])),
                                  int(cells.n_iters[li, bj]),
                                  int(cells.unconverged_folds[li, bj])])
-    selected = replace(cfg, command="fit", lam=chosen.lam, beta=chosen.beta)
+    selected = replace(cfg, command="fit", **asdict(chosen))
     _write_json(outdir / "selected_config.json", selected.to_dict())
     _persist_config(cfg, outdir)
     return 0
@@ -470,39 +478,17 @@ def cmd_eigen(cfg):
 
 
 _COMMANDS = {
-    "fit": cmd_fit,
-    "simulate": cmd_simulate,
-    "eigen": cmd_eigen,
-    "cv": cmd_cv,
+    "fit": (cmd_fit, "fit a covariance from a CSV dataset"),
+    "simulate": (cmd_simulate, "run a replication benchmark"),
+    "eigen": (cmd_eigen, "export the spectrum of a fit"),
+    "cv": (cmd_cv, "cross-validate the tuning grid"),
 }
 
-
-def _add_option(parser, key, **kwargs):
-    flag = "--" + ("lambda" if key == "lam" else key).replace("_", "-")
-    kwargs.setdefault("default", argparse.SUPPRESS)
-    parser.add_argument(flag, dest=key, **kwargs)
-
-
-def _add_kernel_gram_fit(parser):
-    _add_option(parser, "decay_exponent", type=float)
-    _add_option(parser, "truncation_order", type=int)
-    _add_option(parser, "include_constant", action=argparse.BooleanOptionalAction)
-    _add_option(parser, "constant_coef", type=float)
-    _add_option(parser, "gram_tol", type=float)
-    _add_option(parser, "gram_cap", type=int)
-    _add_option(parser, "lam", type=float)
-    _add_option(parser, "beta", type=float)
-    _add_option(parser, "eta", type=float)
-    _add_option(parser, "max_iters", type=int)
-    _add_option(parser, "tol", type=float)
-    _add_option(parser, "rank_threshold", type=float)
-
-
-def _add_grids(parser):
-    _add_option(parser, "lambda_grid", type=float, nargs="+")
-    _add_option(parser, "beta_grid", type=float, nargs="+")
-    _add_option(parser, "n_folds", type=int)
-    _add_option(parser, "fold_seed", type=int)
+# argparse keywords per RunConfig annotation; int, float and str convert by type
+_ARGPARSE = {
+    bool: {"action": argparse.BooleanOptionalAction},
+    list: {"type": float, "nargs": "+"},
+}
 
 
 def _parser():
@@ -512,37 +498,15 @@ def _parser():
                     "functional data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a covariance from a CSV dataset")
-    p_sim = sub.add_parser("simulate", help="run a replication benchmark")
-    p_eig = sub.add_parser("eigen", help="export the spectrum of a fit")
-    p_cv = sub.add_parser("cv", help="cross-validate the tuning grid")
-
-    for p in (p_fit, p_sim, p_eig, p_cv):
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    for command, names in _FLAGS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command][1])
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its keys")
-        _add_option(p, "out", help="output directory")
-    for p in (p_fit, p_cv):
-        _add_option(p, "data", help="input dataset CSV")
-        _add_kernel_gram_fit(p)
-    _add_grids(p_cv)
-
-    _add_kernel_gram_fit(p_sim)
-    _add_grids(p_sim)
-    _add_option(p_sim, "setting", type=int)
-    _add_option(p_sim, "n", type=int)
-    _add_option(p_sim, "m", type=int)
-    _add_option(p_sim, "sigma", type=float)
-    _add_option(p_sim, "seed", type=int)
-    _add_option(p_sim, "reps", type=int)
-    _add_option(p_sim, "aise_grid", type=int)
-    _add_option(p_sim, "threads", type=int,
-                help="worker processes for the replications")
-
-    _add_option(p_eig, "container", help="MCOV1 coefficient container")
-    _add_option(p_eig, "data", help="dataset CSV the fit was built from")
-    _add_option(p_eig, "eigen_grid", type=int)
-    _add_option(p_eig, "components", type=int)
+        for name in names:
+            p.add_argument(_flag(name), dest=name, default=argparse.SUPPRESS,
+                           help=_HELP.get((command, name), _HELP.get(name)),
+                           **_ARGPARSE.get(kinds[name], {"type": kinds[name]}))
     return parser
 
 
@@ -557,10 +521,10 @@ def _run(command, config_path, ns):
             loaded = loaded["run_config"]  # a fit.json replays directly
         loaded.pop("command", None)
         merged.update(loaded)
-    merged.update(ns)
+    merged.update((_key(name), value) for name, value in ns.items())
     merged["command"] = command
     cfg = RunConfig.from_dict(merged).resolved()
-    return _COMMANDS[command](cfg)
+    return _COMMANDS[command][0](cfg)
 
 
 def main(argv=None):

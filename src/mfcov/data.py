@@ -207,6 +207,8 @@ def make_folds(data, n_folds=5, seed=0):
         raise ValueError("need at least 2 folds")
     if n_folds > n:
         raise ValueError(f"cannot split {n} subjects into {n_folds} folds")
+    if seed < 0:
+        raise ValueError(f"fold_seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % n_folds

@@ -16,7 +16,7 @@ no N x N matrix is ever formed.
 
 import hashlib
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -57,12 +57,7 @@ class KernelSpec:
             raise ValueError("constant_coef must be finite and nonnegative")
 
     def to_dict(self):
-        return {
-            "decay_exponent": self.decay_exponent,
-            "truncation_order": self.truncation_order,
-            "include_constant": self.include_constant,
-            "constant_coef": self.constant_coef,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

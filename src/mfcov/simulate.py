@@ -75,6 +75,8 @@ class SimSetting:
             raise ValueError("m must be >= 2 (the loss needs pairs)")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "spawn_key",
                            tuple(int(k) for k in self.spawn_key))
 
@@ -359,7 +361,8 @@ def run_benchmark(setting, reps, protocol=None, workers=1):
              protocol) for rep in range(int(reps))]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        # the pool starts all its workers up front; more than reps would idle
+        with ProcessPoolExecutor(max_workers=min(int(workers), len(jobs))) as pool:
             outcomes = list(pool.map(_replicate, jobs))
     else:
         outcomes = [_replicate(job) for job in jobs]

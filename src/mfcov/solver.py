@@ -56,7 +56,7 @@ sum_k ||B_(k)||_*, so with G PSD, F(B) - F(0) = <B, G B> - <h, B> + penalty
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,14 +118,7 @@ class FitConfig:
             raise ValueError("max_iters must be >= 1")
 
     def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "beta": self.beta,
-            "eta": self.eta,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "rank_threshold": self.rank_threshold,
-        }
+        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
@@ -133,6 +126,11 @@ class FitConfig:
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         return cls(**d)
+
+
+def _key(name):
+    """The config-file key of a field: ``lam`` is spelled ``lambda``."""
+    return "lambda" if name == "lam" else name
 
 
 def _drop_adaptive_eta(d):

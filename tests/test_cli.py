@@ -254,15 +254,55 @@ class TestRunConfig:
         assert cfg.setting == 1
         assert len(cfg.lambda_grid) >= 1
 
-    @pytest.mark.parametrize("command", ["fit", "cv", "simulate"])
-    def test_every_fit_config_key_is_a_field_and_flag(self, command):
-        # a persisted FitConfig replays only if each of its keys is both
-        run_fields = {f.name for f in fields(RunConfig)}
-        for key in FitConfig().to_dict():
-            name = "lam" if key == "lambda" else key
-            assert name in run_fields
-            ns = cli._parser().parse_args([command, "--" + key.replace("_", "-"), "1"])
-            assert getattr(ns, name) == 1
+    @pytest.mark.parametrize("command", list(cli._FLAGS))
+    def test_every_flag_mirrors_its_config_key(self, command, tmp_path, monkeypatch):
+        # a flag and its config-file key resolve to the same RunConfig, and
+        # the flag overrides the file
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, (seen.append, ""))
+
+        def resolve(*argv):
+            assert run(command, *argv) is None
+            return seen.pop()
+
+        def config(key, value):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: value}))
+            return ["--config", path]
+
+        keys = dict(zip((f.name for f in fields(RunConfig)),
+                        RunConfig(command).to_dict()))
+        kinds = {f.name: f.type for f in fields(RunConfig)}
+        if command != "eigen":
+            # a persisted kernel or fit config replays only through flags
+            flags = {keys[name] for name in cli._FLAGS[command]}
+            assert set(KernelSpec().to_dict()) | set(FitConfig().to_dict()) <= flags
+        for name in cli._FLAGS[command]:
+            key = keys[name]
+            flag = "--" + key.replace("_", "-")
+            argv, value, other = {
+                bool: (["--no-" + flag[2:]], False, True),
+                list: ([flag, "1", "2"], [1, 2], [3]),
+                str: ([flag, "x"], "x", "y"),
+            }.get(kinds[name], ([flag, "1"], 1, 2))
+            from_flag = resolve(*argv)
+            assert getattr(from_flag, name) == value
+            assert resolve(*config(key, value)) == from_flag
+            assert resolve(*config(key, other), *argv) == from_flag
+
+    @pytest.mark.parametrize("command", list(cli._FLAGS))
+    def test_resolved_sets_every_flag_but_the_paths(self, command):
+        cfg = RunConfig(command=command).resolved()
+        unset = [name for name in cli._FLAGS[command] if getattr(cfg, name) is None]
+        assert set(unset) <= {"out", "data", "container"}
+
+    @pytest.mark.parametrize("config", [{"lam": 0.1}, {"lam": 0.1, "lambda": 0.2}])
+    def test_lam_is_not_a_config_key(self, dataset_csv, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, err = run_captured("fit", "--config", path, "--data", dataset_csv,
+                                 "--out", tmp_path / "o")
+        assert (code, err) == (1, ["mfcov fit: unknown config key 'lam'"])
 
     @pytest.mark.parametrize("config", [{"n_folds": "3"}, {"n_folds": True},
                                         {"lambda": "1e-3"}, {"lambda_grid": 0.1},
@@ -550,6 +590,17 @@ class TestSimulate:
         result = json.loads((out2 / "benchmark.json").read_text())
         assert len(result["rows"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threads", "0"], "--threads must be >= 1, got 0"),
+        (["--threads", "-3"], "--threads must be >= 1, got -3"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_bad_threads_or_seed_exits_one(self, tmp_path, flags, message):
+        code, err = run_captured("simulate", "--out", tmp_path / "o", *SIM_FLAGS,
+                                 "--reps", "1", *flags)
+        assert (code, err) == (1, [f"mfcov simulate: {message}"])
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_setting_exits_one(self, tmp_path, capsys):
         code = run("simulate", "--out", tmp_path / "o", "--setting", "9")
         assert code == 1
@@ -613,6 +664,12 @@ class TestCv:
                    "--out", tmp_path / "o", *CV_FLAGS)
         assert code == 1
         assert "grid" in capsys.readouterr().err
+
+    def test_negative_fold_seed_exits_one(self, dataset_csv, tmp_path):
+        code, err = run_captured("cv", "--data", dataset_csv, "--out", tmp_path / "o",
+                                 "--fold-seed", "-1")
+        assert (code, err) == (1, ["mfcov cv: fold_seed must be >= 0, got -1"])
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_one(self, dataset_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

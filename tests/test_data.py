@@ -191,3 +191,7 @@ class TestMakeFolds:
     def test_too_many_folds(self):
         with pytest.raises(ValueError):
             make_folds(toy_dataset(), 4)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="fold_seed must be >= 0"):
+            make_folds(toy_dataset(), 2, seed=-1)

@@ -1,5 +1,6 @@
 """Simulation settings, data generation, AISE, and the benchmark loop."""
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -60,6 +61,8 @@ class TestSimSetting:
             SimSetting(m=1)
         with pytest.raises(ValueError, match="sigma"):
             SimSetting(sigma=-0.1)
+        with pytest.raises(ValueError, match="seed must be"):
+            SimSetting(seed=-1)
 
     def test_spawn_key_coerced(self):
         s = SimSetting(spawn_key=[np.int64(3), 1])
@@ -320,6 +323,28 @@ class TestBenchmark:
         par = run_benchmark(self.SETTING, 3, FAST, workers=2)
         assert par.rows == seq.rows
         assert par.failures == seq.failures
+
+    def test_pool_has_no_more_workers_than_reps(self, monkeypatch):
+        # the pool is replaced by an in-process fake: no process starts
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        res = run_benchmark(self.SETTING, 2, FAST, workers=5000)
+        assert pools == [2]
+        assert res.rows == run_benchmark(self.SETTING, 2, FAST).rows
 
     def test_failures_recorded(self, monkeypatch):
         real = simulate.run_replication
