@@ -205,14 +205,16 @@ _KERNEL = tuple(f.name for f in fields(KernelSpec))
 _FIT = tuple(f.name for f in fields(FitConfig))
 _SIM = ("setting", "n", "m", "sigma", "seed")
 _MODEL = _KERNEL + ("gram_tol", "gram_cap") + _FIT
-_GRIDS = ("lambda_grid", "beta_grid", "n_folds", "fold_seed")
+# the grid search sets lambda and beta, so cv and simulate take the grids only
+_TUNED = tuple(name for name in _MODEL if name not in ("lam", "beta"))
+_GRIDS = ("lambda_grid", "beta_grid", "n_folds")
 
 #: Each subcommand's options, in flag order, by RunConfig field name.
 _FLAGS = {
     "fit": ("out", "data") + _MODEL,
-    "simulate": ("out",) + _MODEL + _GRIDS + _SIM + ("reps", "aise_grid", "threads"),
+    "simulate": ("out",) + _TUNED + _GRIDS + _SIM + ("reps", "aise_grid", "threads"),
     "eigen": ("out", "container", "data", "eigen_grid", "components"),
-    "cv": ("out", "data") + _MODEL + _GRIDS,
+    "cv": ("out", "data") + _TUNED + _GRIDS + ("fold_seed",),
 }
 
 _HELP = {
@@ -500,7 +502,8 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = {f.name: f.type for f in fields(RunConfig)}
     for command, names in _FLAGS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command][1])
+        # no abbreviations: --lambda must not stand for --lambda-grid
+        p = sub.add_parser(command, help=_COMMANDS[command][1], allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its keys")
         for name in names:

@@ -28,10 +28,13 @@ objective increases).
 
 The iteration advances a stack of cells: (lambda, beta) settings that share
 one loss system, eta, tolerance and iteration cap.  Their proximal steps
-run as stacked eigh/svd calls, while momentum, restarts and the stopping
-test stay per cell; a converged cell leaves the stack, so its iteration
-count is the one it would have alone.  A single fit is a stack of one, and
+run as stacked eigh calls, while momentum, restarts and the stopping test
+stay per cell; a converged cell leaves the stack, so its iteration count is
+the one it would have alone.  A single fit is a stack of one, and
 cross-validation runs a fold's whole grid as one stack on the dense path.
+A one-way unfolding M is q_k x (Q^2 / q_k), so its singular-value
+soft-threshold comes from the eigendecomposition of the small Gram M M^T,
+not from an SVD of M; cells with beta = 1 skip it.
 
 Every iterate's square unfolding is kept exactly symmetric by restricting
 the B-subproblem to the symmetric subspace (the ridge system maps that
@@ -363,15 +366,28 @@ def precompute(data, cross, grams, folds=None, dense=None):
 # ---------------------------------------------------------------------------
 # proximal operators (stacked: leading axes index independent problems)
 
+def _one_way_stack(a, mode):
+    """The mode-``mode`` one-way unfoldings (c, q_mode, rest) of each a[c] of
+    a stack of tensors, and the axis order that laid them out."""
+    perm = (0, *(1 + i for i in matricize_axes(a.ndim - 1, mode)))
+    return a.transpose(perm).reshape(a.shape[0], a.shape[1 + mode], -1), perm
+
+
 def _prox_one_way(a, mode, v):
     """Soft-threshold, for each a[c], the singular values of its mode-``mode``
-    one-way unfolding by v[c]."""
-    perm = (0, *(1 + i for i in matricize_axes(a.ndim - 1, mode)))
-    moved = a.transpose(perm)
-    m = moved.reshape(a.shape[0], a.shape[1 + mode], -1)
-    u_m, s, vt = np.linalg.svd(m, full_matrices=False)
-    s = np.maximum(s - v[:, None], 0.0)
-    out = ((u_m * s[:, None, :]) @ vt).reshape(moved.shape)
+    one-way unfolding M by v[c].
+
+    With M M^T = U diag(s^2) U^T, the prox is U diag((s - v)_+ / s) U^T M,
+    computed from the small q_mode x q_mode Gram.  The shrink factor is
+    exactly 0 where s <= v, so a dominating threshold gives exact zeros.
+    """
+    m, perm = _one_way_stack(a, mode)
+    s2, u = np.linalg.eigh(m @ np.swapaxes(m, -1, -2))
+    s = np.sqrt(np.maximum(s2, 0.0))
+    keep = s > v[:, None]
+    shrink = np.where(keep, 1.0 - v[:, None] / np.where(keep, s, 1.0), 0.0)
+    w = (u * shrink[:, None, :]) @ np.swapaxes(u, -1, -2)
+    out = (w @ m).reshape(tuple(a.shape[i] for i in perm))
     return out.transpose(np.argsort(perm))
 
 
@@ -419,8 +435,7 @@ def _one_way_trace_norms(b_sq, dims):
     tensor = b_sq.reshape((-1,) + dims + dims)
     total = 0.0
     for k in range(len(dims)):
-        m = tensor.transpose(0, *(1 + i for i in matricize_axes(2 * len(dims), k)))
-        m = m.reshape(tensor.shape[0], dims[k], -1)
+        m, _ = _one_way_stack(tensor, k)
         ev = np.linalg.eigvalsh(m @ np.swapaxes(m, -1, -2))
         total = total + np.sqrt(np.maximum(ev, 0.0)).sum(axis=-1)
     return total
@@ -511,17 +526,22 @@ class _System:
         return theta * rho0 <= lam * beta
 
     def _apply(self, x_packed):
-        """G x for each packed row x of the stack."""
-        if self.dense:
-            return x_packed @ self.g_sym
+        """Matrix-free G x for each packed row x of the stack."""
         pk = self.pack
         x = pk.unpack(x_packed)
         return pk.pack(sum(g.adjoint(g.forward(x)) for g in self.groups)) / _size(self.groups)
 
     def quad(self, x_packed):
-        """Data loss at each packed symmetric coefficient vector of the stack."""
-        return (np.einsum("cp,cp->c", x_packed, self._apply(x_packed))
-                - x_packed @ self.h_packed + self.c0)
+        """Data loss at each packed symmetric coefficient vector of the stack.
+
+        Matrix-free, <x, G x> = sum over the groups of u ||forward(X)||^2."""
+        if self.dense:
+            xgx = np.einsum("cp,cp->c", x_packed, x_packed @ self.g_sym)
+        else:
+            x = self.pack.unpack(x_packed)
+            xgx = sum(g.u * (g.forward(x) ** 2).sum(axis=(-3, -2, -1))
+                      for g in self.groups) / _size(self.groups)
+        return xgx - x_packed @ self.h_packed + self.c0
 
     def solve(self, rhs_packed, eta, x0=None):
         shift = (self.p + 1) * eta
@@ -614,16 +634,16 @@ def _iterate(system, pre, base, lam, beta):
         b = pk.unpack(b_packed)
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
-        # beta=1 cells skip the SVD and keep it
+        # beta=1 cells skip the Gram eigendecomposition and keep it
         d_new = b[:, None] + v_hat
         d_new[:, 0], eigs = _prox_psd(d_new[:, 0], w_psd[cell] / eta)
         thr_one = lam_one[cell] / (p * eta)
-        svd_rows = np.flatnonzero(thr_one != 0.0)
-        if svd_rows.size:
+        one_rows = np.flatnonzero(thr_one != 0.0)
+        if one_rows.size:
             for k in range(1, p + 1):
-                ak = d_new[svd_rows, k].reshape((-1,) + dims2)
-                dk = _prox_one_way(ak, k - 1, thr_one[svd_rows])
-                d_new[svd_rows, k] = dk.reshape(-1, q, q)
+                ak = d_new[one_rows, k].reshape((-1,) + dims2)
+                dk = _prox_one_way(ak, k - 1, thr_one[one_rows])
+                d_new[one_rows, k] = dk.reshape(-1, q, q)
         d_prev, d = d, d_new
         v_prev, v = v, v_hat + b[:, None] - d_new
 

@@ -274,9 +274,12 @@ class TestRunConfig:
                         RunConfig(command).to_dict()))
         kinds = {f.name: f.type for f in fields(RunConfig)}
         if command != "eigen":
-            # a persisted kernel or fit config replays only through flags
+            # a persisted kernel or fit config replays only through flags;
+            # cv and simulate take lambda and beta from their grids
             flags = {keys[name] for name in cli._FLAGS[command]}
-            assert set(KernelSpec().to_dict()) | set(FitConfig().to_dict()) <= flags
+            grid_set = set() if command == "fit" else {"lambda", "beta"}
+            model = set(KernelSpec().to_dict()) | (set(FitConfig().to_dict()) - grid_set)
+            assert model <= flags and not grid_set & flags
         for name in cli._FLAGS[command]:
             key = keys[name]
             flag = "--" + key.replace("_", "-")
@@ -289,6 +292,22 @@ class TestRunConfig:
             assert getattr(from_flag, name) == value
             assert resolve(*config(key, value)) == from_flag
             assert resolve(*config(key, other), *argv) == from_flag
+
+    @pytest.mark.parametrize("command,flag", [
+        ("cv", "--lambda"), ("cv", "--beta"), ("simulate", "--lambda"),
+        ("simulate", "--beta"), ("simulate", "--fold-seed")])
+    def test_flags_without_effect_are_refused(self, command, flag, tmp_path, capsys):
+        # refused like any unknown flag, and never read as an abbreviation
+        # of --lambda-grid or --beta-grid
+        def refusal(name):
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--out", tmp_path / "o", name, "0.5")
+            return exc.value.code, capsys.readouterr().err.replace(name, "FLAG")
+
+        code, err = refusal(flag)
+        assert (code, err) == refusal("--no-such-flag")
+        assert code == 2 and "unrecognized arguments: FLAG 0.5" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", list(cli._FLAGS))
     def test_resolved_sets_every_flag_but_the_paths(self, command):

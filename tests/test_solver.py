@@ -269,6 +269,27 @@ class TestBatchedG:
             assert not system.dense
             assert_rel(system._apply(pre.pack.pack(stack)), np.array(want_gx))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matrix_free_quad_matches_dense_and_direct_loss(self, p):
+        # <x, G x> from the forward map alone, over all subjects and over
+        # each fold's training subjects
+        data, grams, folds = unequal_counts_problem(p, 2, 80 + p)
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+        q = pre.q_total
+        rng = np.random.default_rng(90 + p)
+        stack = rng.standard_normal((4, q, q))
+        stack = stack + np.swapaxes(stack, 1, 2)
+        x = pre.pack.pack(stack)
+        subsets = [(None, pre.G_sym)] + [
+            (folds.train_subjects(f),
+             (pre.G_sym * data.n - pre.G_fold[f]) / folds.train_subjects(f).size)
+            for f in range(folds.n_folds)]
+        for subjects, g_sym in subsets:
+            free = solver._System(pre, subjects).quad(x)
+            dense = solver._System(pre, subjects, g_sym=g_sym).quad(x)
+            assert_rel(free, dense, rel=1e-12)
+            assert_rel(free, pre.loss_direct(stack, subjects), rel=1e-12)
+
 
 class TestProxTrace:
     def test_zero_threshold_is_identity(self):
@@ -303,6 +324,41 @@ class TestProxTrace:
             for _ in range(200):
                 cand = star + rng.standard_normal(a.shape) * rng.uniform(0.01, 1.0)
                 assert best <= val(cand) + 1e-12
+
+    @pytest.mark.parametrize("dims", [(4,), (3, 4), (2, 3, 2)])
+    def test_gram_prox_matches_svd_reference(self, dims):
+        # full-rank, rank-deficient and all-zero slices, each with thresholds
+        # below, between and above its singular values, in every mode
+        rng = np.random.default_rng(len(dims))
+        full = rng.standard_normal((3,) + dims + dims)
+        deficient = rng.standard_normal((3,) + dims + dims)
+        for k, q in enumerate(dims):   # mode-k rank at most q - 1
+            proj = rng.standard_normal((q, q - 1)) @ rng.standard_normal((q - 1, q))
+            deficient = np.moveaxis(np.tensordot(proj, deficient, axes=(1, k + 1)), 0, k + 1)
+        a = np.concatenate([full, deficient, np.zeros((1,) + dims + dims)])
+        for mode in range(len(dims)):
+            u, s, vt = np.linalg.svd([one_way_unfold(x, mode) for x in a],
+                                     full_matrices=False)
+            v = np.ones(len(a))
+            for c in range(len(a) - 1):
+                live = s[c][s[c] > 1e-10 * s[c, 0]]
+                v[c] = (0.5 * live[-1], (s[c, 0] + s[c, 1]) / 2, 1.5 * s[c, 0])[c % 3]
+            got = solver._prox_one_way(a, mode, v)
+            for c, x in enumerate(a):
+                shrunk = (u[c] * np.maximum(s[c] - v[c], 0.0)) @ vt[c]
+                ref = one_way_fold(shrunk, mode, x.shape)
+                assert np.linalg.norm(got[c] - ref) <= 1e-12 * np.linalg.norm(x)
+                if c % 3 == 2 or c == len(a) - 1:   # above, or the zero slice
+                    assert (got[c] == 0.0).all()
+
+    def test_dominating_threshold_gives_exact_zeros(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((3, 2, 3, 2, 3))
+        for mode in (0, 1):
+            top = np.array([np.linalg.svd(one_way_unfold(x, mode), compute_uv=False)[0]
+                            for x in a])
+            out = solver._prox_one_way(a, mode, top * np.array([1.0 + 1e-9, 2.0, 1e6]))
+            assert (out == 0.0).all()
 
 
 class TestProxPsd:
@@ -766,6 +822,25 @@ class TestCvSelect:
         assert np.ptp(scores_d) > 1e-3 * scores_d.max()
         np.testing.assert_array_equal(cells_m.unconverged_folds,
                                       cells_d.unconverged_folds)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_iteration_makes_no_svd_call(self, dense, monkeypatch):
+        # the one-way prox comes from small Gram eigendecompositions
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        _, _, cells = cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5], n_folds=3)
+        assert (cells.n_iters > 0).all()   # every cell ran the one-way prox
+        assert calls == []
 
     def test_unconverged_cells_are_reported(self):
         data, cross, grams, _ = make_problem(
