@@ -1,17 +1,17 @@
 """Command-line interface: fit, simulate, eigen, cv.
 
 Each option is declared once, as a ``RunConfig`` field; ``_FLAGS`` lists
-which fields each subcommand exposes, and the flag, its type, its default
-and its config-file key all derive from the field.  Every subcommand reads
-an optional JSON config file whose keys mirror the flags one-to-one (flags
-override the file), resolves the remaining defaults,
-and persists the effective configuration next to its outputs, so any run can
-be replayed exactly: simulate, eigen, and cv write ``run_config.json``, while
-fit keeps to its three outputs and records the configuration inside
-``fit.json`` under ``run_config`` (``--config`` accepts either form).  Exit
-status 1 reports an input, validation or solver failure, 2 a fit that
-stopped on the iteration cap (outputs are still written); nothing mutates
-its inputs.
+the fields each subcommand takes, and those are its whole configuration:
+the flag, its type, its default and its config-file key all derive from the
+field.  Every subcommand reads an optional JSON config file whose keys are
+its flags (flags override the file), resolves the remaining defaults, and
+persists its options next to its outputs, so any run can be replayed
+exactly: simulate, eigen, and cv write ``run_config.json``, while fit keeps
+to its three outputs and records the configuration inside ``fit.json``
+under ``run_config`` (``--config`` accepts either form).  Exit status 1
+reports an input, validation or solver failure, 2 a fit (or, for cv, a fold
+of the selected cell) that stopped on the iteration cap (outputs are still
+written); nothing mutates its inputs.
 
 Fitted coefficients persist in a single binary container: magic ``MCOV1``, a
 shape header, the little-endian float64 payload, and a trailing UTF-8 JSON
@@ -111,9 +111,10 @@ def read_container(path):
 class RunConfig:
     """Effective configuration of one subcommand invocation.
 
-    Unset fields are ``None`` until ``resolved()`` fills them with the
-    subcommand's defaults; the resolved form is what gets persisted and what
-    a replay consumes.  ``lam`` serializes under the key ``lambda``.
+    Only the subcommand's options, ``_FLAGS[command]``, are read, resolved
+    and persisted.  They are ``None`` until ``resolved()`` fills them with
+    the subcommand's defaults; the resolved form is what gets persisted and
+    what a replay consumes.  ``lam`` serializes under the key ``lambda``.
     """
 
     command: str
@@ -154,33 +155,43 @@ class RunConfig:
     components: int = None
 
     def to_dict(self):
-        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
+        """The command and its options, under their config keys."""
+        names = ("command",) + _FLAGS[self.command]
+        return {_key(name): getattr(self, name) for name in names}
 
     @classmethod
     def from_dict(cls, d):
+        """Refuse a key that is not one of the command's options, except in a
+        dict holding every field's key: that is the shape every earlier
+        version wrote, whose other commands' keys those versions ignored, so
+        they are dropped."""
         d = _drop_adaptive_eta(d)
-        known = {_key(f.name): f for f in fields(cls)}
-        unknown = sorted(set(d) - set(known))
+        kinds = {_key(f.name): f.type for f in fields(cls)}
+        own = {_key(name): name for name in ("command",) + _FLAGS[d["command"]]}
+        if kinds.keys() <= d.keys():
+            for key in kinds.keys() - own.keys():
+                del d[key]
+        unknown = sorted(d.keys() - own.keys())
         if unknown:
             raise ValueError(f"unknown config key '{unknown[0]}'")
-        for key, f in known.items():
-            value = d.get(key)
-            if value is not None and not _has_type(value, f.type):
-                raise ValueError(f"config key '{key}' must be {f.type.__name__}, "
+        for key, value in d.items():
+            if value is not None and not _has_type(value, kinds[key]):
+                raise ValueError(f"config key '{key}' must be {kinds[key].__name__}, "
                                  f"got {type(value).__name__}")
-        return cls(**{f.name: d[key] for key, f in known.items() if key in d})
+        return cls(**{own[key]: value for key, value in d.items()})
 
     def resolved(self):
-        """One copy with every unset field filled by the command's default."""
-        out = replace(self)
-        for key, value in _defaults(self.command).items():
-            if getattr(out, key) is None:
-                setattr(out, key, value)
-        return out
+        """One copy with every unset option filled by the command's default."""
+        return replace(self, **{name: value for name, value in _defaults(self.command).items()
+                                if getattr(self, name) is None})
 
     # --- domain objects -------------------------------------------------
     def _pick(self, cls, names):
-        return cls(**{name: getattr(self, name) for name in names})
+        """``cls`` from the named fields; those outside the command's options
+        (lambda and beta of cv and simulate, which the grid search sets)
+        keep their library defaults."""
+        return cls(**{name: getattr(self, name) for name in names
+                      if name in _FLAGS[self.command]})
 
     def kernel_spec(self):
         return self._pick(KernelSpec, _KERNEL)
@@ -237,8 +248,10 @@ def _has_type(value, kind):
 
 
 def _defaults(command):
-    """Per-subcommand defaults, taken from the library objects themselves."""
-    out = {**asdict(KernelSpec()), "n_folds": 5, "fold_seed": 0}
+    """Defaults of the command's options, taken from the library objects
+    themselves; the paths have none."""
+    out = {**asdict(KernelSpec()), "n_folds": 5, "fold_seed": 0,
+           "eigen_grid": 21, "components": 8}
     if command == "simulate":
         proto, setting = FitProtocol(), SimSetting()
         base = proto.base
@@ -256,9 +269,7 @@ def _defaults(command):
             beta_grid=[float(x) for x in DEFAULT_BETA_GRID],
         )
     out.update(asdict(base))
-    if command == "eigen":
-        out.update(eigen_grid=21, components=8)
-    return out
+    return {name: out[name] for name in _FLAGS[command] if name in out}
 
 
 def _flag(name):
@@ -355,7 +366,8 @@ def cmd_simulate(cfg):
 
 
 def cmd_cv(cfg):
-    """Grid search -> score table CSV + a fit-ready selected config."""
+    """Grid search -> score table CSV + a fit-ready selected config; exit 2
+    when a fold of the selected cell stopped at the iteration cap."""
     _require(cfg, "data", "out")
     data = load_csv(cfg.data)
     folds = make_folds(data, cfg.n_folds, cfg.fold_seed)
@@ -373,10 +385,14 @@ def cmd_cv(cfg):
                                  repr(float(scores[li, bj])),
                                  int(cells.n_iters[li, bj]),
                                  int(cells.unconverged_folds[li, bj])])
-    selected = replace(cfg, command="fit", **asdict(chosen))
-    _write_json(outdir / "selected_config.json", selected.to_dict())
+    # a fit config without a path to write to: fit --config needs its own --out
+    selected = replace(cfg, command="fit", **asdict(chosen)).to_dict()
+    del selected["out"]
+    _write_json(outdir / "selected_config.json", selected)
     _persist_config(cfg, outdir)
-    return 0
+    capped = cells.unconverged_folds[cfg.lambda_grid.index(chosen.lam),
+                                     cfg.beta_grid.index(chosen.beta)]
+    return 2 if capped else 0
 
 
 def _sidecar_parts(container, sidecar):

@@ -252,18 +252,6 @@ class FitProtocol:
             "aise_grid": self.aise_grid,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("lambda_grid", "beta_grid"):
-            if key in d:
-                d[key] = tuple(d[key])
-        if isinstance(d.get("kernel"), dict):
-            d["kernel"] = KernelSpec.from_dict(d["kernel"])
-        if isinstance(d.get("base"), dict):
-            d["base"] = FitConfig.from_dict(d["base"])
-        return cls(**d)
-
 
 def run_replication(setting, protocol=None):
     """One seeded replication: generate, tune, fit, score.

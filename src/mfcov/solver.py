@@ -328,7 +328,7 @@ def _weighted_g(groups, q):
     return out
 
 
-def precompute(data, cross, grams, folds=None, dense=None):
+def precompute(data, cross, grams, folds=None):
     """Assemble the count groups, G, h, c0 (and packed per-fold G pieces)
     for the quadratic loss."""
     rows, groups = _layout(grams, data, cross)
@@ -339,8 +339,7 @@ def precompute(data, cross, grams, folds=None, dense=None):
     if (not (np.isfinite(h).all() and math.isfinite(c0))
             and all(np.isfinite(g.z).all() for g in groups)):
         raise ValueError(CROSS_OVERFLOW)
-    if dense is None:
-        dense = q * q <= DENSE_LIMIT
+    dense = q * q <= DENSE_LIMIT
     pk = SymPacking(q)
 
     g_norm = g_sym = None
@@ -583,7 +582,6 @@ def _iterate(system, pre, base, lam, beta):
     eta = base.eta
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    n_cells = lam.size
     w_psd = lam * beta
     lam_one = lam * (1.0 - beta)
     has_one = beta < 1.0
@@ -595,14 +593,15 @@ def _iterate(system, pre, base, lam, beta):
             val = val + w_one * _one_way_trace_norms(d0, pre.dims)
         return val
 
-    obj_prev = system.quad(np.zeros((n_cells, pk.dim)))  # zero init: penalties vanish
-    bad = np.flatnonzero(~np.isfinite(obj_prev))
-    if bad.size:
+    # at the zero start the loss is c0 and the penalties vanish; 0 * h is
+    # NaN where h is not finite
+    obj_init = system.c0 if np.isfinite(system.h_packed).all() else math.nan
+    if not math.isfinite(obj_init):
         raise RuntimeError(
-            f"non-finite objective ({obj_prev[bad[0]]}) at initialization; "
+            f"non-finite objective ({obj_init}) at initialization; "
             "check the data for NaN or infinite values"
         )
-    results = [None] * n_cells
+    results = [None] * lam.size
 
     def finish(c, b, d, converged, n_iters, obj):
         results[c] = {
@@ -622,7 +621,7 @@ def _iterate(system, pre, base, lam, beta):
     # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
     d = v = d_hat = v_hat = d_prev = v_prev = np.zeros((cell.size, p + 1, q, q))
-    alpha, obj_prev = np.ones(cell.size), obj_prev[cell]
+    alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
     b_packed = None
 
     for t in range(base.max_iters if cell.size else 0):

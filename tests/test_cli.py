@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -270,7 +271,7 @@ class TestRunConfig:
             path.write_text(json.dumps({key: value}))
             return ["--config", path]
 
-        keys = dict(zip((f.name for f in fields(RunConfig)),
+        keys = dict(zip(("command",) + cli._FLAGS[command],
                         RunConfig(command).to_dict()))
         kinds = {f.name: f.type for f in fields(RunConfig)}
         if command != "eigen":
@@ -329,11 +330,13 @@ class TestRunConfig:
     def test_wrongly_typed_config_value_exits_one(self, dataset_csv, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        code, err = run_captured("cv", "--config", path, "--data", dataset_csv,
+        (key,) = config
+        command = "fit" if key == "lambda" else "cv"   # the command with this key
+        code, err = run_captured(command, "--config", path, "--data", dataset_csv,
                                  "--out", tmp_path / "o")
         assert code == 1
-        (key,) = config
-        assert len(err) == 1 and err[0].startswith(f"mfcov cv: config key '{key}' must be")
+        assert len(err) == 1 and err[0].startswith(
+            f"mfcov {command}: config key '{key}' must be")
 
     def test_line_break_in_config_key_stays_on_one_line(self, dataset_csv, tmp_path):
         path = tmp_path / "cfg.json"
@@ -426,20 +429,6 @@ class TestFit:
                 == (out2 / "coeffs.mcov").read_bytes())
         assert ((out1 / "rank_report.json").read_bytes()
                 == (out2 / "rank_report.json").read_bytes())
-
-    def test_replay_of_config_with_threads_key(self, dataset_csv, tmp_path):
-        # files written while fit still took --threads carry the key
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run("fit", "--data", dataset_csv, "--out", out1,
-                   *FIT_FLAGS) == 0
-        diag = json.loads((out1 / "fit.json").read_text())
-        assert diag["run_config"]["threads"] is None
-        diag["run_config"]["threads"] = 1
-        old = tmp_path / "old_fit.json"
-        old.write_text(json.dumps(diag))
-        assert run("fit", "--config", old, "--out", out2) == 0
-        assert ((out1 / "coeffs.mcov").read_bytes()
-                == (out2 / "coeffs.mcov").read_bytes())
 
     @pytest.mark.parametrize("command", ["fit", "cv", "eigen"])
     def test_threads_flag_only_on_simulate(self, command, tmp_path):
@@ -676,6 +665,26 @@ class TestCv:
         direct = admm_fit(data, cross_products(data), grams, chosen)
         assert np.array_equal(coeffs, direct.coeffs)
 
+    @pytest.mark.parametrize("lambda_grid, max_iters, code", [
+        (["3e-6"], "500", 0),
+        (["3e-6"], "1", 2),         # every fold of the only cell is capped
+        (["1e6", "1e-4"], "1", 0),  # 1e-4 is capped, but ties the zero fit of 1e6
+    ])
+    def test_exit_code_reports_a_capped_selection(self, dataset_csv, tmp_path,
+                                                  lambda_grid, max_iters, code):
+        out = tmp_path / "cv"
+        assert run("cv", "--data", dataset_csv, "--out", out, *CV_FLAGS,
+                   "--lambda-grid", *lambda_grid, "--beta-grid", "0.5",
+                   "--max-iters", max_iters) == code
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cv_scores.csv", "run_config.json", "selected_config.json"]
+        selected = json.loads((out / "selected_config.json").read_text())
+        with open(out / "cv_scores.csv", newline="") as fh:
+            capped = {float(r["lambda"]): int(r["unconverged_folds"])
+                      for r in csv.DictReader(fh)}
+        assert (capped[selected["lambda"]] > 0) == (code == 2)
+        assert (sum(capped.values()) > 0) == (max_iters == "1")
+
     def test_empty_grid_exits_one(self, dataset_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda_grid": []}))
@@ -815,3 +824,100 @@ class TestEigen:
                    "--data", other, "--out", tmp_path / "o")
         assert code == 1
         assert "provenance mismatch" in capsys.readouterr().err
+
+
+def option_keys(command):
+    return {"command"} | {cli._key(name) for name in cli._FLAGS[command]}
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(dataset_csv, fitted, tmp_path_factory):
+    """One run of each subcommand: (its argv without --out, its output
+    directory, the file holding its persisted config)."""
+    root = tmp_path_factory.mktemp("fresh")
+    argvs = {
+        "fit": ["fit", "--data", dataset_csv, *FIT_FLAGS],
+        "cv": ["cv", "--data", dataset_csv, *CV_FLAGS, "--lambda-grid", "3e-6", "1e-5",
+               "--beta-grid", "0.5"],
+        "simulate": ["simulate", *SIM_FLAGS, "--reps", "1"],
+        "eigen": ["eigen", "--container", fitted / "coeffs.mcov", "--data", dataset_csv,
+                  "--eigen-grid", "5"],
+    }
+    runs = {}
+    for command, argv in argvs.items():
+        assert run(*argv, "--out", root / command) == 0
+        config = "fit.json" if command == "fit" else "run_config.json"
+        runs[command] = (argv, root / command, root / command / config)
+    return runs
+
+
+class TestPersistedConfig:
+    """A subcommand accepts, resolves and persists exactly its own options."""
+
+    @pytest.mark.parametrize("command", list(cli._FLAGS))
+    def test_persisted_keys_are_the_commands_options(self, fresh_runs, command):
+        _, out, config = fresh_runs[command]
+        persisted = json.loads(config.read_text())
+        assert set(persisted.get("run_config", persisted)) == option_keys(command)
+        if command == "cv":
+            # a fit config, without cv's grids, folds or output directory
+            selected = out / "selected_config.json"
+            assert set(json.loads(selected.read_text())) == option_keys("fit") - {"out"}
+            assert run_captured("fit", "--config", selected) == (
+                1, ["mfcov fit: missing required option --out (config key 'out')"])
+
+    @pytest.mark.parametrize("command, config", [("eigen", {"decay_exponent": 3.0}),
+                                                 ("cv", {"lambda": 0.7})])
+    def test_key_of_another_command_exits_one(self, fresh_runs, tmp_path, command,
+                                              config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv, _, _ = fresh_runs[command]
+        out = tmp_path / "o"
+        code, err = run_captured(*argv, "--config", path, "--out", out)
+        (key,) = config
+        assert (code, err) == (1, [f"mfcov {command}: unknown config key '{key}'"])
+        assert not out.exists()
+
+    def test_readme_flag_table_marks_exactly_the_missing_flags(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| flag |"))
+        commands = re.findall(r"`(\w+)`", lines[start])
+        assert sorted(commands) == sorted(cli._FLAGS)
+        listed = set()
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            head, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+            keys = {flag.replace("[no-]", "").replace("-", "_")
+                    for flag in re.findall(r"`--([a-z\[\]-]+)`", head)}
+            listed |= keys
+            for command, cell in zip(commands, cells, strict=True):
+                assert (cell == "·") == (not keys <= option_keys(command)), (head, command)
+        assert listed == set().union(*map(option_keys, cli._FLAGS)) - {"command"}
+
+    @pytest.mark.parametrize("name", [*cli._FLAGS, "selected_config"])
+    def test_parent_shape_replays_byte_identically(self, fresh_runs, tmp_path, name):
+        # earlier versions persisted every RunConfig key, the other commands'
+        # keys included (threads on fit, say), and maybe adaptive_eta false
+        if name == "selected_config":
+            command, config = "fit", fresh_runs["cv"][1] / "selected_config.json"
+        else:
+            command, config = name, fresh_runs[name][2]
+        every = {}
+        for _, _, path in fresh_runs.values():
+            persisted = json.loads(path.read_text())
+            every.update(persisted.get("run_config", persisted))
+        fresh = json.loads(config.read_text())
+        old_config = {**every, "threads": 1, "lambda": 0.7, "beta": 0.1,
+                      **fresh.get("run_config", fresh), "adaptive_eta": False}
+        old = {**fresh, "run_config": old_config} if "run_config" in fresh else old_config
+        outputs = []
+        for persisted in (fresh, old):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(persisted))
+            replay = tmp_path / "replay"   # the same path, so the files can match
+            assert run(command, "--config", path, "--out", replay) == 0
+            outputs.append({p.name: p.read_bytes() for p in replay.iterdir()})
+        assert outputs[0] == outputs[1]

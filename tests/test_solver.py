@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from mfcov import solver
@@ -291,6 +293,64 @@ class TestBatchedG:
             assert_rel(free, pre.loss_direct(stack, subjects), rel=1e-12)
 
 
+def with_rows(grams, idx):
+    """Stand-in gram factors holding the rows ``idx`` of each factor."""
+    return [GramFactor(gram=gf.factor[idx] @ gf.factor[idx].T, factor=gf.factor[idx],
+                       pinv=np.linalg.pinv(gf.factor[idx]), retained_rank=gf.retained_rank)
+            for gf in grams]
+
+
+# p in {1, 2}; three to six subjects with unequal counts; a seed for the rest
+small_problems = st.tuples(st.sampled_from([1, 2]),
+                           st.lists(st.integers(2, 5), min_size=3, max_size=6).filter(
+                               lambda counts: len(set(counts)) > 1),
+                           st.integers(0, 2 ** 16))
+
+
+def small_problem(p, counts, seed):
+    rng = np.random.default_rng(seed)
+    data = FunctionalDataset([rng.uniform(size=(m, p)) for m in counts],
+                             [rng.standard_normal(m) for m in counts])
+    return rng, data, synthetic_grams(rng, sum(counts), [2] * p)
+
+
+def assert_same_loss(a, b):
+    """Packed G, h and c0 of two precomputations agree to 1e-13 relative."""
+    assert_rel(a.G_sym, b.G_sym)
+    assert_rel(a.h, b.h)
+    assert a.c0 == pytest.approx(b.c0, rel=1e-13)
+
+
+class TestLossInvariances:
+    """The loss sees each subject as an unordered set of observations, and
+    averages over subjects."""
+
+    @given(small_problems)
+    def test_permuting_observations_within_subjects(self, problem):
+        rng, data, grams = small_problem(*problem)
+        perms = [rng.permutation(m) for m in data.counts]
+        starts = np.cumsum(data.counts) - data.counts
+        idx = np.concatenate([start + perm for start, perm in zip(starts, perms)])
+        shuffled = FunctionalDataset([t[perm] for t, perm in zip(data.locations, perms)],
+                                     [y[perm] for y, perm in zip(data.values, perms)])
+        moved = with_rows(grams, idx)
+        pre = precompute(data, cross_products(data), grams)
+        pre_s = precompute(shuffled, cross_products(shuffled), moved)
+        assert_same_loss(pre, pre_s)
+        cfg = FitConfig(lam=1e-3, max_iters=200)
+        fit = admm_fit(data, cross_products(data), grams, cfg, pre=pre)
+        fit_s = admm_fit(shuffled, cross_products(shuffled), moved, cfg, pre=pre_s)
+        assert fit.n_iters == fit_s.n_iters
+
+    @given(small_problems)
+    def test_duplicating_every_subject(self, problem):
+        _, data, grams = small_problem(*problem)
+        twice = FunctionalDataset(data.locations * 2, data.values * 2)
+        idx = np.tile(np.arange(int(data.counts.sum())), 2)
+        assert_same_loss(precompute(data, cross_products(data), grams),
+                         precompute(twice, cross_products(twice), with_rows(grams, idx)))
+
+
 class TestProxTrace:
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(0)
@@ -561,12 +621,12 @@ class TestAdmmFit:
         obj_ref = objective(d.reshape(pre.dims + pre.dims), pre, cfg)
         assert abs(fit.objective_value - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
 
-    def test_dense_and_matrix_free_agree(self):
-        data, cross, grams, _ = make_problem(
+    def test_dense_and_matrix_free_agree(self, monkeypatch):
+        data, cross, grams, pre_d = make_problem(
             p=2, n=4, m=4, q=2, seed=19, model_scale=1.5, noise=0.2)
         cfg = FitConfig(lam=0.03, beta=0.5)
-        pre_d = precompute(data, cross, grams, dense=True)
-        pre_m = precompute(data, cross, grams, dense=False)
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre_m = precompute(data, cross, grams)
         assert pre_m.G is None
         fit_d = admm_fit(data, cross, grams, cfg, pre=pre_d)
         fit_m = admm_fit(data, cross, grams, cfg, pre=pre_m)
@@ -607,13 +667,15 @@ class TestAdmmFit:
 
 class TestRidgeSolve:
     @pytest.mark.parametrize("dense", [True, False])
-    def test_solves_the_packed_ridge_system(self, dense):
+    def test_solves_the_packed_ridge_system(self, dense, monkeypatch):
         # each row x of the stack solves (2 G + (p+1) eta I) x = rhs, with G
         # the dense packed operator whichever path solves
         data, cross, grams, _ = make_problem(
             p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
-        g_sym = precompute(data, cross, grams, dense=True).G_sym
-        pre = precompute(data, cross, grams, dense=dense)
+        g_sym = precompute(data, cross, grams).G_sym
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre = precompute(data, cross, grams)
         system = solver._System(pre, None, g_sym=pre.G_sym)
         rhs = np.random.default_rng(24).standard_normal((3, pre.pack.dim))
         for eta in (1e-3, 0.1, 1.0, 10.0):
@@ -630,10 +692,12 @@ STACK_BETA = [0.0, 0.5, 1.0, 0.5, 1.0]
 
 class TestStackedAdmm:
     @pytest.mark.parametrize("dense", [True, False])
-    def test_cells_match_single_cell_runs(self, dense):
+    def test_cells_match_single_cell_runs(self, dense, monkeypatch):
         data, cross, grams, _ = make_problem(
             p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
-        pre = precompute(data, cross, grams, dense=dense)
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre = precompute(data, cross, grams)
         system = solver._System(pre, None, g_sym=pre.G_sym)
         free = FitConfig(eta=10.0, tol=1e-9, max_iters=2000)
         capped = FitConfig(max_iters=3)
@@ -730,9 +794,11 @@ class TestZeroCertificate:
         assert n_certified == 10  # exactly the cells at or above lam_min
 
     @pytest.mark.parametrize("dense", [True, False])
-    def test_mixed_stack_leaves_iterating_cells_bit_identical(self, dense):
+    def test_mixed_stack_leaves_iterating_cells_bit_identical(self, dense, monkeypatch):
         data, cross, grams, _ = make_problem(**self.FOUND)
-        pre = precompute(data, cross, grams, dense=dense)
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre = precompute(data, cross, grams)
         iterating = [(0.03, 0.5), (0.01, 1.0), (0.05, 0.0)]
         zero = [(1e6, 0.5), (1.0, 1.0)]
         mixed_cells = [zero[0], iterating[0], zero[1], iterating[1], iterating[2]]
