@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng  # at import, not in the first fold split
 
 from .kernel import factor_kernel
 
@@ -209,7 +210,7 @@ def make_folds(data, n_folds=5, seed=0):
         raise ValueError(f"cannot split {n} subjects into {n_folds} folds")
     if seed < 0:
         raise ValueError(f"fold_seed must be >= 0, got {seed}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % n_folds
     return FoldAssignment(n_folds=n_folds, seed=seed, assignment=assignment)

@@ -16,6 +16,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import FunctionalDataset, cross_products, gram_factors
 from .kernel import KernelSpec
@@ -95,8 +96,7 @@ class SimSetting:
 
     def rng(self):
         """The setting's own generator stream."""
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
+        return default_rng(SeedSequence(self.seed, spawn_key=self.spawn_key))
 
 
 def component_functions(setting, pts):
@@ -241,6 +241,8 @@ class FitProtocol:
         return len(self.lambda_grid) == 1 and len(self.beta_grid) == 1
 
     def to_dict(self):
+        # every replication takes lambda and beta from the grids, never the base
+        base = {k: v for k, v in self.base.to_dict().items() if k not in ("lambda", "beta")}
         return {
             "lambda_grid": list(self.lambda_grid),
             "beta_grid": list(self.beta_grid),
@@ -248,7 +250,7 @@ class FitProtocol:
             "gram_cap": self.gram_cap,
             "gram_tol": self.gram_tol,
             "kernel": self.kernel.to_dict(),
-            "base": self.base.to_dict(),
+            "base": base,
             "aise_grid": self.aise_grid,
         }
 

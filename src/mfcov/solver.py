@@ -44,12 +44,14 @@ dimension Q(Q+1)/2, an isometric change of basis that roughly halves the
 linear-algebra cost.  The dense system is never factored by Cholesky: one
 eigendecomposition of the packed G per loss system makes the solve for any
 eta a diagonal scaling.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
-conjugate gradients, and cells run one at a time.
+conjugate gradients (``_conjugate_gradient``, numpy only), warm-started from
+the previous iterate; a solve stops once the residual is finite and below
+1e-12 relative to the right-hand side.  On that path cells run one at a time.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
 the linear term, rho_0 = max(lambda_max(h), 0), rho_1 = max_k ||h_(k)||_2
-(spectral norms of the one-way unfoldings) and
+(spectral norms of the one-way unfoldings, from their small Grams) and
 theta = max(0, 1 - lambda (1 - beta) / rho_1) (0 when rho_1 = 0), a cell is
 certified when theta rho_0 <= lambda beta.  Proof: for PSD B, <theta h, B>
 <= theta rho_0 tr B <= lambda beta tr B, and <(1 - theta) h, B>
@@ -63,7 +65,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .data import CROSS_OVERFLOW, cross_products, make_folds
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
@@ -293,7 +294,7 @@ def _layout(grams, data, cross):
     z_pooled = np.concatenate(cross.z, axis=None)
     z_starts = np.cumsum(counts * counts) - counts * counts
     groups = []
-    for m in np.unique(counts):
+    for m in sorted(set(counts.tolist())):   # np.unique would load numpy.ma
         subjects = np.flatnonzero(counts == m)
         z = z_pooled[z_starts[subjects, None] + np.arange(m * m)].reshape(-1, m, m)
         z[:, np.arange(m), np.arange(m)] = 0.0
@@ -491,8 +492,8 @@ class _System:
 
     Dense: G_sym = U diag(g) U^T is decomposed once, and the solve for any
     eta is a diagonal scaling in U's basis.  Matrix-free: conjugate
-    gradients, one cell at a time, on G x = sum over the subjects' count
-    groups of adjoint(forward(X)).
+    gradients on each row of the stack, with G x = sum over the subjects'
+    count groups of adjoint(forward(X)).
     """
 
     def __init__(self, pre, subjects, g_sym=None):
@@ -513,9 +514,10 @@ class _System:
         h = self.pack.unpack(self.h_packed)
         rho0 = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
         h = h.reshape(self.dims + self.dims)
-        rho1 = max(float(np.linalg.norm(one_way_unfold(h, k), 2))
-                   for k in range(len(self.dims)))
-        return rho0, rho1
+        # ||M||_2 = sqrt(lambda_max(M M^T)), from the small Gram, not an SVD
+        s2 = max(float(np.linalg.eigvalsh(m @ m.T)[-1])
+                 for m in (one_way_unfold(h, k) for k in range(len(self.dims))))
+        return rho0, math.sqrt(max(s2, 0.0))
 
     def zero_certified(self, lam, beta):
         """Whether B = 0 is optimal for each cell (lam[c], beta[c])."""
@@ -549,17 +551,59 @@ class _System:
             y /= 2.0 * self.g_eig + shift
             return y @ self.g_vec.T
 
-        def matvec(x):
-            return 2.0 * self._apply(x[None])[0] + shift * x
+        return _conjugate_gradient(lambda x: 2.0 * self._apply(x) + shift * x,
+                                   rhs_packed, x0, 20 * self.pack.dim)
 
-        op = LinearOperator((self.pack.dim, self.pack.dim), matvec=matvec, dtype=float)
-        out = np.empty_like(rhs_packed)
-        for c, rhs in enumerate(rhs_packed):
-            out[c], info = cg(op, rhs, x0=None if x0 is None else x0[c],
-                              rtol=1e-12, atol=0.0, maxiter=20 * self.pack.dim)
-            if info != 0:
-                raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
-        return out
+
+def _row_dot(a, b):
+    """<a[c], b[c]> of each row: a stack of 1 x n by n x 1 products, which
+    sums in the order of a BLAS dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _conjugate_gradient(matvec, rhs, x0, max_iters):
+    """Solve A x = rhs[c] for each row of the stack ``rhs`` by conjugate
+    gradients, starting from x0[c] (zero when ``x0`` is None).
+
+    ``matvec`` applies the symmetric positive-definite A to each row of a
+    stack.  Every row has its own step sizes and leaves the iteration once
+    its residual is finite with ||r|| < 1e-12 ||rhs[c]||; a zero right-hand
+    side gives exactly zero.  A non-finite residual, or a row still iterating
+    after ``max_iters`` steps, raises RuntimeError.
+    """
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    bound = 1e-12 * np.sqrt(_row_dot(rhs, rhs))
+    x[bound == 0.0] = 0.0
+    rows = np.flatnonzero(bound != 0.0)       # NaN bounds stay, and fail below
+    r = rhs[rows] if x0 is None else rhs[rows] - matvec(x[rows])
+    p = rho_prev = None
+    for step in range(max_iters + 1):
+        rho = _row_dot(r, r)
+        norm = np.sqrt(rho)
+        if not np.isfinite(norm).all():
+            raise RuntimeError("conjugate gradient failed to converge "
+                               f"(non-finite residual at step {step})")
+        live = ~(norm < bound[rows])
+        if not live.all():
+            rows, r, rho = rows[live], r[live], rho[live]
+            if p is not None:
+                p, rho_prev = p[live], rho_prev[live]
+        if not rows.size:
+            return x
+        if step == max_iters:
+            break
+        if p is None:
+            p = r.copy()
+        else:
+            p *= (rho / rho_prev)[:, None]
+            p += r
+        q = matvec(p)
+        alpha = (rho / _row_dot(p, q))[:, None]
+        x[rows] += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise RuntimeError("conjugate gradient failed to converge "
+                       f"in {max_iters} iterations")
 
 
 def _frob(x):

@@ -18,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import mfcov
-from mfcov import cli
+from mfcov import cli, solver
 from mfcov.cli import MAGIC, RunConfig, main, read_container, write_container
 from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
 from mfcov.kernel import KernelSpec
@@ -48,14 +48,19 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv):
-    """One CLI call in a fresh interpreter, where warnings reach stderr
-    unfiltered."""
+def run_python(*args):
+    """A fresh interpreter that imports this mfcov, where warnings reach
+    stderr unfiltered."""
     src = str(Path(mfcov.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, "-m", "mfcov.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_process(*argv):
+    """One CLI call in a fresh interpreter."""
+    return run_python("-m", "mfcov.cli", *argv)
 
 
 def _huge_dataset():
@@ -468,6 +473,23 @@ class TestFit:
         assert done.stderr.splitlines() == [
             "mfcov fit: cross-products overflow float64; rescale the values"]
 
+    def test_matrix_free_fit_imports_numpy_alone(self, dataset_csv, tmp_path):
+        # the default gram cap of 12 gives q = 144, past DENSE_LIMIT, so the
+        # fit's ridge solves run conjugate gradients
+        out = tmp_path / "o"
+        script = (
+            "import sys\n"
+            "from mfcov import cli\n"
+            f"rc = cli.main(['fit', '--data', {str(dataset_csv)!r}, '--out', {str(out)!r},"
+            " '--lambda', '1e-6', '--max-iters', '2'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = run_python("-c", script)
+        assert done.stdout.splitlines() == ["2 []"], done.stderr
+        fit = json.loads((out / "fit.json").read_text())
+        assert math.prod(fit["dims"]) ** 2 > solver.DENSE_LIMIT
+        assert fit["n_iters"] == 2 and not fit["zero_solution"]
+
     @pytest.mark.parametrize("command", ["fit", "cv"])
     def test_order_beyond_memory_writes_one_stderr_line(self, dataset_csv, tmp_path,
                                                        command):
@@ -569,6 +591,13 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header + single aggregate row
         assert rows[1][0] == "3"
+
+    def test_protocol_base_omits_the_grid_values(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, *SIM_FLAGS, "--reps", "1") == 0
+        base = json.loads((out / "benchmark.json").read_text())["protocol"]["base"]
+        assert "lambda" not in base and "beta" not in base
+        assert base["eta"] == 1e-9
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

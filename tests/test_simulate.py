@@ -287,7 +287,11 @@ class TestProtocol:
         proto = FitProtocol(lambda_grid=(0.1, 0.2), beta_grid=(0.5,),
                             gram_cap=4, kernel=KernelSpec(truncation_order=9),
                             base=FitConfig(lam=0.3, eta=2.0))
-        assert json.loads(json.dumps(proto.to_dict())) == proto.to_dict()
+        d = proto.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        # the grids set lambda and beta; the base records only the rest
+        assert d["base"] == {"eta": 2.0, "max_iters": 500, "tol": 1e-6,
+                             "rank_threshold": 1e-4}
 
 
 class TestBenchmark:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from mfcov import solver
-from mfcov.data import FunctionalDataset, cross_products, make_folds
+from mfcov.data import FoldAssignment, FunctionalDataset, cross_products, make_folds
 from mfcov.kernel import GramFactor
 from mfcov.solver import (
     CovarianceFit,
@@ -350,6 +350,25 @@ class TestLossInvariances:
         assert_same_loss(precompute(data, cross_products(data), grams),
                          precompute(twice, cross_products(twice), with_rows(grams, idx)))
 
+    @given(small_problems)
+    def test_permuting_subjects_with_their_fold_labels(self, problem):
+        rng, data, grams = small_problem(*problem)
+        folds = make_folds(data, 3, seed=int(rng.integers(100)))
+        perm = rng.permutation(data.n)
+        starts = np.cumsum(data.counts) - data.counts
+        idx = np.concatenate([starts[i] + np.arange(data.counts[i]) for i in perm])
+        moved = FunctionalDataset([data.locations[i] for i in perm],
+                                  [data.values[i] for i in perm])
+        moved_folds = FoldAssignment(folds.n_folds, folds.seed, folds.assignment[perm])
+        tuning = dict(lambda_grid=(1e-3, 1e-2, 1e-1), beta_grid=(0.0, 0.5, 1.0),
+                      base=FitConfig(max_iters=30))
+        _, scores, cells = cv_select(data, grams, folds=folds, **tuning)
+        _, scores_m, cells_m = cv_select(moved, with_rows(grams, idx),
+                                         folds=moved_folds, **tuning)
+        assert_rel(scores_m, scores, rel=1e-12)
+        assert np.array_equal(cells_m.n_iters, cells.n_iters)
+        assert np.array_equal(cells_m.unconverged_folds, cells.unconverged_folds)
+
 
 class TestProxTrace:
     def test_zero_threshold_is_identity(self):
@@ -683,6 +702,59 @@ class TestRidgeSolve:
             res = 2.0 * x @ g_sym + (pre.p + 1) * eta * x - rhs
             assert (np.linalg.norm(res, axis=1)
                     <= 1e-8 * np.linalg.norm(rhs, axis=1)).all()
+
+    @staticmethod
+    def matrix_free_system(monkeypatch):
+        """A matrix-free system (D = 10) and its dense packed G."""
+        data, cross, grams, _ = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        g_sym = precompute(data, cross, grams).G_sym
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre = precompute(data, cross, grams)
+        return solver._System(pre, None), g_sym
+
+    @staticmethod
+    def count_matvecs(monkeypatch, system):
+        calls = []
+        apply = system._apply
+        monkeypatch.setattr(system, "_apply", lambda x: calls.append(len(x)) or apply(x))
+        return calls
+
+    def test_zero_right_hand_side_gives_exact_zeros(self, monkeypatch):
+        system, _ = self.matrix_free_system(monkeypatch)
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal((3, system.pack.dim))
+        rhs[1] = 0.0
+        x0 = rng.standard_normal(rhs.shape)
+        for start in (None, x0):
+            x = system.solve(rhs, 0.1, x0=start)
+            assert np.array_equal(x[1], np.zeros(system.pack.dim))
+            assert np.all(x[[0, 2]] != 0.0)
+
+    def test_warm_start_at_the_solution_returns_it(self, monkeypatch):
+        system, g_sym = self.matrix_free_system(monkeypatch)
+        eta = 0.1
+        rhs = np.random.default_rng(4).standard_normal((2, system.pack.dim))
+        a = 2.0 * g_sym + (system.p + 1) * eta * np.eye(system.pack.dim)
+        x0 = np.linalg.solve(a, rhs.T).T
+        res = rhs - (2.0 * system._apply(x0) + (system.p + 1) * eta * x0)
+        assert (np.linalg.norm(res, axis=1) < 1e-12 * np.linalg.norm(rhs, axis=1)).all()
+        calls = self.count_matvecs(monkeypatch, system)
+        x = system.solve(rhs, eta, x0=x0)
+        assert np.array_equal(x, x0)
+        assert calls == [2]   # the starting residual only
+
+    def test_non_finite_residual_raises_at_once(self, monkeypatch):
+        system, _ = self.matrix_free_system(monkeypatch)
+        monkeypatch.setattr(solver._System, "_apply",
+                            lambda self, x: np.full_like(x, np.nan))
+        calls = self.count_matvecs(monkeypatch, system)
+        rhs = np.random.default_rng(5).standard_normal((2, system.pack.dim))
+        for start in (None, np.ones_like(rhs)):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="conjugate gradient failed.*non-finite"):
+                system.solve(rhs, 1.0, x0=start)
+            assert calls == [2]
 
 
 # (lambda, beta) of a stack's cells; the fourth annihilates the fit
