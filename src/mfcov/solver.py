@@ -39,14 +39,14 @@ not from an SVD of M; cells with beta = 1 skip it.
 Every iterate's square unfolding is kept exactly symmetric by restricting
 the B-subproblem to the symmetric subspace (the ridge system maps that
 subspace to itself, so this is the subproblem's exact minimizer over
-symmetric B).  The solve is carried out in packed symmetric coordinates of
-dimension Q(Q+1)/2, an isometric change of basis that roughly halves the
-linear-algebra cost.  The dense system is never factored by Cholesky: one
-eigendecomposition of the packed G per loss system makes the solve for any
-eta a diagonal scaling.  Beyond ``DENSE_LIMIT`` the solve is matrix-free
-conjugate gradients (``_conjugate_gradient``, numpy only), warm-started from
-the previous iterate; a solve stops once the residual is finite and below
-1e-12 relative to the right-hand side.  On that path cells run one at a time.
+symmetric B).  ``_System.solve`` returns B as symmetric Q x Q matrices.  The
+dense path solves in packed symmetric coordinates (dimension Q(Q+1)/2, an
+isometry that roughly halves the linear algebra), where one eigendecomposition
+of the packed G per loss system makes the solve for any eta a diagonal
+scaling.  Beyond ``DENSE_LIMIT`` it is conjugate gradients on Q x Q matrices
+(``_conjugate_gradient``, numpy only) with a symmetrized right-hand side and
+result, warm-started from the previous iterate, until the residual is finite
+and below 1e-12 relative to the right-hand side.  Cells then run one at a time.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
@@ -145,6 +145,21 @@ def _drop_adaptive_eta(d):
     return d
 
 
+def _sym(x):
+    """The symmetric part of each matrix of a stack."""
+    return (x + np.swapaxes(x, -1, -2)) / 2.0
+
+
+def _inner(a, b):
+    """Frobenius inner products over the last two axes."""
+    return (a * b).sum(axis=(-2, -1))
+
+
+def _frob(x):
+    """Frobenius norms over the last two axes."""
+    return np.sqrt(_inner(x, x))
+
+
 class SymPacking:
     """Isometric packing of symmetric Q x Q matrices into R^{Q(Q+1)/2}.
 
@@ -224,6 +239,12 @@ def _size(groups):
     return sum(g.subjects.size for g in groups)
 
 
+def _loss(groups, b):
+    """Off-diagonal squared-error loss of each matrix of the stack ``b``."""
+    return sum(g.u * ((g.z - g.forward(b)) ** 2).sum(axis=(-3, -2, -1))
+               for g in groups) / _size(groups)
+
+
 def _data_pieces(groups):
     """Normalized (h, c0) of the loss over the groups' subjects, h as Q x Q."""
     n_sub = _size(groups)
@@ -269,9 +290,7 @@ class Precompute:
     def loss_direct(self, b_sq, subjects=None):
         """Off-diagonal squared-error loss of the square unfolding ``b_sq``,
         or of each matrix of a stack (..., Q, Q)."""
-        groups = _select(self.groups, subjects)
-        return sum(g.u * ((g.z - g.forward(b_sq)) ** 2).sum(axis=(-3, -2, -1))
-                   for g in groups) / _size(groups)
+        return _loss(_select(self.groups, subjects), b_sq)
 
 
 def _layout(grams, data, cross):
@@ -396,13 +415,12 @@ def _prox_psd(m, v):
 
     Returns the projections and their (thresholded) eigenvalues.
     """
-    sym = (m + np.swapaxes(m, -1, -2)) / 2.0
-    w, vec = np.linalg.eigh(sym)
+    w, vec = np.linalg.eigh(_sym(m))
     c = np.maximum(w - v[..., None], 0.0)
     live = (c > 0.0).reshape(-1, c.shape[-1]).any(axis=0)  # columns kept by any matrix
     vec_live = vec[..., live]
     out = (vec_live * c[..., None, live]) @ np.swapaxes(vec_live, -1, -2)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0, c
+    return _sym(out), c
 
 
 def prox_trace_mode_k(a, mode, v):
@@ -452,7 +470,7 @@ def objective(b, pre, config):
         scale = np.abs(b_sq).max()
         if scale > 0 and np.abs(b_sq - b_sq.T).max() > 1e-8 * scale:
             return float("inf")
-        w = np.linalg.eigvalsh((b_sq + b_sq.T) / 2.0)
+        w = np.linalg.eigvalsh(_sym(b_sq))
         lam_max = max(w.max(), 0.0)
         if w.min() < -1e-8 * max(lam_max, 1e-300):
             return float("inf")
@@ -487,33 +505,33 @@ class CovarianceFit:
 
 
 class _System:
-    """The ridge solves (2 G + (p+1) eta I)^{-1} of a stack of cells, in
-    packed symmetric coordinates.
+    """The ridge solves (2 G + (p+1) eta I) B = h + eta sym(acc) of a stack
+    of cells, over symmetric Q x Q matrices B.
 
-    Dense: G_sym = U diag(g) U^T is decomposed once, and the solve for any
-    eta is a diagonal scaling in U's basis.  Matrix-free: conjugate
-    gradients on each row of the stack, with G x = sum over the subjects'
-    count groups of adjoint(forward(X)).
+    Dense: in packed symmetric coordinates, G_sym = U diag(g) U^T is
+    decomposed once, and the solve for any eta is a diagonal scaling in U's
+    basis.  Matrix-free: conjugate gradients on the stack of Q x Q matrices,
+    with G X = sum over the subjects' count groups of adjoint(forward(X)) / n.
     """
 
     def __init__(self, pre, subjects, g_sym=None):
-        self.pack = pre.pack
         self.p = pre.p
         self.groups = _select(pre.groups, subjects)
         h, self.c0 = _data_pieces(self.groups)
-        self.h_packed = self.pack.pack(h)
+        self.h = _sym(h)
         self.dims = pre.dims
-        self.g_sym = g_sym
         self.dense = g_sym is not None
         if self.dense:
+            self.pack = pre.pack
+            self.h_packed = self.pack.pack(h)
+            self.g_sym = g_sym
             self.g_eig, self.g_vec = np.linalg.eigh(g_sym)
 
     @cached_property
     def _zero_bounds(self):
         """(rho_0, rho_1) of the linear term; see the module docstring."""
-        h = self.pack.unpack(self.h_packed)
-        rho0 = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
-        h = h.reshape(self.dims + self.dims)
+        rho0 = max(float(np.linalg.eigvalsh(self.h)[-1]), 0.0)
+        h = self.h.reshape(self.dims + self.dims)
         # ||M||_2 = sqrt(lambda_max(M M^T)), from the small Gram, not an SVD
         s2 = max(float(np.linalg.eigvalsh(m @ m.T)[-1])
                  for m in (one_way_unfold(h, k) for k in range(len(self.dims))))
@@ -526,59 +544,49 @@ class _System:
                  else np.zeros_like(lam))
         return theta * rho0 <= lam * beta
 
-    def _apply(self, x_packed):
-        """Matrix-free G x for each packed row x of the stack."""
-        pk = self.pack
-        x = pk.unpack(x_packed)
-        return pk.pack(sum(g.adjoint(g.forward(x)) for g in self.groups)) / _size(self.groups)
+    def _apply(self, x):
+        """Matrix-free G X for each matrix X of the stack."""
+        return sum(g.adjoint(g.forward(x)) for g in self.groups) / _size(self.groups)
 
-    def quad(self, x_packed):
-        """Data loss at each packed symmetric coefficient vector of the stack.
+    def quad(self, x):
+        """Data loss at each symmetric Q x Q matrix of the stack."""
+        if not self.dense:
+            return _loss(self.groups, x)
+        x = self.pack.pack(x)
+        return np.einsum("cp,cp->c", x, x @ self.g_sym) - x @ self.h_packed + self.c0
 
-        Matrix-free, <x, G x> = sum over the groups of u ||forward(X)||^2."""
-        if self.dense:
-            xgx = np.einsum("cp,cp->c", x_packed, x_packed @ self.g_sym)
-        else:
-            x = self.pack.unpack(x_packed)
-            xgx = sum(g.u * (g.forward(x) ** 2).sum(axis=(-3, -2, -1))
-                      for g in self.groups) / _size(self.groups)
-        return xgx - x_packed @ self.h_packed + self.c0
-
-    def solve(self, rhs_packed, eta, x0=None):
+    def solve(self, acc, eta, x0=None):
+        """The symmetric B of each cell, for the consensus target acc[c];
+        the matrix-free path warm-starts from x0[c]."""
         shift = (self.p + 1) * eta
         if self.dense:
-            y = rhs_packed @ self.g_vec
+            y = (self.h_packed + eta * self.pack.pack(acc)) @ self.g_vec
             y /= 2.0 * self.g_eig + shift
-            return y @ self.g_vec.T
+            return self.pack.unpack(y @ self.g_vec.T)
 
-        return _conjugate_gradient(lambda x: 2.0 * self._apply(x) + shift * x,
-                                   rhs_packed, x0, 20 * self.pack.dim)
-
-
-def _row_dot(a, b):
-    """<a[c], b[c]> of each row: a stack of 1 x n by n x 1 products, which
-    sums in the order of a BLAS dot."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+        q = len(self.h)   # at most 20 D steps, D = Q(Q+1)/2
+        return _sym(_conjugate_gradient(lambda x: 2.0 * self._apply(x) + shift * x,
+                                        _sym(self.h + eta * acc), x0, 10 * q * (q + 1)))
 
 
 def _conjugate_gradient(matvec, rhs, x0, max_iters):
-    """Solve A x = rhs[c] for each row of the stack ``rhs`` by conjugate
-    gradients, starting from x0[c] (zero when ``x0`` is None).
+    """Solve A X = rhs[c] for each matrix of the stack ``rhs`` by conjugate
+    gradients (Frobenius inner product) from x0[c], zero when ``x0`` is None.
 
-    ``matvec`` applies the symmetric positive-definite A to each row of a
-    stack.  Every row has its own step sizes and leaves the iteration once
-    its residual is finite with ||r|| < 1e-12 ||rhs[c]||; a zero right-hand
-    side gives exactly zero.  A non-finite residual, or a row still iterating
-    after ``max_iters`` steps, raises RuntimeError.
+    ``matvec`` applies the symmetric positive-definite A to each matrix of a
+    stack.  Every matrix has its own step sizes and leaves the iteration once
+    its residual is finite with ||R|| < 1e-12 ||rhs[c]||; a zero right-hand
+    side gives exactly zero.  A non-finite residual, or a matrix still
+    iterating after ``max_iters`` steps, raises RuntimeError.
     """
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    bound = 1e-12 * np.sqrt(_row_dot(rhs, rhs))
+    bound = 1e-12 * _frob(rhs)
     x[bound == 0.0] = 0.0
     rows = np.flatnonzero(bound != 0.0)       # NaN bounds stay, and fail below
     r = rhs[rows] if x0 is None else rhs[rows] - matvec(x[rows])
     p = rho_prev = None
     for step in range(max_iters + 1):
-        rho = _row_dot(r, r)
+        rho = _inner(r, r)
         norm = np.sqrt(rho)
         if not np.isfinite(norm).all():
             raise RuntimeError("conjugate gradient failed to converge "
@@ -595,20 +603,15 @@ def _conjugate_gradient(matvec, rhs, x0, max_iters):
         if p is None:
             p = r.copy()
         else:
-            p *= (rho / rho_prev)[:, None]
+            p *= (rho / rho_prev)[:, None, None]
             p += r
         q = matvec(p)
-        alpha = (rho / _row_dot(p, q))[:, None]
+        alpha = (rho / _inner(p, q))[:, None, None]
         x[rows] += alpha * p
         r -= alpha * q
         rho_prev = rho
     raise RuntimeError("conjugate gradient failed to converge "
                        f"in {max_iters} iterations")
-
-
-def _frob(x):
-    """Frobenius norms over the last two axes."""
-    return np.sqrt((x * x).sum(axis=(-2, -1)))
 
 
 def _iterate(system, pre, base, lam, beta):
@@ -622,7 +625,6 @@ def _iterate(system, pre, base, lam, beta):
     p = pre.p
     q = pre.q_total
     dims2 = pre.dims + pre.dims
-    pk = pre.pack
     eta = base.eta
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -631,7 +633,7 @@ def _iterate(system, pre, base, lam, beta):
     has_one = beta < 1.0
 
     def d0_objective(d0, eigs):
-        val = system.quad(pk.pack(d0)) + w_psd[cell] * eigs.sum(axis=-1)
+        val = system.quad(d0) + w_psd[cell] * eigs.sum(axis=-1)
         if has_one[cell].any():
             w_one = np.where(has_one[cell], lam_one[cell] / p, 0.0)
             val = val + w_one * _one_way_trace_norms(d0, pre.dims)
@@ -639,7 +641,7 @@ def _iterate(system, pre, base, lam, beta):
 
     # at the zero start the loss is c0 and the penalties vanish; 0 * h is
     # NaN where h is not finite
-    obj_init = system.c0 if np.isfinite(system.h_packed).all() else math.nan
+    obj_init = system.c0 if np.isfinite(system.h).all() else math.nan
     if not math.isfinite(obj_init):
         raise RuntimeError(
             f"non-finite objective ({obj_init}) at initialization; "
@@ -666,15 +668,13 @@ def _iterate(system, pre, base, lam, beta):
     cell = np.flatnonzero(~zero)
     d = v = d_hat = v_hat = d_prev = v_prev = np.zeros((cell.size, p + 1, q, q))
     alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
-    b_packed = None
+    b = None
 
     for t in range(base.max_iters if cell.size else 0):
         acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
             acc = acc + d_hat[:, k] - v_hat[:, k]
-        rhs = system.h_packed + eta * pk.pack(acc)
-        b_packed = system.solve(rhs, eta, x0=b_packed)
-        b = pk.unpack(b_packed)
+        b = system.solve(acc, eta, x0=b)
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the Gram eigendecomposition and keep it
@@ -719,7 +719,7 @@ def _iterate(system, pre, base, lam, beta):
             # absolute anchor) before declaring convergence.
             r_cons = _frob(b[:, None] - d).max(axis=1)
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
-                                np.linalg.norm(system.h_packed) / ((p + 1) * eta))
+                                _frob(system.h) / ((p + 1) * eta))
             conv &= r_cons <= np.sqrt(base.tol) * np.maximum(anchor, 1e-300)
 
         done = conv | (t + 1 >= base.max_iters)
@@ -730,9 +730,8 @@ def _iterate(system, pre, base, lam, beta):
         keep = ~done
         if not keep.any():
             break
-        cell, b_packed, b = cell[keep], b_packed[keep], b[keep]
+        cell, b = cell[keep], b[keep]
         d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
-        d_prev, v_prev = d_prev[keep], v_prev[keep]
         alpha, obj_prev = alpha[keep], obj_prev[keep]
     return results
 
@@ -759,7 +758,7 @@ def rank_report(fit, threshold=None):
     if threshold is None:
         threshold = fit.config.rank_threshold
     b_sq = fit.coeff_square()
-    w = np.linalg.eigvalsh((b_sq + b_sq.T) / 2.0)
+    w = np.linalg.eigvalsh(_sym(b_sq))
     lam_max = w.max() if w.size else 0.0
     if lam_max <= 0.0:
         two_way = 0

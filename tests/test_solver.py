@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from mfcov import solver
-from mfcov.data import FoldAssignment, FunctionalDataset, cross_products, make_folds
-from mfcov.kernel import GramFactor
+from mfcov.data import (FoldAssignment, FunctionalDataset, cross_products, gram_factors,
+                        make_folds)
+from mfcov.kernel import GramFactor, KernelSpec
+from mfcov.simulate import BENCHMARK_LAMBDA_GRID, SimSetting, generate
 from mfcov.solver import (
     CovarianceFit,
     FitConfig,
@@ -266,31 +268,31 @@ class TestBatchedG:
                     y = rows[i] @ x @ rows[i].T
                     np.fill_diagonal(y, 0.0)
                     out = out + u[i] * (rows[i].T @ y @ rows[i])
-                want_gx.append(pre.pack.pack(out / train.size))
+                want_gx.append(out / train.size)
             system = solver._System(pre, train)
             assert not system.dense
-            assert_rel(system._apply(pre.pack.pack(stack)), np.array(want_gx))
+            assert_rel(system._apply(stack), np.array(want_gx))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matrix_free_quad_matches_dense_and_direct_loss(self, p):
-        # <x, G x> from the forward map alone, over all subjects and over
-        # each fold's training subjects
+        # the loss at a stack of symmetric matrices, over all subjects and
+        # over each fold's training subjects: the dense quadratic form in
+        # packed coordinates against the residual loss
         data, grams, folds = unequal_counts_problem(p, 2, 80 + p)
         pre = precompute(data, cross_products(data), grams, folds=folds)
         q = pre.q_total
         rng = np.random.default_rng(90 + p)
         stack = rng.standard_normal((4, q, q))
         stack = stack + np.swapaxes(stack, 1, 2)
-        x = pre.pack.pack(stack)
         subsets = [(None, pre.G_sym)] + [
             (folds.train_subjects(f),
              (pre.G_sym * data.n - pre.G_fold[f]) / folds.train_subjects(f).size)
             for f in range(folds.n_folds)]
         for subjects, g_sym in subsets:
-            free = solver._System(pre, subjects).quad(x)
-            dense = solver._System(pre, subjects, g_sym=g_sym).quad(x)
+            free = solver._System(pre, subjects).quad(stack)
+            dense = solver._System(pre, subjects, g_sym=g_sym).quad(stack)
             assert_rel(free, dense, rel=1e-12)
-            assert_rel(free, pre.loss_direct(stack, subjects), rel=1e-12)
+            assert_rel(dense, pre.loss_direct(stack, subjects), rel=1e-12)
 
 
 def with_rows(grams, idx):
@@ -684,76 +686,124 @@ class TestAdmmFit:
             FitConfig.from_dict({**old, "adaptive_eta": True})
 
 
+def ridge_problem(dense, monkeypatch):
+    """A loss system on the dense or the matrix-free path (Q = 4), the
+    dense packed G of its data, and its precomputation."""
+    data, cross, grams, _ = make_problem(
+        p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+    g_sym = precompute(data, cross, grams).G_sym
+    if not dense:
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    pre = precompute(data, cross, grams)
+    system = solver._System(pre, None, g_sym=pre.G_sym)
+    assert system.dense == dense
+    return system, g_sym, pre
+
+
+def ridge_matvec(system, eta):
+    return lambda x: 2.0 * system._apply(x) + (system.p + 1) * eta * x
+
+
+def symmetric_stack(rng, c, q):
+    a = rng.standard_normal((c, q, q))
+    return a + np.swapaxes(a, 1, 2)
+
+
+def frob(x):
+    return np.sqrt((x * x).sum(axis=(-2, -1)))
+
+
 class TestRidgeSolve:
     @pytest.mark.parametrize("dense", [True, False])
     def test_solves_the_packed_ridge_system(self, dense, monkeypatch):
-        # each row x of the stack solves (2 G + (p+1) eta I) x = rhs, with G
-        # the dense packed operator whichever path solves
-        data, cross, grams, _ = make_problem(
-            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
-        g_sym = precompute(data, cross, grams).G_sym
-        if not dense:
-            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-        pre = precompute(data, cross, grams)
-        system = solver._System(pre, None, g_sym=pre.G_sym)
-        rhs = np.random.default_rng(24).standard_normal((3, pre.pack.dim))
+        # each B of the stack is exactly symmetric and solves
+        # (2 G + (p+1) eta I) B = h + eta sym(acc), checked in packed
+        # coordinates with the dense packed G whichever path solves
+        system, g_sym, pre = ridge_problem(dense, monkeypatch)
+        q, pk = pre.q_total, pre.pack
+        acc = np.random.default_rng(24).standard_normal((3, q, q))
         for eta in (1e-3, 0.1, 1.0, 10.0):
-            x = system.solve(rhs, eta)
+            b = system.solve(acc, eta)
+            assert np.array_equal(b, np.swapaxes(b, 1, 2))
+            rhs = pk.pack(pre.h.reshape(q, q) + eta * acc)   # packing symmetrizes
+            x = pk.pack(b)
             res = 2.0 * x @ g_sym + (pre.p + 1) * eta * x - rhs
             assert (np.linalg.norm(res, axis=1)
                     <= 1e-8 * np.linalg.norm(rhs, axis=1)).all()
 
-    @staticmethod
-    def matrix_free_system(monkeypatch):
-        """A matrix-free system (D = 10) and its dense packed G."""
-        data, cross, grams, _ = make_problem(
-            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
-        g_sym = precompute(data, cross, grams).G_sym
-        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-        pre = precompute(data, cross, grams)
-        return solver._System(pre, None), g_sym
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_stack_matches_stacks_of_one(self, dense, monkeypatch):
+        # right-hand sides of very different scales take different numbers
+        # of CG steps; each row keeps its own step sizes
+        system, _, pre = ridge_problem(dense, monkeypatch)
+        rng = np.random.default_rng(25)
+        acc = rng.standard_normal((4, pre.q_total, pre.q_total))
+        acc *= np.array([1.0, 1e3, 1e-3, 30.0])[:, None, None]
+        x0 = symmetric_stack(rng, 4, pre.q_total)
+        for eta, start in ((0.1, None), (1e-3, None), (1e-3, x0)):
+            stacked = system.solve(acc, eta, x0=start)
+            ones = np.concatenate([
+                system.solve(acc[c:c + 1], eta, x0=None if start is None else start[c:c + 1])
+                for c in range(len(acc))])
+            if dense:
+                # a one-row product takes numpy's gemv, which sums in
+                # another order than the stack's gemm
+                assert_rel(ones, stacked, rel=1e-14)
+            else:
+                assert np.array_equal(ones, stacked)
 
-    @staticmethod
-    def count_matvecs(monkeypatch, system):
+    def test_matrix_free_iteration_never_packs(self, monkeypatch):
         calls = []
-        apply = system._apply
-        monkeypatch.setattr(system, "_apply", lambda x: calls.append(len(x)) or apply(x))
-        return calls
+        for name in ("pack", "unpack"):
+            method = getattr(SymPacking, name)
+            monkeypatch.setattr(SymPacking, name, lambda self, x, name=name, method=method:
+                                calls.append(name) or method(self, x))
+        for dense in (True, False):
+            calls.clear()
+            system, _, pre = ridge_problem(dense, monkeypatch)
+            outs = solver._iterate(system, pre, FitConfig(max_iters=20),
+                                   STACK_LAM, STACK_BETA)
+            assert sum(out["n_iters"] for out in outs) > 0
+            # the counter sees the dense path pack
+            assert (calls != []) == dense
 
     def test_zero_right_hand_side_gives_exact_zeros(self, monkeypatch):
-        system, _ = self.matrix_free_system(monkeypatch)
+        system, _, pre = ridge_problem(False, monkeypatch)
         rng = np.random.default_rng(3)
-        rhs = rng.standard_normal((3, system.pack.dim))
+        rhs = symmetric_stack(rng, 3, pre.q_total)
         rhs[1] = 0.0
-        x0 = rng.standard_normal(rhs.shape)
+        x0 = symmetric_stack(rng, 3, pre.q_total)
         for start in (None, x0):
-            x = system.solve(rhs, 0.1, x0=start)
-            assert np.array_equal(x[1], np.zeros(system.pack.dim))
+            x = solver._conjugate_gradient(ridge_matvec(system, 0.1), rhs, start, 200)
+            assert np.array_equal(x[1], np.zeros_like(x[1]))
             assert np.all(x[[0, 2]] != 0.0)
 
     def test_warm_start_at_the_solution_returns_it(self, monkeypatch):
-        system, g_sym = self.matrix_free_system(monkeypatch)
-        eta = 0.1
-        rhs = np.random.default_rng(4).standard_normal((2, system.pack.dim))
-        a = 2.0 * g_sym + (system.p + 1) * eta * np.eye(system.pack.dim)
-        x0 = np.linalg.solve(a, rhs.T).T
-        res = rhs - (2.0 * system._apply(x0) + (system.p + 1) * eta * x0)
-        assert (np.linalg.norm(res, axis=1) < 1e-12 * np.linalg.norm(rhs, axis=1)).all()
-        calls = self.count_matvecs(monkeypatch, system)
-        x = system.solve(rhs, eta, x0=x0)
+        system, g_sym, pre = ridge_problem(False, monkeypatch)
+        eta, pk = 0.1, pre.pack
+        rhs = symmetric_stack(np.random.default_rng(4), 2, pre.q_total)
+        a = 2.0 * g_sym + (system.p + 1) * eta * np.eye(pk.dim)
+        x0 = pk.unpack(np.linalg.solve(a, pk.pack(rhs).T).T)
+        matvec = ridge_matvec(system, eta)
+        assert (frob(rhs - matvec(x0)) < 1e-12 * frob(rhs)).all()
+        calls = []
+        x = solver._conjugate_gradient(lambda x: calls.append(len(x)) or matvec(x),
+                                       rhs, x0, 200)
         assert np.array_equal(x, x0)
         assert calls == [2]   # the starting residual only
 
-    def test_non_finite_residual_raises_at_once(self, monkeypatch):
-        system, _ = self.matrix_free_system(monkeypatch)
-        monkeypatch.setattr(solver._System, "_apply",
-                            lambda self, x: np.full_like(x, np.nan))
-        calls = self.count_matvecs(monkeypatch, system)
-        rhs = np.random.default_rng(5).standard_normal((2, system.pack.dim))
+    def test_non_finite_residual_raises_at_once(self):
+        calls = []
+
+        def matvec(x):
+            calls.append(len(x))
+            return np.full_like(x, np.nan)
+
+        rhs = symmetric_stack(np.random.default_rng(5), 2, 4)
         for start in (None, np.ones_like(rhs)):
             calls.clear()
             with pytest.raises(RuntimeError, match="conjugate gradient failed.*non-finite"):
-                system.solve(rhs, 1.0, x0=start)
+                solver._conjugate_gradient(matvec, rhs, start, 200)
             assert calls == [2]
 
 
@@ -1003,3 +1053,50 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
         with pytest.raises(ValueError):
             cv_select(data, grams, [], [0.5])
+
+
+def relation_problem(dense, monkeypatch):
+    """Setting-1 data (n = 30, m = 6) on a 4 x 4 gram basis, and the
+    settings the relations fit with."""
+    if not dense:
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    data = generate(SimSetting(setting=1, n=30, m=6, spawn_key=(0,)))
+    grams = gram_factors(data, KernelSpec(), cap=4)
+    assert [gf.retained_rank for gf in grams] == [4, 4]
+    tuning = dict(lambda_grid=BENCHMARK_LAMBDA_GRID[::2], beta_grid=(0.0, 0.5, 1.0),
+                  base=FitConfig(eta=1e-9, max_iters=30), n_folds=3)
+    return data, grams, tuning
+
+
+class TestEstimatorSymmetries:
+    """Relations between fits of transformed data, exact or to rounding."""
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_doubling_y_with_four_times_lambda_scales_exactly(self, dense, monkeypatch):
+        data, grams, tuning = relation_problem(dense, monkeypatch)
+        best, scores, cells = cv_select(data, grams, **tuning)
+        # some cells converge, some stop at the cap
+        assert 0 < (cells.unconverged_folds == 0).sum() < cells.n_iters.size
+        twice = FunctionalDataset(data.locations, [2.0 * y for y in data.values])
+        tuning["lambda_grid"] = [4.0 * lam for lam in tuning["lambda_grid"]]
+        best_2, scores_2, cells_2 = cv_select(twice, grams, **tuning)
+        assert np.array_equal(scores_2, 16.0 * scores)
+        assert best_2 == replace(best, lam=4.0 * best.lam)
+        assert np.array_equal(cells_2.n_iters, cells.n_iters)
+        assert np.array_equal(cells_2.unconverged_folds, cells.unconverged_folds)
+        fit = admm_fit(data, cross_products(data), grams, best)
+        fit_2 = admm_fit(twice, cross_products(twice), grams, best_2)
+        assert fit.n_iters == fit_2.n_iters
+        assert np.array_equal(fit_2.coeffs, 4.0 * fit.coeffs)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_swapping_the_coordinates_transposes_the_modes(self, dense, monkeypatch):
+        data, grams, tuning = relation_problem(dense, monkeypatch)
+        swapped = FunctionalDataset([t[:, ::-1] for t in data.locations], data.values)
+        grams_s = gram_factors(swapped, KernelSpec(), cap=4)
+        cfg = replace(tuning["base"], lam=1e-5, beta=0.5, max_iters=500)
+        fit = admm_fit(data, cross_products(data), grams, cfg)
+        fit_s = admm_fit(swapped, cross_products(swapped), grams_s, cfg)
+        assert fit.converged and fit.n_iters == fit_s.n_iters
+        assert np.abs(fit.coeffs).max() > 0.0
+        assert_rel(fit_s.coeffs, fit.coeffs.transpose(1, 0, 3, 2), rel=1e-12)
