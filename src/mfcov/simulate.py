@@ -156,14 +156,14 @@ def generate(setting):
     """
     rng = setting.rng()
     root = np.sqrt(setting.eigenvalues)
-    locations, values = [], []
-    for _ in range(setting.n):
-        t = rng.uniform(size=(setting.m, 2))
-        zeta = rng.standard_normal(root.size)
-        eps = rng.standard_normal(setting.m)
-        locations.append(t)
-        values.append(component_functions(setting, t) @ (root * zeta)
-                      + setting.sigma * eps)
+    draws = [(rng.uniform(size=(setting.m, 2)), rng.standard_normal(root.size),
+              rng.standard_normal(setting.m)) for _ in range(setting.n)]
+    locations = [t for t, _, _ in draws]
+    # one evaluation over every point, then one matvec per subject
+    psi = component_functions(setting, np.concatenate(locations))
+    psi = psi.reshape(setting.n, setting.m, root.size)
+    values = [psi_i @ (root * zeta) + setting.sigma * eps
+              for psi_i, (_, zeta, eps) in zip(psi, draws)]
     return FunctionalDataset(locations, values)
 
 

@@ -15,9 +15,9 @@ The data term has one layout: subjects grouped by observation count into
 dense batches (``CountGroup``), so unequal counts need no padding.  The
 forward map B -> offdiag(L_i B L_i^T) and its adjoint
 Y -> sum_i u_i L_i^T Y_i L_i, batched over subjects and stacks of cells,
-give h, the held-out loss and the matrix-free G x.  G is assembled by
-batched products: one gemm over the stacked vec(L_i^T L_i) for the
-Kronecker part, and row blocks of vec(l l^T) for the diagonal correction.
+give h, the held-out loss and the matrix-free G x.  The dense path builds G
+in packed symmetric coordinates only, from two Grams of packed rows, the
+triu(L_i^T L_i) and the packed l l^T of each row l (``_packed_g``).
 
 The penalty couples the trace norm of the square unfolding (through a
 positive-semidefinite indicator) with the trace norms of the one-way
@@ -170,34 +170,23 @@ class SymPacking:
     def __init__(self, q):
         self.q = q
         iu = np.triu_indices(q)
-        self.off = iu[0] < iu[1]
         self.col_upper = iu[0] * q + iu[1]
         self.col_lower = iu[1] * q + iu[0]
         self.dim = iu[0].size
         # sqrt(2) on off-diagonal coordinates, 1 on the diagonal
-        self._scale = np.where(self.off, math.sqrt(2.0), 1.0)
+        self.scale = np.where(iu[0] < iu[1], math.sqrt(2.0), 1.0)
 
     def pack(self, m):
         """S^T vec(m): symmetrizes as it packs."""
         flat = m.reshape(m.shape[:-2] + (self.q * self.q,))
-        return 0.5 * (flat[..., self.col_upper] + flat[..., self.col_lower]) * self._scale
+        return 0.5 * (flat[..., self.col_upper] + flat[..., self.col_lower]) * self.scale
 
     def unpack(self, x):
-        v = np.asarray(x, dtype=float) / self._scale
+        v = np.asarray(x, dtype=float) / self.scale
         m = np.empty(v.shape[:-1] + (self.q * self.q,))
         m[..., self.col_upper] = v
         m[..., self.col_lower] = v
         return m.reshape(v.shape[:-1] + (self.q, self.q))
-
-    def pack_operator(self, g):
-        """S^T G S for a dense (Q^2, Q^2) operator preserving symmetry."""
-        gs = g[:, self.col_upper].copy()
-        gs[:, self.off] += g[:, self.col_lower[self.off]]
-        gs[:, self.off] /= math.sqrt(2.0)
-        out = gs[self.col_upper, :].copy()
-        out[self.off, :] += gs[self.col_lower[self.off], :]
-        out[self.off, :] /= math.sqrt(2.0)
-        return (out + out.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -257,10 +246,11 @@ def _data_pieces(groups):
 class Precompute:
     """Factor rows grouped by observation count, and the quadratic-loss pieces.
 
-    ``G``/``h``/``c0`` describe the full-data loss.  When built with a fold
-    assignment on the dense path, ``G_fold[f]`` holds the packed raw sum of
-    u_i G_i over fold f's subjects, so a training operator comes from one
-    subtraction.
+    ``G_sym``/``h``/``c0`` describe the full-data loss, G_sym = S^T G S in
+    packed symmetric coordinates.  When built with a fold assignment on the
+    dense path, ``G_fold[f]`` holds the packed raw sum of u_i G_i over fold
+    f's subjects, so a training operator comes from one subtraction.  No
+    (Q^2, Q^2) array is stored: ``G`` is derived on access.
     """
 
     grams: list
@@ -268,12 +258,21 @@ class Precompute:
     L: list                  # per-subject views of the pooled factor rows
     groups: list             # CountGroup batches covering every subject
     dense: bool
-    G: np.ndarray | None     # full-data (Q^2, Q^2), None in matrix-free mode
     h: np.ndarray            # full-data (Q^2,)
     c0: float
     pack: SymPacking
-    G_sym: np.ndarray | None
+    G_sym: np.ndarray | None  # full-data packed (D, D), None in matrix-free mode
     G_fold: list = field(default_factory=list)   # packed (D, D) raw fold sums
+
+    @property
+    def G(self):
+        """S G_sym S^T, (Q^2, Q^2) and None in matrix-free mode: G on symmetric
+        matrices, the only ones the loss sees, and zero on antisymmetric ones."""
+        if self.G_sym is None:
+            return None
+        qq = self.q_total ** 2
+        half = self.pack.unpack(self.G_sym).reshape(-1, qq)    # G_sym S^T
+        return self.pack.unpack(half.T).reshape(qq, qq)
 
     @property
     def q_total(self):
@@ -323,34 +322,39 @@ def _layout(grams, data, cross):
     return rows, groups
 
 
-def _weighted_g(groups, q):
-    """sum_i u_i (kron(C_i, C_i) - W_i^T W_i) over the groups' subjects,
-    C_i = L_i^T L_i.
+def _packed_g(groups, pk):
+    """S^T (sum_i u_i (kron(C_i, C_i) - W_i^T W_i)) S over the groups' subjects
+    as a packed (D, D) matrix; C_i = L_i^T L_i, W_i stacks vec(l l^T) over the
+    rows l of L_i, and s is sqrt(2) off the diagonal and 1 on it.
 
-    The Kronecker sum is one gemm over the stacked vec(C_i) followed by an
-    axis permutation; W_i stacks vec(l l^T) over the rows l of L_i, and the
-    W part is accumulated over blocks of Q^2/4 rows of a group, so each block's
-    temporaries stay a quarter of G.  Both products weight their rows by
-    sqrt(u_i), which keeps them in symmetric rank-k form.
+    Both parts are Grams of rows weighted by sqrt(u_i).  With K the Gram of
+    the rows triu(C_i), the Kronecker part at packed (a, b), (c, d) is
+    (K[ac, bd] + K[ad, bc]) s_ab s_cd / 2.  The correction subtracts the Gram
+    of the packed rows S^T vec(l l^T) = s * (l_a l_b), D rows at a time.
     """
-    qq = q * q
-    c = np.concatenate([(np.swapaxes(g.rows, -1, -2) @ g.rows).reshape(-1, qq)
-                        * math.sqrt(g.u) for g in groups])
-    out = (c.T @ c).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(qq, qq)
-    step = max(qq // 4, 1)
+    q, dim = pk.q, pk.dim
+    a, b = np.triu_indices(q)
+    tri = np.empty((q, q), dtype=np.intp)   # packed index of entry (i, j)
+    tri[a, b] = tri[b, a] = np.arange(dim)
+    t = np.concatenate([(np.swapaxes(g.rows, -1, -2) @ g.rows)[:, a, b] * math.sqrt(g.u)
+                        for g in groups])
+    k = t.T @ t
+    s = pk.scale
+    out = (k[tri[a[:, None], a], tri[b[:, None], b]]
+           + k[tri[a[:, None], b], tri[b[:, None], a]]) * (np.outer(s, s) / 2.0)
     for g in groups:
         rows = g.rows.reshape(-1, q)
-        for start in range(0, rows.shape[0], step):
-            blk = rows[start:start + step]
-            w = (blk[:, :, None] * blk[:, None, :]).reshape(blk.shape[0], qq)
-            w *= math.sqrt(g.u)
+        for start in range(0, rows.shape[0], dim):
+            blk = rows[start:start + dim]
+            w = blk[:, a] * blk[:, b]
+            w *= s * math.sqrt(g.u)
             out -= w.T @ w
     return out
 
 
 def precompute(data, cross, grams, folds=None):
-    """Assemble the count groups, G, h, c0 (and packed per-fold G pieces)
-    for the quadratic loss."""
+    """Assemble the count groups, the packed G, h, c0 (and packed per-fold G
+    pieces) for the quadratic loss."""
     rows, groups = _layout(grams, data, cross)
     dims = tuple(gf.retained_rank for gf in grams)
     q = int(np.prod(dims))
@@ -362,22 +366,17 @@ def precompute(data, cross, grams, folds=None):
     dense = q * q <= DENSE_LIMIT
     pk = SymPacking(q)
 
-    g_norm = g_sym = None
-    g_fold = []
+    g_sym, g_fold = None, []
     if dense:
         if folds is None:
-            g_full = _weighted_g(groups, q)
+            g_sym = _packed_g(groups, pk) / data.n
         else:
-            g_full = np.zeros((q * q, q * q))
-            for f in range(folds.n_folds):
-                g_valid = _weighted_g(_select(groups, folds.valid_subjects(f)), q)
-                g_full += g_valid
-                g_fold.append(pk.pack_operator(g_valid))
-        g_norm = g_full / data.n
-        g_sym = pk.pack_operator(g_norm)
+            g_fold = [_packed_g(_select(groups, folds.valid_subjects(f)), pk)
+                      for f in range(folds.n_folds)]
+            g_sym = sum(g_fold) / data.n
     return Precompute(
         grams=list(grams), dims=dims, L=np.split(rows, np.cumsum(data.counts)[:-1]),
-        groups=groups, dense=dense, G=g_norm, h=h.ravel(), c0=c0, pack=pk,
+        groups=groups, dense=dense, h=h.ravel(), c0=c0, pack=pk,
         G_sym=g_sym, G_fold=g_fold,
     )
 
@@ -666,7 +665,7 @@ def _iterate(system, pre, base, lam, beta):
     # Iterate arrays, never written in place, hold one row per active cell;
     # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
-    d = v = d_hat = v_hat = d_prev = v_prev = np.zeros((cell.size, p + 1, q, q))
+    d = v = d_hat = v_hat = np.zeros((cell.size, p + 1, q, q))
     alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
     b = None
 
@@ -687,10 +686,9 @@ def _iterate(system, pre, base, lam, beta):
                 ak = d_new[one_rows, k].reshape((-1,) + dims2)
                 dk = _prox_one_way(ak, k - 1, thr_one[one_rows])
                 d_new[one_rows, k] = dk.reshape(-1, q, q)
-        d_prev, d = d, d_new
-        v_prev, v = v, v_hat + b[:, None] - d_new
+        v_new = v_hat + b[:, None] - d_new
 
-        obj = d0_objective(d[:, 0], eigs)
+        obj = d0_objective(d_new[:, 0], eigs)
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
             raise RuntimeError(
@@ -703,9 +701,9 @@ def _iterate(system, pre, base, lam, beta):
         restart = obj > obj_prev
         alpha_next[restart] = 1.0
         gamma = np.where(restart, 0.0, (alpha - 1.0) / alpha_next)[:, None, None, None]
-        d_hat = d + gamma * (d - d_prev)
-        v_hat = v + gamma * (v - v_prev)
-        alpha = alpha_next
+        d_hat = d_new + gamma * (d_new - d)
+        v_hat = v_new + gamma * (v_new - v)
+        d, v, alpha = d_new, v_new, alpha_next
 
         rel = np.abs(obj - obj_prev) / np.maximum(np.abs(obj_prev), 1e-300)
         obj_prev = obj

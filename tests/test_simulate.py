@@ -173,6 +173,25 @@ class TestGenerate:
             x = component_functions(setting, t) @ (root * zeta)
             assert np.array_equal(data.values[i], x + 0.3 * eps)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("setting_id", [1, 2, 3])
+    def test_matches_per_subject_oracle(self, setting_id, sigma):
+        # one component evaluation over every pooled point gives, bit for
+        # bit, the values of one evaluation per subject
+        for n, m in ((20, 10), (7, 13)):
+            setting = SimSetting(setting=setting_id, n=n, m=m, sigma=sigma,
+                                 spawn_key=(2,))
+            data = generate(setting)
+            rng = setting.rng()
+            root = np.sqrt(setting.eigenvalues)
+            for t, y in zip(data.locations, data.values):
+                want_t = rng.uniform(size=(m, 2))
+                zeta = rng.standard_normal(root.size)
+                eps = rng.standard_normal(m)
+                want = component_functions(setting, want_t) @ (root * zeta) + sigma * eps
+                assert t.tobytes() == want_t.tobytes()
+                assert y.tobytes() == want.tobytes()
+
     def test_noise_variance(self):
         # same seed, sigma on vs off: the difference is exactly the scaled
         # noise, whose variance must sit at sigma^2 within Monte Carlo error

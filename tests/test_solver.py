@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def loss_from_scratch(data, cross, grams, b_sq):
     return total / data.n
 
 
+def pack_operator(pk, g):
+    """S^T G S for a dense (Q^2, Q^2) operator preserving symmetry: the
+    packed oracle of the pipeline's packed G."""
+    off = pk.scale != 1.0
+    gs = g[:, pk.col_upper].copy()
+    gs[:, off] += g[:, pk.col_lower[off]]
+    gs[:, off] /= math.sqrt(2.0)
+    out = gs[pk.col_upper, :].copy()
+    out[off, :] += gs[pk.col_lower[off], :]
+    out[off, :] /= math.sqrt(2.0)
+    return (out + out.T) / 2.0
+
+
 class TestPacking:
     def test_isometry_and_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -101,18 +115,30 @@ class TestPacking:
         np.testing.assert_allclose(pk.unpack(pk.pack(a)), sym, atol=1e-14)
 
     def test_operator_congruence(self):
+        # G -> S^T G S -> S (S^T G S) S^T, the view Precompute.G derives from
+        # G_sym, gives G back on symmetric matrices and zero on antisymmetric
+        # ones, and packs to G_sym again
         rng = np.random.default_rng(4)
         q = 4
         pk = SymPacking(q)
         m = rng.standard_normal((q * q, q * q))
         g = m @ m.T
-        g_sym = pk.pack_operator(g)
+        swap = np.arange(q * q).reshape(q, q).T.ravel()
+        g = (g + g[swap][:, swap]) / 2    # preserves symmetry
+        g_sym = pack_operator(pk, g)
+        view = solver.Precompute(grams=[], dims=(q,), L=[], groups=[], dense=True,
+                                 h=np.zeros(q * q), c0=0.0, pack=pk, G_sym=g_sym).G
+        assert view.shape == (q * q, q * q)
+        assert_rel(pack_operator(pk, view), g_sym, rel=1e-14)
         for _ in range(10):
             a = rng.standard_normal((q, q))
             sym = (a + a.T) / 2
             lhs = pk.pack(sym) @ g_sym @ pk.pack(sym)
             rhs = sym.ravel() @ g @ sym.ravel()
             assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert_rel(view @ sym.ravel(), g @ sym.ravel(), rel=1e-13)
+            anti = (a - a.T).ravel()
+            assert np.abs(view @ anti).max() <= 1e-14 * np.abs(view).max() * np.abs(anti).sum()
 
 
 class TestPrecompute:
@@ -201,26 +227,59 @@ def assert_rel(got, want, rel=1e-13):
 
 
 class TestBatchedG:
-    # 30 pooled rows exceed Q^2 = 9 and 16 for (p, q) = (1, 3) and (2, 2),
-    # not Q^2 = 81 for (2, 3); the Q^2/4-row blocks split the larger count
-    # groups (6 and 10 rows) in the first two
-    @pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (2, 3)])
+    # the largest count group pools 10 rows, so the D-row correction blocks
+    # split it for (p, q) = (1, 2) and (1, 3) (D = 3, 6), not for (2, 2) and
+    # (2, 3) (D = 10, 45)
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_matches_per_subject_kron(self, p, q):
         data, grams, folds = unequal_counts_problem(p, q, 40 + 3 * p + q)
         pre = precompute(data, cross_products(data), grams, folds=folds)
         assert pre.dense
-        n_rows = int(data.counts.sum())
-        assert (n_rows > pre.q_total ** 2) == (q ** p < 9)
-        scale = np.abs(pre.G).max()
-        np.testing.assert_allclose(pre.G, g_oracle(pre, data, range(data.n)) / data.n,
-                                   rtol=0, atol=1e-13 * scale)
+        split = max(g.rows.shape[0] * g.rows.shape[1] for g in pre.groups) > pre.pack.dim
+        assert split == (p == 1)
+        full = g_oracle(pre, data, range(data.n)) / data.n
+        oracle = pack_operator(pre.pack, full)
+        assert pre.G_sym.shape == (pre.pack.dim,) * 2
+        assert_rel(pre.G_sym, oracle)
         for f in range(folds.n_folds):
-            oracle = pre.pack.pack_operator(g_oracle(pre, data, folds.valid_subjects(f)))
+            fold = pack_operator(pre.pack, g_oracle(pre, data, folds.valid_subjects(f)))
             assert pre.G_fold[f].shape == (pre.pack.dim,) * 2
-            np.testing.assert_allclose(pre.G_fold[f], oracle,
-                                       rtol=0, atol=1e-13 * data.n * scale)
+            assert np.abs(pre.G_fold[f] - fold).max() <= 1e-13 * data.n * np.abs(oracle).max()
         plain = precompute(data, cross_products(data), grams)
-        np.testing.assert_allclose(plain.G, pre.G, rtol=0, atol=1e-13 * scale)
+        assert_rel(plain.G_sym, oracle)
+        # the (Q^2, Q^2) view: the oracle on symmetric matrices, zero on
+        # antisymmetric ones
+        rng = np.random.default_rng(50 + 3 * p + q)
+        g = pre.G
+        for a in rng.standard_normal((5, pre.q_total, pre.q_total)):
+            sym = (a + a.T).ravel()
+            assert_rel(g @ sym, full @ sym)
+            anti = (a - a.T).ravel()
+            assert np.abs(g @ anti).max() <= 1e-14 * np.abs(g).max() * np.abs(anti).sum()
+
+    def test_stores_no_full_operator(self):
+        # a dense precomputation keeps G packed: no field, nor anything a
+        # field holds, is a (Q^2, Q^2) array (Q^2 = 81 > D = 45 here)
+        data, grams, folds = unequal_counts_problem(2, 3, 49)
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+        assert pre.dense and pre.G.shape == (81, 81)
+
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, (list, tuple)):
+                for y in x:
+                    yield from arrays(y)
+            elif is_dataclass(x):
+                for f in fields(x):
+                    yield from arrays(getattr(x, f.name))
+            elif hasattr(x, "__dict__"):
+                for y in vars(x).values():
+                    yield from arrays(y)
+
+        shapes = [a.shape for f in fields(pre) for a in arrays(getattr(pre, f.name))]
+        assert (45, 45) in shapes
+        assert (81, 81) not in shapes
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_grouped_layout_matches_per_subject_oracles(self, p):
@@ -260,7 +319,7 @@ class TestBatchedG:
             # packed training operator and the matrix-free G x over train
             g_train = g_oracle(pre, data, train) / train.size
             packed = (pre.G_sym * data.n - pre.G_fold[f]) / train.size
-            assert_rel(packed, pre.pack.pack_operator(g_train))
+            assert_rel(packed, pack_operator(pre.pack, g_train))
             want_gx = []
             for x in stack:
                 out = 0.0
