@@ -34,9 +34,9 @@ import numpy as np
 
 from .data import cross_products, gram_factors, load_csv, make_folds
 from .kernel import KernelSpec
-from .simulate import FitProtocol, SimSetting, run_benchmark, save_json, save_table
+from .simulate import FitProtocol, SimSetting, run_benchmark, save_table
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
-                     FitConfig, _drop_adaptive_eta, _key, admm_fit, cv_select, rank_report)
+                     FitConfig, admm_fit, cv_select, rank_report)
 from .spectral import l2_eigensystem, marginal_basis
 
 __all__ = [
@@ -105,6 +105,22 @@ def read_container(path):
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}: sidecar must be a JSON object")
     return coeffs, sidecar
+
+
+def _key(name):
+    """The key of a ``RunConfig`` or ``FitConfig`` field in every file the
+    CLI writes (configs and container sidecars): ``lam`` is spelled
+    ``lambda``."""
+    return "lambda" if name == "lam" else name
+
+
+def _drop_adaptive_eta(d):
+    """``d`` without ``adaptive_eta``, which configs and container sidecars
+    written while adaptive eta existed hold as false."""
+    d = dict(d)
+    if d.pop("adaptive_eta", False) is not False:
+        raise ValueError("adaptive_eta is no longer supported")
+    return d
 
 
 @dataclass
@@ -301,7 +317,7 @@ def _persist_config(cfg, outdir):
 def _fit_sidecar(cfg, spec, grams, fit):
     return {
         "format": "MCOV1",
-        "kernel": spec.to_dict(),
+        "kernel": asdict(spec),
         "gram": {
             "tol": cfg.gram_tol,
             "cap": cfg.gram_cap,
@@ -309,7 +325,7 @@ def _fit_sidecar(cfg, spec, grams, fit):
             "locations_sha256": [g.locations_hash() for g in grams],
         },
         "fit": {
-            "config": fit.config.to_dict(),
+            "config": {_key(k): v for k, v in asdict(fit.config).items()},
             "converged": bool(fit.converged),
             "n_iters": int(fit.n_iters),
             "objective_value": float(fit.objective_value),
@@ -359,7 +375,7 @@ def cmd_simulate(cfg):
     protocol = cfg.protocol()
     result = run_benchmark(setting, cfg.reps, protocol, workers=cfg.threads)
     outdir = _outdir(cfg)
-    save_json(result, outdir / "benchmark.json")
+    _write_json(outdir / "benchmark.json", result.as_dict())
     save_table(result, outdir / "benchmark.csv")
     _persist_config(cfg, outdir)
     return 0
@@ -400,14 +416,17 @@ def _sidecar_parts(container, sidecar):
     record of a container's sidecar.  A missing key or a wrongly typed
     value raises a ValueError naming the container."""
     try:
-        spec = KernelSpec.from_dict(sidecar["kernel"])
+        spec = KernelSpec(**sidecar["kernel"])
         gram, fit = sidecar["gram"], sidecar["fit"]
         tol, cap = float(gram["tol"]), int(gram["cap"])
         hashes = gram["locations_sha256"]
         if cap < 1:
             raise ValueError(f"gram cap {cap} is below 1")
+        config = _drop_adaptive_eta(fit["config"])
+        if "lambda" in config:
+            config["lam"] = config.pop("lambda")
         record = {
-            "config": FitConfig.from_dict(fit["config"]),
+            "config": FitConfig(**config),
             "converged": bool(fit["converged"]),
             "n_iters": int(fit["n_iters"]),
             "objective_value": float(fit["objective_value"]),

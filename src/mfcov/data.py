@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng  # at import, not in the first fold split
 
-from .kernel import factor_kernel
+from .kernel import check_unit_interval, factor_kernel
 
 __all__ = [
     "FunctionalDataset",
@@ -55,8 +55,7 @@ class FunctionalDataset:
                 raise ValueError(f"subject {i}: {t.shape[0]} locations vs {y.shape[0]} values")
             if t.shape[0] < 2:
                 raise ValueError(f"subject {i} has fewer than 2 observations")
-            if t.size and (t.min() < 0.0 or t.max() > 1.0):
-                raise ValueError(f"subject {i} has a coordinate outside [0, 1]")
+            check_unit_interval(t, f"subject {i}'s coordinates")
 
     @property
     def n(self):

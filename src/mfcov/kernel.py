@@ -16,12 +16,13 @@ no N x N matrix is ever formed.
 
 import hashlib
 import math
-from dataclasses import KW_ONLY, InitVar, asdict, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
 __all__ = [
     "KernelSpec",
+    "check_unit_interval",
     "basis_matrix",
     "kernel_eval",
     "GramFactor",
@@ -56,18 +57,13 @@ class KernelSpec:
         if self.include_constant and not 0.0 <= self.constant_coef < math.inf:
             raise ValueError("constant_coef must be finite and nonnegative")
 
-    def to_dict(self):
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-def _check_unit_interval(x):
+def check_unit_interval(x, what):
+    """``x`` as a float array; a ValueError naming ``what`` unless every
+    entry lies in [0, 1].  The test is a range, so NaN fails it."""
     x = np.asarray(x, dtype=float)
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise ValueError("coordinates must lie in [0, 1]")
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1]")
     return x
 
 
@@ -77,7 +73,7 @@ def basis_matrix(spec, x):
     Returns (E, w): E has one row per point, w holds the eigenvalues so that
     K(s, t) = E(s) @ diag(w) @ E(t).T.
     """
-    x = np.atleast_1d(_check_unit_interval(x))
+    x = np.atleast_1d(check_unit_interval(x, "coordinates"))
     k = np.arange(1, spec.truncation_order + 1)
     e = math.sqrt(2.0) * np.cos(np.pi * np.outer(x, k))
     w = (k * np.pi) ** (-spec.decay_exponent)
@@ -89,8 +85,8 @@ def basis_matrix(spec, x):
 
 def kernel_eval(spec, s, t):
     """Kernel value K(s, t); broadcasts over array arguments."""
-    s = _check_unit_interval(s)
-    t = _check_unit_interval(t)
+    s = check_unit_interval(s, "coordinates")
+    t = check_unit_interval(t, "coordinates")
     k = np.arange(1, spec.truncation_order + 1)
     w = (k * np.pi) ** (-spec.decay_exponent)
     terms = (
@@ -102,8 +98,6 @@ def kernel_eval(spec, s, t):
     if spec.include_constant:
         out = out + spec.constant_coef
     return out if out.ndim else float(out)
-
-
 
 
 @dataclass

@@ -12,14 +12,13 @@ indices (sequential by default, over a process pool on request).
 """
 
 import csv
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import FunctionalDataset, cross_products, gram_factors
-from .kernel import KernelSpec
+from .kernel import KernelSpec, check_unit_interval
 from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
 from .spectral import evaluate_on_grid
@@ -38,7 +37,6 @@ __all__ = [
     "aise",
     "run_replication",
     "run_benchmark",
-    "save_json",
     "save_table",
 ]
 
@@ -108,8 +106,7 @@ def component_functions(setting, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must lie in [0,1]^2, got shape {pts.shape}")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise ValueError("points must lie in [0,1]^2")
+    check_unit_interval(pts, "points")
     cols = [2.0 * np.cos(i * np.pi * pts[:, 0]) * np.cos(j * np.pi * pts[:, 1])
             for i, j in setting.components]
     return np.column_stack(cols)
@@ -132,10 +129,7 @@ def true_covariance_grid(setting, axes):
     """Population covariance over a tensor grid, shape (g1, g2, g1, g2)."""
     if len(axes) != 2:
         raise ValueError(f"expected 2 axes, got {len(axes)}")
-    a1, a2 = (np.asarray(a, dtype=float) for a in axes)
-    for a in (a1, a2):
-        if a.size and (a.min() < 0.0 or a.max() > 1.0):
-            raise ValueError("axis coordinates must lie in [0, 1]")
+    a1, a2 = (check_unit_interval(a, "axis coordinates") for a in axes)
     i_idx = np.array([i for i, _ in setting.components], dtype=float)
     j_idx = np.array([j for _, j in setting.components], dtype=float)
     f1 = np.sqrt(2.0) * np.cos(np.pi * np.outer(a1, i_idx))
@@ -242,14 +236,14 @@ class FitProtocol:
 
     def to_dict(self):
         # every replication takes lambda and beta from the grids, never the base
-        base = {k: v for k, v in self.base.to_dict().items() if k not in ("lambda", "beta")}
+        base = {k: v for k, v in asdict(self.base).items() if k not in ("lam", "beta")}
         return {
             "lambda_grid": list(self.lambda_grid),
             "beta_grid": list(self.beta_grid),
             "n_folds": self.n_folds,
             "gram_cap": self.gram_cap,
             "gram_tol": self.gram_tol,
-            "kernel": self.kernel.to_dict(),
+            "kernel": asdict(self.kernel),
             "base": base,
             "aise_grid": self.aise_grid,
         }
@@ -364,13 +358,6 @@ def run_benchmark(setting, reps, protocol=None, workers=1):
             failures.append({"rep": rep, "error": error})
     return SimResult(setting=setting, protocol=protocol, rows=rows,
                      failures=failures)
-
-
-def save_json(result, path):
-    """Full result (rows, failures, aggregates) as indented JSON."""
-    with open(path, "w") as fh:
-        json.dump(result.as_dict(), fh, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 def save_table(result, path):

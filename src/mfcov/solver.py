@@ -29,8 +29,11 @@ objective increases).
 The iteration advances a stack of cells: (lambda, beta) settings that share
 one loss system, eta, tolerance and iteration cap.  Their proximal steps
 run as stacked eigh calls, while momentum, restarts and the stopping test
-stay per cell; a converged cell leaves the stack, so its iteration count is
-the one it would have alone.  A single fit is a stack of one, and
+stay per cell; a converged cell leaves the stack.  Each cell's iterates are
+the ones it would have alone bit for bit on the matrix-free path, and up to
+rounding on the dense path, where numpy multiplies a stack of one by gemv
+and a larger stack by gemm, which sum in another order
+(``test_stack_matches_stacks_of_one``).  A single fit is a stack of one, and
 cross-validation runs a fold's whole grid as one stack on the dense path.
 A one-way unfolding M is q_k x (Q^2 / q_k), so its singular-value
 soft-threshold comes from the eigendecomposition of the small Gram M M^T,
@@ -61,7 +64,7 @@ sum_k ||B_(k)||_*, so with G PSD, F(B) - F(0) = <B, G B> - <h, B> + penalty
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,29 +123,6 @@ class FitConfig:
                              f"got {self.rank_threshold}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-    def to_dict(self):
-        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = _drop_adaptive_eta(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return cls(**d)
-
-
-def _key(name):
-    """The config-file key of a field: ``lam`` is spelled ``lambda``."""
-    return "lambda" if name == "lam" else name
-
-
-def _drop_adaptive_eta(d):
-    """``d`` without ``adaptive_eta``, which older configs hold as false."""
-    d = dict(d)
-    if d.pop("adaptive_eta", False) is not False:
-        raise ValueError("adaptive_eta is no longer supported")
-    return d
 
 
 def _sym(x):

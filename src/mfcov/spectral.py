@@ -62,6 +62,24 @@ def _basis_values(spec, c, pts):
     return basis_matrix(spec, pts)[0] @ c.T
 
 
+def _grid_values(maps, spec, axes):
+    """Each dimension's coefficient functions at its grid axis, one matrix
+    (len(axes[k]), len(maps[k])) per map; the axis count must match."""
+    if len(axes) != len(maps):
+        raise ValueError(f"expected {len(maps)} axes, got {len(axes)}")
+    return [_basis_values(spec, c, ax) for c, ax in zip(maps, axes)]
+
+
+def _contract(tensor, mats):
+    """Mode k of ``tensor`` times ``mats[k]``, and mode p + k too when the
+    tensor has order 2p (a covariance; p = len(mats)), mode k first."""
+    p = len(mats)
+    for k, mat in enumerate(mats):
+        for mode in range(k, tensor.ndim, p):
+            tensor = n_mode_product(tensor, mat, mode)
+    return tensor
+
+
 def _check_point(x, p, name):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (p,):
@@ -95,33 +113,22 @@ def evaluate_on_grid(fit, spec, axes):
     (g_1, ..., g_p, g_1, ..., g_p) with entry [i..., j...] the covariance
     between the grid points indexed by i and j.
     """
-    p = len(fit.grams)
-    if len(axes) != p:
-        raise ValueError(f"expected {p} axes, got {len(axes)}")
-    out = np.asarray(fit.coeffs, dtype=float)
-    for k, c in enumerate(_coef_maps(fit)):
-        proj = _basis_values(spec, c, axes[k])
-        out = n_mode_product(out, proj, k)
-        out = n_mode_product(out, proj, p + k)
-    return out
+    return _contract(np.asarray(fit.coeffs, dtype=float),
+                     _grid_values(_coef_maps(fit), spec, axes))
 
 
 def _l2_transform(fit):
     """Shared setup: coefficient tensor in L2 coordinates plus the A_k maps."""
-    p = len(fit.grams)
-    maps = []
-    b = np.asarray(fit.coeffs, dtype=float)
-    for k, c in enumerate(_coef_maps(fit)):
+    roots, maps = [], []
+    for c in _coef_maps(fit):
         w, u = np.linalg.eigh(c @ c.T)
         w = np.maximum(w, 0.0)
         root_w = np.sqrt(w)
         keep = w > METRIC_FLOOR * max(float(w[-1]), 1e-300)
         inv_root_w = np.where(keep, 1.0 / np.where(keep, root_w, 1.0), 0.0)
-        root = (u * root_w) @ u.T
+        roots.append((u * root_w) @ u.T)
         maps.append(((u * inv_root_w) @ u.T) @ c)
-        b = n_mode_product(b, root, k)
-        b = n_mode_product(b, root, p + k)
-    return b, maps
+    return _contract(np.asarray(fit.coeffs, dtype=float), roots), maps
 
 
 @dataclass
@@ -151,10 +158,8 @@ class L2EigenSystem:
 
     def eigenfunction_grid(self, l, axes):
         """Values of eigenfunction ``l`` over a tensor-product grid."""
-        v = self.vectors[:, l].reshape(self.dims)
-        for k, (a_k, ax) in enumerate(zip(self.maps, axes)):
-            v = n_mode_product(v, _basis_values(self.spec, a_k, ax), k)
-        return v
+        return _contract(self.vectors[:, l].reshape(self.dims),
+                         _grid_values(self.maps, self.spec, axes))
 
     def section_coefficients(self, l):
         """Coefficients of eigenfunction ``l`` over the tensor cosine basis.
@@ -163,9 +168,7 @@ class L2EigenSystem:
         e(s_p)] with e the kernel's cosine basis (``kernel.basis_matrix``).
         """
         v = self.vectors[:, l].reshape(self.dims)
-        for k, a_k in enumerate(self.maps):
-            v = n_mode_product(v, a_k.T, k)
-        return v.ravel()
+        return _contract(v, [a_k.T for a_k in self.maps]).ravel()
 
 
 @dataclass
@@ -249,14 +252,7 @@ def reconstruct_on_grid(eig, axes, n_components=None):
     Returns the same layout as ``evaluate_on_grid``; with all components the
     two agree to roundoff.  ``n_components`` truncates the expansion.
     """
-    p = len(eig.dims)
-    if len(axes) != p:
-        raise ValueError(f"expected {p} axes, got {len(axes)}")
+    values = _grid_values(eig.maps, eig.spec, axes)
     n_l = len(eig) if n_components is None else min(n_components, len(eig))
     core = (eig.vectors[:, :n_l] * eig.eigenvalues[:n_l]) @ eig.vectors[:, :n_l].T
-    out = square_fold(core, eig.dims + eig.dims)
-    for k, ax in enumerate(axes):
-        coord = _basis_values(eig.spec, eig.maps[k], ax)
-        out = n_mode_product(out, coord, k)
-        out = n_mode_product(out, coord, p + k)
-    return out
+    return _contract(square_fold(core, eig.dims + eig.dims), values)

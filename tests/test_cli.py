@@ -9,7 +9,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import mfcov
-from mfcov import cli, solver
+from mfcov import cli, simulate, solver
 from mfcov.cli import MAGIC, RunConfig, main, read_container, write_container
 from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
 from mfcov.kernel import KernelSpec
@@ -284,7 +284,8 @@ class TestRunConfig:
             # cv and simulate take lambda and beta from their grids
             flags = {keys[name] for name in cli._FLAGS[command]}
             grid_set = set() if command == "fit" else {"lambda", "beta"}
-            model = set(KernelSpec().to_dict()) | (set(FitConfig().to_dict()) - grid_set)
+            model = {cli._key(name) for name in (*asdict(KernelSpec()), *asdict(FitConfig()))}
+            model -= grid_set
             assert model <= flags and not grid_set & flags
         for name in cli._FLAGS[command]:
             key = keys[name]
@@ -598,6 +599,16 @@ class TestSimulate:
         base = json.loads((out / "benchmark.json").read_text())["protocol"]["base"]
         assert "lambda" not in base and "beta" not in base
         assert base["eta"] == 1e-9
+
+    def test_nan_result_leaves_no_benchmark_json(self, tmp_path, monkeypatch):
+        # the result is serialized before the file opens, so a NaN leaves
+        # no truncated file behind
+        monkeypatch.setattr(simulate, "aise", lambda *args: math.nan)
+        out = tmp_path / "sim"
+        code, err = run_captured("simulate", "--out", out, *SIM_FLAGS, "--reps", "1")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("mfcov simulate: ")
+        assert not (out / "benchmark.json").exists()
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -5,14 +5,20 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import zeta
 
-from mfcov.data import FunctionalDataset, gram_factors
+from mfcov import cli
+from mfcov.data import FunctionalDataset, gram_factors, save_csv
 from mfcov.kernel import (
     GramFactor,
     KernelSpec,
     basis_matrix,
+    check_unit_interval,
     factor_kernel,
     kernel_eval,
 )
+from mfcov.simulate import (SimSetting, component_functions, generate, true_covariance,
+                            true_covariance_grid)
+from mfcov.solver import CovarianceFit, FitConfig
+from mfcov.spectral import evaluate_on_grid
 
 
 def partial_sum(s, t, decay, terms):
@@ -84,9 +90,19 @@ class TestKernelEval:
             with pytest.raises(ValueError):
                 KernelSpec(include_constant=True, constant_coef=bad)
 
-    def test_spec_round_trips_through_dict(self):
+    def test_spec_round_trips_through_dict(self, tmp_path):
+        # a fit's container carries the kernel in its JSON sidecar
         spec = KernelSpec(3.5, 17, True, 0.25)
-        assert KernelSpec.from_dict(spec.to_dict()) == spec
+        data = tmp_path / "data.csv"
+        save_csv(generate(SimSetting(setting=3, n=6, m=4)), data)
+        code = cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+                         "--decay-exponent", "3.5", "--truncation-order", "17",
+                         "--include-constant", "--constant-coef", "0.25",
+                         "--gram-cap", "2", "--max-iters", "5"])
+        assert code in (0, 2)
+        path = tmp_path / "fit" / "coeffs.mcov"
+        _, sidecar = cli.read_container(path)
+        assert cli._sidecar_parts(path, sidecar)[0] == spec
 
 
 def gram_oracle(spec, coords):
@@ -298,3 +314,39 @@ class TestKernelCrossIntegral:
         qb = sections_cross_integral(factor_kernel(base, [0.2, 0.6]))
         qp = sections_cross_integral(factor_kernel(plus, [0.2, 0.6]))
         assert np.abs(qp - qb - 0.25).max() < 1e-15
+
+
+def grid_fit():
+    """An identity coefficient tensor over two kernel factors of rank 2."""
+    grams = [factor_kernel(KernelSpec(), [0.1, 0.4, 0.8], cap=2)] * 2
+    return CovarianceFit(coeffs=np.eye(4).reshape(2, 2, 2, 2), config=FitConfig(),
+                         grams=grams, converged=True, n_iters=1, objective_value=0.0,
+                         primal_residuals=np.zeros(3))
+
+
+NAN = math.nan
+# every entry point that takes coordinates in [0, 1], each given one NaN
+NAN_ENTRIES = {
+    "FunctionalDataset": lambda: FunctionalDataset([[[NAN, 0.5], [0.2, 0.3]]], [[1.0, 2.0]]),
+    "basis_matrix": lambda: basis_matrix(KernelSpec(), [0.5, NAN]),
+    "kernel_eval": lambda: kernel_eval(KernelSpec(), NAN, 0.5),
+    "factor_kernel": lambda: factor_kernel(KernelSpec(), [0.1, NAN, 0.9]),
+    "component_functions": lambda: component_functions(SimSetting(), [[0.5, NAN]]),
+    "true_covariance": lambda: true_covariance(SimSetting(), [NAN, 0.5], [0.5, 0.5]),
+    "true_covariance_grid": lambda: true_covariance_grid(SimSetting(), [[0.0, NAN], [0.5]]),
+    "evaluate_on_grid": lambda: evaluate_on_grid(grid_fit(), KernelSpec(), [[0.5], [NAN]]),
+}
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("entry", list(NAN_ENTRIES))
+    def test_nan_coordinate_refused(self, entry):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            NAN_ENTRIES[entry]()
+
+    def test_closed_interval_and_empty_accepted(self):
+        for x in ([0.0, 1.0], [], [[0.5, 1.0]]):
+            np.testing.assert_array_equal(check_unit_interval(x, "x"), x)
+        for bad in (-1e-300, 1.0 + 1e-15, math.inf):
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+                check_unit_interval([0.5, bad], "x")

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import mfcov.simulate as simulate
+from mfcov.cli import _write_json
 from mfcov.data import cross_products, gram_factors
 from mfcov.kernel import KernelSpec, basis_matrix
 from mfcov.simulate import (COMPONENTS, FitProtocol, SimSetting, aise,
                             component_functions, generate, run_benchmark,
-                            run_replication, save_json, save_table,
-                            true_covariance, true_covariance_grid)
+                            run_replication, save_table, true_covariance,
+                            true_covariance_grid)
 from mfcov.solver import FitConfig, admm_fit
 
 # small enough to keep the pipeline tests quick, still a real estimate
@@ -107,7 +108,7 @@ class TestTrueCovariance:
         setting = SimSetting()
         with pytest.raises(ValueError, match="point"):
             true_covariance(setting, (0.5,), (0.5, 0.5))
-        with pytest.raises(ValueError, match=r"\[0,1\]"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             true_covariance(setting, (1.2, 0.0), (0.5, 0.5))
 
     def test_grid_matches_pointwise(self):
@@ -398,7 +399,7 @@ class TestBenchmark:
     def test_serialization(self, tmp_path):
         res = run_benchmark(self.SETTING, 2, FAST)
         jpath = tmp_path / "result.json"
-        save_json(res, jpath)
+        _write_json(jpath, res.as_dict())
         loaded = json.loads(jpath.read_text())
         assert loaded["setting"]["setting"] == 3
         assert len(loaded["rows"]) == 2

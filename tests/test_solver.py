@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from mfcov import solver
+from mfcov.cli import RunConfig
 from mfcov.data import (FoldAssignment, FunctionalDataset, cross_products, gram_factors,
                         make_folds)
 from mfcov.kernel import GramFactor, KernelSpec
@@ -734,15 +735,11 @@ class TestAdmmFit:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=key):
                     FitConfig(**{key: bad})
-        roundtrip = FitConfig.from_dict(FitConfig(lam=0.2, beta=0.75).to_dict())
-        assert roundtrip == FitConfig(lam=0.2, beta=0.75)
-
-    def test_persisted_adaptive_eta(self):
-        # configs written while adaptive eta existed carry it as false
-        old = {**FitConfig(lam=0.2).to_dict(), "adaptive_eta": False}
-        assert FitConfig.from_dict(old) == FitConfig(lam=0.2)
-        with pytest.raises(ValueError, match="no longer supported"):
-            FitConfig.from_dict({**old, "adaptive_eta": True})
+        # through the CLI's config-file keys, as selected_config.json holds it
+        config = FitConfig(lam=0.2, beta=0.75)
+        written = replace(RunConfig("fit"), **asdict(config)).to_dict()
+        assert written["lambda"] == 0.2
+        assert RunConfig.from_dict(written).fit_config() == config
 
 
 def ridge_problem(dense, monkeypatch):

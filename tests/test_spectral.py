@@ -282,3 +282,51 @@ class TestMarginalBasis:
         fit.coeffs = square_fold(b_sq, dims + dims)
         assert len(marginal_basis(fit, SPEC, 0)) == 2
         assert len(marginal_basis(fit, SPEC, 1)) == dims[1]
+
+
+class TestGridAxes:
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_axis_count_must_match_p(self, count):
+        _, grams = kernel_problem(p=2, n=4, m=4, seed=47, cap=2)
+        fit = cov_fit(grams, seed=48)
+        eig = l2_eigensystem(fit, SPEC)
+        axes = [np.linspace(0.0, 1.0, 5)] * count
+        for evaluate in (lambda: eig.eigenfunction_grid(0, axes),
+                         lambda: evaluate_on_grid(fit, SPEC, axes),
+                         lambda: reconstruct_on_grid(eig, axes)):
+            with pytest.raises(ValueError, match=f"expected 2 axes, got {count}"):
+                evaluate()
+
+
+class TestThreeDimensions:
+    """p = 3 tells a contraction stride of p from a stride of 2."""
+
+    AXES = [np.linspace(0.1, 0.9, 3), np.array([0.0, 1.0]), np.array([0.3, 0.6])]
+
+    @pytest.fixture(scope="class")
+    def fit(self):
+        _, grams = kernel_problem(p=3, n=6, m=5, seed=49, cap=2)
+        assert [gf.retained_rank for gf in grams] == [2, 2, 2]
+        return cov_fit(grams, seed=50)
+
+    def test_grid_matches_pointwise(self, fit):
+        grid = evaluate_on_grid(fit, SPEC, self.AXES)
+        shape = tuple(ax.size for ax in self.AXES)
+        assert grid.shape == shape + shape
+        for i in np.ndindex(shape):
+            s = [ax[a] for ax, a in zip(self.AXES, i)]
+            for j in np.ndindex(shape):
+                t = [ax[b] for ax, b in zip(self.AXES, j)]
+                assert grid[i + j] == pytest.approx(evaluate_cov(fit, SPEC, s, t),
+                                                    abs=1e-12)
+
+    def test_eigenfunctions_match_section_coefficients(self, fit):
+        eig = l2_eigensystem(fit, SPEC)
+        k = np.arange(1, SPEC.truncation_order + 1)
+        e = [np.sqrt(2.0) * np.cos(np.pi * np.outer(ax, k)) for ax in self.AXES]
+        for l in range(min(3, len(eig))):
+            u = eig.section_coefficients(l)
+            vals = eig.eigenfunction_grid(l, self.AXES)
+            for i in np.ndindex(vals.shape):
+                row = np.kron(np.kron(e[0][i[0]], e[1][i[1]]), e[2][i[2]])
+                assert u @ row == pytest.approx(vals[i], abs=1e-10)
