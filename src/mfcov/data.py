@@ -23,6 +23,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "cross_products",
+    "check_fold_count",
     "make_folds",
     "gram_factors",
 ]
@@ -200,13 +201,18 @@ def gram_factors(data, spec, tol=1e-10, cap=12):
             for k in range(data.p)]
 
 
-def make_folds(data, n_folds=5, seed=0):
-    """Random balanced fold assignment; sizes differ by at most one."""
-    n = data.n
+def check_fold_count(n, n_folds):
+    """A ValueError unless ``n`` subjects split into ``n_folds`` folds."""
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_folds > n:
         raise ValueError(f"cannot split {n} subjects into {n_folds} folds")
+
+
+def make_folds(data, n_folds=5, seed=0):
+    """Random balanced fold assignment; sizes differ by at most one."""
+    n = data.n
+    check_fold_count(n, n_folds)
     if seed < 0:
         raise ValueError(f"fold_seed must be >= 0, got {seed}")
     perm = default_rng(seed).permutation(n)

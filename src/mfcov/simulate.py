@@ -12,12 +12,13 @@ indices (sequential by default, over a process pool on request).
 """
 
 import csv
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
-from .data import FunctionalDataset, cross_products, gram_factors
+from .data import FunctionalDataset, check_fold_count, cross_products, gram_factors
 from .kernel import KernelSpec, check_unit_interval
 from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
@@ -72,8 +73,8 @@ class SimSetting:
             raise ValueError("n must be >= 1")
         if self.m < 2:
             raise ValueError("m must be >= 2 (the loss needs pairs)")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "spawn_key",
@@ -320,12 +321,16 @@ class SimResult:
 
 
 def _replicate(job):
-    """One benchmark cell, exception-safe: (rep, row or None, error or None)."""
+    """One benchmark cell, exception-safe: (rep, row or None, error or None).
+    A row whose AISE is not finite is a failure too."""
     rep, rep_setting, protocol = job
     try:
-        return rep, run_replication(rep_setting, protocol), None
+        row = run_replication(rep_setting, protocol)
+        if not math.isfinite(row["aise"]):
+            raise ValueError(f"non-finite AISE ({row['aise']})")
     except Exception as exc:
         return rep, None, f"{type(exc).__name__}: {exc}"
+    return rep, row, None
 
 
 def run_benchmark(setting, reps, protocol=None, workers=1):
@@ -333,7 +338,9 @@ def run_benchmark(setting, reps, protocol=None, workers=1):
 
     Replication r runs under ``setting.spawn_key + (r,)``; rerunning
     run_replication with that key reproduces its row exactly.  A failed
-    replication is recorded and skipped, never fatal.  ``workers`` > 1
+    replication is recorded and skipped, never fatal; a configuration no
+    replication can run (more folds than subjects) raises before any
+    starts.  ``workers`` > 1
     fans the replications out over a process pool; rows come back in
     replication order either way, so results do not depend on it.
     """
@@ -341,6 +348,8 @@ def run_benchmark(setting, reps, protocol=None, workers=1):
         raise ValueError("reps must be >= 1")
     if protocol is None:
         protocol = FitProtocol()
+    if not protocol.is_fixed:
+        check_fold_count(setting.n, protocol.n_folds)
     jobs = [(rep, replace(setting, spawn_key=setting.spawn_key + (rep,)),
              protocol) for rep in range(int(reps))]
     if workers > 1:

@@ -19,12 +19,13 @@ give h, the held-out loss and the matrix-free G x.  The dense path builds G
 in packed symmetric coordinates only, from two Grams of packed rows, the
 triu(L_i^T L_i) and the packed l l^T of each row l (``_packed_g``).
 
-The penalty couples the trace norm of the square unfolding (through a
-positive-semidefinite indicator) with the trace norms of the one-way
-unfoldings.  Each ADMM iteration solves a ridge system in B, applies one
-eigenvalue and p singular-value soft-thresholds, updates scaled duals, and
-extrapolates with a Nesterov momentum sequence (restarted whenever the
-objective increases).
+The objective, loss(B) + lambda (beta ||B_sq||_* + (1 - beta) / p sum_k
+||B_(k)||_*), is minimized over PSD B_sq at every (lambda, beta); one
+function (``_penalized``) evaluates it for ``objective`` and the iteration.
+Each ADMM iteration solves a ridge system in B, applies one eigenvalue and
+p singular-value soft-thresholds, updates scaled duals, and extrapolates
+with a Nesterov momentum sequence (restarted whenever the objective
+increases).
 
 The iteration advances a stack of cells: (lambda, beta) settings that share
 one loss system, eta, tolerance and iteration cap.  Their proximal steps
@@ -46,10 +47,11 @@ symmetric B).  ``_System.solve`` returns B as symmetric Q x Q matrices.  The
 dense path solves in packed symmetric coordinates (dimension Q(Q+1)/2, an
 isometry that roughly halves the linear algebra), where one eigendecomposition
 of the packed G per loss system makes the solve for any eta a diagonal
-scaling.  Beyond ``DENSE_LIMIT`` it is conjugate gradients on Q x Q matrices
-(``_conjugate_gradient``, numpy only) with a symmetrized right-hand side and
-result, warm-started from the previous iterate, until the residual is finite
-and below 1e-12 relative to the right-hand side.  Cells then run one at a time.
+scaling.  Beyond ``DENSE_LIMIT`` it is conjugate gradients on the Q x Q
+matrix of each cell (``_conjugate_gradient``, numpy only, one system per
+call) with a symmetrized right-hand side and result, warm-started from the
+previous iterate, until the residual is finite and below 1e-12 relative to
+the right-hand side.  Cells then run one at a time.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
@@ -237,7 +239,6 @@ class Precompute:
     dims: tuple
     L: list                  # per-subject views of the pooled factor rows
     groups: list             # CountGroup batches covering every subject
-    dense: bool
     h: np.ndarray            # full-data (Q^2,)
     c0: float
     pack: SymPacking
@@ -343,11 +344,10 @@ def precompute(data, cross, grams, folds=None):
     if (not (np.isfinite(h).all() and math.isfinite(c0))
             and all(np.isfinite(g.z).all() for g in groups)):
         raise ValueError(CROSS_OVERFLOW)
-    dense = q * q <= DENSE_LIMIT
     pk = SymPacking(q)
 
     g_sym, g_fold = None, []
-    if dense:
+    if q * q <= DENSE_LIMIT:
         if folds is None:
             g_sym = _packed_g(groups, pk) / data.n
         else:
@@ -356,7 +356,7 @@ def precompute(data, cross, grams, folds=None):
             g_sym = sum(g_fold) / data.n
     return Precompute(
         grams=list(grams), dims=dims, L=np.split(rows, np.cumsum(data.counts)[:-1]),
-        groups=groups, dense=dense, h=h.ravel(), c0=c0, pack=pk,
+        groups=groups, h=h.ravel(), c0=c0, pack=pk,
         G_sym=g_sym, G_fold=g_fold,
     )
 
@@ -426,38 +426,45 @@ def prox_psd(a, v):
 # ---------------------------------------------------------------------------
 # objective
 
-def _one_way_trace_norms(b_sq, dims):
-    """Summed trace norms of the one-way unfoldings of each b_sq[c], via small
-    Gram eigenvalues."""
+def _one_way_singular_values(b_sq, dims):
+    """The singular values of the one-way unfoldings of each b_sq[c]: one
+    (c, q_k) array per mode k, ascending, from the small Gram eigenvalues."""
     tensor = b_sq.reshape((-1,) + dims + dims)
-    total = 0.0
+    out = []
     for k in range(len(dims)):
         m, _ = _one_way_stack(tensor, k)
         ev = np.linalg.eigvalsh(m @ np.swapaxes(m, -1, -2))
-        total = total + np.sqrt(np.maximum(ev, 0.0)).sum(axis=-1)
-    return total
+        out.append(np.sqrt(np.maximum(ev, 0.0)))
+    return out
+
+
+def _penalized(loss, b_sq, eigs, lam, beta, dims):
+    """The objective loss + lam (beta ||B||_* + (1 - beta) / p sum_k
+    ||B_(k)||_*) of each cell of a stack, for PSD b_sq[c] with eigenvalues
+    eigs[c]; ``lam`` and ``beta`` are scalars or one value per cell."""
+    value = loss + lam * beta * eigs.sum(axis=-1)
+    w_one = lam * (1.0 - beta) / len(dims)
+    if np.any(w_one):
+        value = value + w_one * sum(s.sum(axis=-1)
+                                    for s in _one_way_singular_values(b_sq, dims))
+    return value
 
 
 def objective(b, pre, config):
-    """Full objective: data loss plus trace-norm penalties (+inf if infeasible)."""
+    """Full objective: data loss plus trace-norm penalties, +inf unless the
+    square unfolding is symmetric positive semidefinite (at every lambda and
+    beta: the fit's feasible set)."""
     b = np.asarray(b, dtype=float)
     b_sq = square_unfold(b) if b.ndim > 2 else b
-    value = pre.loss_direct(b_sq)
-    if config.lam == 0.0:
-        return value
-    if config.beta > 0.0:
-        scale = np.abs(b_sq).max()
-        if scale > 0 and np.abs(b_sq - b_sq.T).max() > 1e-8 * scale:
-            return float("inf")
-        w = np.linalg.eigvalsh(_sym(b_sq))
-        lam_max = max(w.max(), 0.0)
-        if w.min() < -1e-8 * max(lam_max, 1e-300):
-            return float("inf")
-        value += config.lam * config.beta * float(np.abs(w).sum())
-    if config.beta < 1.0:
-        norms = float(_one_way_trace_norms(b_sq[None], pre.dims)[0])
-        value += config.lam * (1.0 - config.beta) / pre.p * norms
-    return value
+    scale = np.abs(b_sq).max()
+    if scale > 0 and np.abs(b_sq - b_sq.T).max() > 1e-8 * scale:
+        return math.inf
+    w = np.linalg.eigvalsh(_sym(b_sq))
+    if w.min() < -1e-8 * max(w.max(), 1e-300):
+        return math.inf
+    value = _penalized(pre.loss_direct(b_sq[None]), b_sq[None], np.abs(w)[None],
+                       config.lam, config.beta, pre.dims)
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +496,7 @@ class _System:
 
     Dense: in packed symmetric coordinates, G_sym = U diag(g) U^T is
     decomposed once, and the solve for any eta is a diagonal scaling in U's
-    basis.  Matrix-free: conjugate gradients on the stack of Q x Q matrices,
+    basis.  Matrix-free: conjugate gradients on each cell's Q x Q matrix,
     with G X = sum over the subjects' count groups of adjoint(forward(X)) / n.
     """
 
@@ -510,11 +517,8 @@ class _System:
     def _zero_bounds(self):
         """(rho_0, rho_1) of the linear term; see the module docstring."""
         rho0 = max(float(np.linalg.eigvalsh(self.h)[-1]), 0.0)
-        h = self.h.reshape(self.dims + self.dims)
-        # ||M||_2 = sqrt(lambda_max(M M^T)), from the small Gram, not an SVD
-        s2 = max(float(np.linalg.eigvalsh(m @ m.T)[-1])
-                 for m in (one_way_unfold(h, k) for k in range(len(self.dims))))
-        return rho0, math.sqrt(max(s2, 0.0))
+        rho1 = max(float(s[0, -1]) for s in _one_way_singular_values(self.h, self.dims))
+        return rho0, rho1
 
     def zero_certified(self, lam, beta):
         """Whether B = 0 is optimal for each cell (lam[c], beta[c])."""
@@ -543,57 +547,53 @@ class _System:
             y /= 2.0 * self.g_eig + shift
             return self.pack.unpack(y @ self.g_vec.T)
 
+        rhs = _sym(self.h + eta * acc)
         q = len(self.h)   # at most 20 D steps, D = Q(Q+1)/2
-        return _sym(_conjugate_gradient(lambda x: 2.0 * self._apply(x) + shift * x,
-                                        _sym(self.h + eta * acc), x0, 10 * q * (q + 1)))
+        return np.stack([_sym(_conjugate_gradient(
+            lambda x: 2.0 * self._apply(x) + shift * x, rhs[c],
+            None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
 
 
 def _conjugate_gradient(matvec, rhs, x0, max_iters):
-    """Solve A X = rhs[c] for each matrix of the stack ``rhs`` by conjugate
-    gradients (Frobenius inner product) from x0[c], zero when ``x0`` is None.
+    """Solve A X = rhs for one matrix by conjugate gradients (Frobenius inner
+    product) from x0, zero when ``x0`` is None.
 
-    ``matvec`` applies the symmetric positive-definite A to each matrix of a
-    stack.  Every matrix has its own step sizes and leaves the iteration once
-    its residual is finite with ||R|| < 1e-12 ||rhs[c]||; a zero right-hand
-    side gives exactly zero.  A non-finite residual, or a matrix still
-    iterating after ``max_iters`` steps, raises RuntimeError.
+    ``matvec`` applies the symmetric positive-definite A.  The iteration
+    stops once the residual is finite with ||R|| < 1e-12 ||rhs||; a zero
+    right-hand side gives exactly zero.  A non-finite residual, or a residual
+    still above the bound after ``max_iters`` steps, raises RuntimeError.
     """
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
     bound = 1e-12 * _frob(rhs)
-    x[bound == 0.0] = 0.0
-    rows = np.flatnonzero(bound != 0.0)       # NaN bounds stay, and fail below
-    r = rhs[rows] if x0 is None else rhs[rows] - matvec(x[rows])
+    if bound == 0.0:
+        return np.zeros_like(rhs)
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    r = rhs.copy() if x0 is None else rhs - matvec(x)
     p = rho_prev = None
     for step in range(max_iters + 1):
         rho = _inner(r, r)
         norm = np.sqrt(rho)
-        if not np.isfinite(norm).all():
+        if not np.isfinite(norm):
             raise RuntimeError("conjugate gradient failed to converge "
                                f"(non-finite residual at step {step})")
-        live = ~(norm < bound[rows])
-        if not live.all():
-            rows, r, rho = rows[live], r[live], rho[live]
-            if p is not None:
-                p, rho_prev = p[live], rho_prev[live]
-        if not rows.size:
+        if norm < bound:
             return x
         if step == max_iters:
             break
         if p is None:
             p = r.copy()
         else:
-            p *= (rho / rho_prev)[:, None, None]
+            p *= rho / rho_prev
             p += r
         q = matvec(p)
-        alpha = (rho / _inner(p, q))[:, None, None]
-        x[rows] += alpha * p
+        alpha = rho / _inner(p, q)
+        x += alpha * p
         r -= alpha * q
         rho_prev = rho
     raise RuntimeError("conjugate gradient failed to converge "
                        f"in {max_iters} iterations")
 
 
-def _iterate(system, pre, base, lam, beta):
+def _iterate(system, base, lam, beta):
     """Run the accelerated ADMM for a stack of cells on one loss system.
 
     Cell c penalizes with (lam[c], beta[c]) and starts from zero; eta, tol and
@@ -601,22 +601,12 @@ def _iterate(system, pre, base, lam, beta):
     cell; a cell the zero certificate covers returns the zero fit at 0
     iterations.
     """
-    p = pre.p
-    q = pre.q_total
-    dims2 = pre.dims + pre.dims
+    p = system.p
+    q = len(system.h)
+    dims2 = system.dims + system.dims
     eta = base.eta
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    w_psd = lam * beta
-    lam_one = lam * (1.0 - beta)
-    has_one = beta < 1.0
-
-    def d0_objective(d0, eigs):
-        val = system.quad(d0) + w_psd[cell] * eigs.sum(axis=-1)
-        if has_one[cell].any():
-            w_one = np.where(has_one[cell], lam_one[cell] / p, 0.0)
-            val = val + w_one * _one_way_trace_norms(d0, pre.dims)
-        return val
 
     # at the zero start the loss is c0 and the penalties vanish; 0 * h is
     # NaN where h is not finite
@@ -658,8 +648,8 @@ def _iterate(system, pre, base, lam, beta):
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the Gram eigendecomposition and keep it
         d_new = b[:, None] + v_hat
-        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], w_psd[cell] / eta)
-        thr_one = lam_one[cell] / (p * eta)
+        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], lam[cell] * beta[cell] / eta)
+        thr_one = lam[cell] * (1.0 - beta[cell]) / (p * eta)
         one_rows = np.flatnonzero(thr_one != 0.0)
         if one_rows.size:
             for k in range(1, p + 1):
@@ -668,7 +658,8 @@ def _iterate(system, pre, base, lam, beta):
                 d_new[one_rows, k] = dk.reshape(-1, q, q)
         v_new = v_hat + b[:, None] - d_new
 
-        obj = d0_objective(d_new[:, 0], eigs)
+        obj = _penalized(system.quad(d_new[:, 0]), d_new[:, 0], eigs,
+                         lam[cell], beta[cell], system.dims)
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
             raise RuntimeError(
@@ -723,7 +714,7 @@ def admm_fit(data, cross, grams, config, pre=None):
     if pre is None:
         pre = precompute(data, cross, grams)
     system = _System(pre, None, g_sym=pre.G_sym)
-    (out,) = _iterate(system, pre, config, [config.lam], [config.beta])
+    (out,) = _iterate(system, config, [config.lam], [config.beta])
     return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
@@ -789,17 +780,17 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
     cell_lam = np.array([lambda_grid[li] for li, _ in cells])
     cell_beta = np.array([beta_grid[bj] for _, bj in cells])
-    size = len(cells) if pre.dense else 1
+    size = 1 if pre.G_sym is None else len(cells)
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
     unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
         train = folds.train_subjects(f)
-        g_sym = (pre.G_sym * pre.n - pre.G_fold[f]) / train.size if pre.dense else None
+        g_sym = None if pre.G_sym is None else (pre.G_sym * pre.n - pre.G_fold[f]) / train.size
         system = _System(pre, train, g_sym=g_sym)
         for start in range(0, len(cells), size):
             stack = slice(start, start + size)
-            outs = _iterate(system, pre, base, cell_lam[stack], cell_beta[stack])
+            outs = _iterate(system, base, cell_lam[stack], cell_beta[stack])
             b_sq = np.stack([square_unfold(out["coeffs"]) for out in outs])
             held_out = pre.loss_direct(b_sq, folds.valid_subjects(f))
             for (li, bj), out, score in zip(cells[stack], outs, held_out):

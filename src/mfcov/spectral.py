@@ -9,14 +9,16 @@ surface at arbitrary points of the unit cube through those maps and
 re-expresses the coefficients in per-dimension L2-orthonormal bases, from
 which honest L2 eigenvalues, eigenfunctions, and marginal bases follow.
 
-The transform: {e_j} is L2-orthonormal, so R_k = C_k C_k^T is the L2 gram
-of the coefficient basis.  The square unfolding is mapped by the congruence
-B^L = (R_1 (x) ... (x) R_p)^{1/2} B ((x)_k R_k^{1/2})^T, whose eigenvalues
-are the L2 eigenvalues of the fitted surface; eigenvectors map back to
-functions through A_k = R_k^{-1/2} C_k applied to e.  R_k is a gram matrix,
-positive definite in exact arithmetic (C_k has full row rank), so the
-pseudo-inverse root's eigenvalue floor (1e-12 relative) only guards against
-roundoff.
+The transform: with the thin QR C_k^T = Q_k R_k, the functions Q_k^T e are
+L2-orthonormal and coefficient function a is sum_j R_k[j, a] (Q_k^T e)_j.
+So the square unfolding B^L = (R_1 (x) ... (x) R_p) B ((x)_k R_k)^T has the
+L2 eigenvalues of the fitted surface, and eigenvectors map back to functions
+through A_k = Q_k^T applied to e.  Nothing is inverted, so a rank-deficient
+C_k needs no floor.
+
+Each eigenvector and marginal vector is signed so that its function's
+largest-magnitude cosine coefficient is positive (``factor_kernel``'s rule),
+so exports depend neither on the orthonormalization nor on the LAPACK build.
 """
 
 from dataclasses import dataclass
@@ -35,10 +37,6 @@ __all__ = [
     "marginal_basis",
     "reconstruct_on_grid",
 ]
-
-#: Relative eigenvalue floor below which R_k directions are pseudo-inverted
-#: to zero instead of amplified.
-METRIC_FLOOR = 1e-12
 
 #: Relative cutoff under which transformed eigenvalues / singular values are
 #: treated as numerically zero and dropped from the returned spectrum.
@@ -118,17 +116,17 @@ def evaluate_on_grid(fit, spec, axes):
 
 
 def _l2_transform(fit):
-    """Shared setup: coefficient tensor in L2 coordinates plus the A_k maps."""
-    roots, maps = [], []
-    for c in _coef_maps(fit):
-        w, u = np.linalg.eigh(c @ c.T)
-        w = np.maximum(w, 0.0)
-        root_w = np.sqrt(w)
-        keep = w > METRIC_FLOOR * max(float(w[-1]), 1e-300)
-        inv_root_w = np.where(keep, 1.0 / np.where(keep, root_w, 1.0), 0.0)
-        roots.append((u * root_w) @ u.T)
-        maps.append(((u * inv_root_w) @ u.T) @ c)
-    return _contract(np.asarray(fit.coeffs, dtype=float), roots), maps
+    """Shared setup: coefficient tensor in L2 coordinates plus the A_k maps,
+    from the thin QR C_k^T = Q_k R_k of each coefficient map."""
+    factors = [np.linalg.qr(c.T) for c in _coef_maps(fit)]
+    return (_contract(np.asarray(fit.coeffs, dtype=float), [r for _, r in factors]),
+            [q.T for q, _ in factors])
+
+
+def _peak_sign(coefficients):
+    """-1.0 if the largest-magnitude entry of ``coefficients`` is negative,
+    else 1.0."""
+    return -1.0 if coefficients[np.abs(coefficients).argmax()] < 0 else 1.0
 
 
 @dataclass
@@ -199,7 +197,7 @@ def l2_eigensystem(fit, spec):
     Numerically zero eigenvalues (below ``SPECTRUM_FLOOR`` relative, so in
     particular everything for a zero fit) are dropped; the congruence
     transform preserves positive semidefiniteness, so nothing material is
-    discarded.
+    discarded.  Eigenvectors carry the module's sign rule.
     """
     b, maps = _l2_transform(fit)
     bl_sq = square_unfold(b)
@@ -213,7 +211,7 @@ def l2_eigensystem(fit, spec):
     vectors = v[:, kept]
     total = eigenvalues.sum()
     fve = np.cumsum(eigenvalues) / total if total > 0 else np.zeros(0)
-    return L2EigenSystem(
+    eig = L2EigenSystem(
         eigenvalues=eigenvalues,
         vectors=vectors,
         fraction_of_variation=fve,
@@ -221,6 +219,9 @@ def l2_eigensystem(fit, spec):
         spec=spec,
         dims=fit.dims,
     )
+    for l in range(len(eig)):
+        eig.vectors[:, l] *= _peak_sign(eig.section_coefficients(l))
+    return eig
 
 
 def marginal_basis(fit, spec, k):
@@ -228,7 +229,7 @@ def marginal_basis(fit, spec, k):
 
     Singular value decomposition of the one-way unfolding of the
     L2-transformed coefficient tensor; numerically zero singular values are
-    dropped as in ``l2_eigensystem``.
+    dropped as in ``l2_eigensystem``, and vectors carry the module's sign rule.
     """
     p = len(fit.grams)
     if not 0 <= k < p:
@@ -237,10 +238,12 @@ def marginal_basis(fit, spec, k):
     u, s, _ = np.linalg.svd(one_way_unfold(b, k), full_matrices=False)
     s_max = float(s[0]) if s.size else 0.0
     kept = s > SPECTRUM_FLOOR * s_max if s_max > 0 else np.zeros_like(s, bool)
+    vectors = u[:, kept]
+    vectors *= [_peak_sign(maps[k].T @ col) for col in vectors.T]
     return MarginalBasis(
         dimension=k,
         singular_values=s[kept],
-        vectors=u[:, kept],
+        vectors=vectors,
         map=maps[k],
         spec=spec,
     )

@@ -603,11 +603,37 @@ class TestSimulate:
     def test_nan_result_leaves_no_benchmark_json(self, tmp_path, monkeypatch):
         # the result is serialized before the file opens, so a NaN leaves
         # no truncated file behind
-        monkeypatch.setattr(simulate, "aise", lambda *args: math.nan)
+        monkeypatch.setattr(simulate, "rank_report", lambda fit: (math.nan, 1, 1))
         out = tmp_path / "sim"
         code, err = run_captured("simulate", "--out", out, *SIM_FLAGS, "--reps", "1")
         assert code == 1
         assert len(err) == 1 and err[0].startswith("mfcov simulate: ")
+        assert not (out / "benchmark.json").exists()
+
+    def test_non_finite_aise_is_a_failure_record(self, tmp_path, monkeypatch):
+        # one replication's NaN AISE loses that row only: the first call
+        # returns NaN, the later ones the real AISE
+        scores = iter([math.nan])
+        real = simulate.aise
+        monkeypatch.setattr(simulate, "aise",
+                            lambda *args: next(scores, None) or real(*args))
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, *SIM_FLAGS) == 0
+        result = json.loads((out / "benchmark.json").read_text())
+        assert [row["rep"] for row in result["rows"]] == [1]
+        assert result["failures"] == [{"rep": 0, "error": "ValueError: non-finite AISE (nan)"}]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma", "inf"], "sigma must be finite and nonnegative, got inf"),
+        (["--n", "3", "--reps", "3"], "cannot split 3 subjects into 5 folds"),
+    ])
+    def test_configuration_that_cannot_run_exits_one(self, tmp_path, flags, message):
+        # refused before any replication starts: the default protocol
+        # cross-validates over 5 folds
+        out = tmp_path / "sim"
+        code, err = run_captured("simulate", "--out", out, "--n", "6", "--m", "4",
+                                 "--reps", "2", "--gram-cap", "3", *flags)
+        assert (code, err) == (1, [f"mfcov simulate: {message}"])
         assert not (out / "benchmark.json").exists()
 
     def test_identical_runs_are_byte_identical(self, tmp_path):

@@ -60,8 +60,9 @@ class TestSimSetting:
             SimSetting(n=0)
         with pytest.raises(ValueError, match="m must be"):
             SimSetting(m=1)
-        with pytest.raises(ValueError, match="sigma"):
-            SimSetting(sigma=-0.1)
+        for bad in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+                SimSetting(sigma=bad)
         with pytest.raises(ValueError, match="seed must be"):
             SimSetting(seed=-1)
 

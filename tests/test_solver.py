@@ -127,8 +127,8 @@ class TestPacking:
         swap = np.arange(q * q).reshape(q, q).T.ravel()
         g = (g + g[swap][:, swap]) / 2    # preserves symmetry
         g_sym = pack_operator(pk, g)
-        view = solver.Precompute(grams=[], dims=(q,), L=[], groups=[], dense=True,
-                                 h=np.zeros(q * q), c0=0.0, pack=pk, G_sym=g_sym).G
+        view = solver.Precompute(grams=[], dims=(q,), L=[], groups=[], h=np.zeros(q * q),
+                                 c0=0.0, pack=pk, G_sym=g_sym).G
         assert view.shape == (q * q, q * q)
         assert_rel(pack_operator(pk, view), g_sym, rel=1e-14)
         for _ in range(10):
@@ -235,7 +235,7 @@ class TestBatchedG:
     def test_matches_per_subject_kron(self, p, q):
         data, grams, folds = unequal_counts_problem(p, q, 40 + 3 * p + q)
         pre = precompute(data, cross_products(data), grams, folds=folds)
-        assert pre.dense
+        assert pre.G_sym is not None
         split = max(g.rows.shape[0] * g.rows.shape[1] for g in pre.groups) > pre.pack.dim
         assert split == (p == 1)
         full = g_oracle(pre, data, range(data.n)) / data.n
@@ -263,7 +263,7 @@ class TestBatchedG:
         # field holds, is a (Q^2, Q^2) array (Q^2 = 81 > D = 45 here)
         data, grams, folds = unequal_counts_problem(2, 3, 49)
         pre = precompute(data, cross_products(data), grams, folds=folds)
-        assert pre.dense and pre.G.shape == (81, 81)
+        assert pre.G.shape == (81, 81)
 
         def arrays(x):
             if isinstance(x, np.ndarray):
@@ -556,14 +556,17 @@ class TestObjective:
         cfg = FitConfig(lam=0.1, beta=0.5)
         b = np.diag([-1.0, 0.5, 0.2])
         assert objective(b, pre, cfg) == float("inf")
-        # but with beta=0 the PSD indicator is inactive
-        assert np.isfinite(objective(b, pre, FitConfig(lam=0.1, beta=0.0)))
+        # the fit's feasible set is PSD at every (lambda, beta), so with
+        # beta=0 or lambda=0 too
+        for other in (FitConfig(lam=0.1, beta=0.0), FitConfig(lam=0.0, beta=0.5)):
+            assert objective(b, pre, other) == float("inf")
 
     def test_asymmetric_square_unfolding_is_infeasible(self):
         data, cross, grams, pre = make_problem(p=1, n=4, m=3, q=3)
         b = np.diag([1.0, 0.5, 0.2])
         b[0, 1] = 0.3
-        assert objective(b, pre, FitConfig(lam=0.1, beta=0.5)) == float("inf")
+        for lam, beta in ((0.1, 0.5), (0.1, 0.0), (0.0, 0.5)):
+            assert objective(b, pre, FitConfig(lam=lam, beta=beta)) == float("inf")
 
     def test_matches_independent_composition(self):
         data, cross, grams, pre = make_problem(p=2, n=4, m=3, q=2, seed=9)
@@ -621,8 +624,12 @@ class TestAdmmFit:
         ref = reference_unaccelerated(pre, cfg.lam, cfg.beta, cfg.eta / 10, 20000)
         obj_ref = objective(ref, pre, cfg)
         assert abs(fit.objective_value - obj_ref) < 1e-4
-        assert objective(fit.coeffs, pre, cfg) == pytest.approx(
-            fit.objective_value, abs=1e-9)
+        # the reported objective is the public one, at every beta
+        for beta in (0.0, 0.5, 1.0):
+            cfg_b = replace(cfg, beta=beta)
+            fit_b = admm_fit(data, cross, grams, cfg_b, pre=pre)
+            assert objective(fit_b.coeffs, pre, cfg_b) == pytest.approx(
+                fit_b.objective_value, abs=1e-9)
 
     def test_dominating_penalty_annihilates(self):
         data, cross, grams, pre = make_problem(p=1, n=5, m=4, q=3)
@@ -651,19 +658,23 @@ class TestAdmmFit:
         assert fit.primal_residuals.max() < 1e-5 * scale
 
     def test_feasible_point_screen(self):
+        # PSD candidates score no better than the fit, and symmetric ones
+        # that are not PSD lie outside the feasible set, at beta = 0 too
         data, cross, grams, pre = make_problem(
             p=1, n=6, m=5, q=3, seed=15, model_scale=1.5, noise=0.3)
-        cfg = FitConfig(lam=0.05, beta=0.5, tol=1e-10, max_iters=3000)
-        fit = admm_fit(data, cross, grams, cfg, pre=pre)
-        assert fit.converged
-        best = objective(fit.coeffs, pre, cfg)
-        slack = 1e-6 * (1.0 + abs(best))
-        assert best <= objective(np.zeros_like(fit.coeffs), pre, cfg) + slack
-        rng = np.random.default_rng(16)
-        for _ in range(200):
-            cand = prox_psd(
-                fit.coeffs + 0.05 * rng.standard_normal(fit.coeffs.shape), 0.0)
-            assert best <= objective(cand, pre, cfg) + slack
+        for beta in (0.0, 0.5):
+            cfg = FitConfig(lam=0.05, beta=beta, tol=1e-10, max_iters=3000)
+            fit = admm_fit(data, cross, grams, cfg, pre=pre)
+            assert fit.converged
+            best = objective(fit.coeffs, pre, cfg)
+            slack = 1e-6 * (1.0 + abs(best))
+            assert best <= objective(np.zeros_like(fit.coeffs), pre, cfg) + slack
+            rng = np.random.default_rng(16)
+            for _ in range(200):
+                cand = square_unfold(fit.coeffs) + 0.05 * rng.standard_normal((3, 3))
+                cand = (cand + cand.T) / 2.0
+                assert best <= objective(prox_psd(cand, 0.0), pre, cfg) + slack
+                assert best <= objective(cand, pre, cfg) + slack
 
     def test_noiseless_rank_one_beats_generator(self):
         rng = np.random.default_rng(17)
@@ -790,7 +801,7 @@ class TestRidgeSolve:
     @pytest.mark.parametrize("dense", [True, False])
     def test_stack_matches_stacks_of_one(self, dense, monkeypatch):
         # right-hand sides of very different scales take different numbers
-        # of CG steps; each row keeps its own step sizes
+        # of CG steps; each cell runs its own CG
         system, _, pre = ridge_problem(dense, monkeypatch)
         rng = np.random.default_rng(25)
         acc = rng.standard_normal((4, pre.q_total, pre.q_total))
@@ -817,50 +828,46 @@ class TestRidgeSolve:
         for dense in (True, False):
             calls.clear()
             system, _, pre = ridge_problem(dense, monkeypatch)
-            outs = solver._iterate(system, pre, FitConfig(max_iters=20),
-                                   STACK_LAM, STACK_BETA)
+            outs = solver._iterate(system, FitConfig(max_iters=20), STACK_LAM, STACK_BETA)
             assert sum(out["n_iters"] for out in outs) > 0
             # the counter sees the dense path pack
             assert (calls != []) == dense
 
     def test_zero_right_hand_side_gives_exact_zeros(self, monkeypatch):
         system, _, pre = ridge_problem(False, monkeypatch)
-        rng = np.random.default_rng(3)
-        rhs = symmetric_stack(rng, 3, pre.q_total)
-        rhs[1] = 0.0
-        x0 = symmetric_stack(rng, 3, pre.q_total)
+        zero = np.zeros((pre.q_total,) * 2)
+        x0 = symmetric_stack(np.random.default_rng(3), 1, pre.q_total)[0]
         for start in (None, x0):
-            x = solver._conjugate_gradient(ridge_matvec(system, 0.1), rhs, start, 200)
-            assert np.array_equal(x[1], np.zeros_like(x[1]))
-            assert np.all(x[[0, 2]] != 0.0)
+            x = solver._conjugate_gradient(ridge_matvec(system, 0.1), zero, start, 200)
+            assert np.array_equal(x, zero)
 
     def test_warm_start_at_the_solution_returns_it(self, monkeypatch):
         system, g_sym, pre = ridge_problem(False, monkeypatch)
         eta, pk = 0.1, pre.pack
-        rhs = symmetric_stack(np.random.default_rng(4), 2, pre.q_total)
+        rhs = symmetric_stack(np.random.default_rng(4), 1, pre.q_total)[0]
         a = 2.0 * g_sym + (system.p + 1) * eta * np.eye(pk.dim)
-        x0 = pk.unpack(np.linalg.solve(a, pk.pack(rhs).T).T)
+        x0 = pk.unpack(np.linalg.solve(a, pk.pack(rhs)))
         matvec = ridge_matvec(system, eta)
-        assert (frob(rhs - matvec(x0)) < 1e-12 * frob(rhs)).all()
+        assert frob(rhs - matvec(x0)) < 1e-12 * frob(rhs)
         calls = []
-        x = solver._conjugate_gradient(lambda x: calls.append(len(x)) or matvec(x),
+        x = solver._conjugate_gradient(lambda x: calls.append(x.shape) or matvec(x),
                                        rhs, x0, 200)
         assert np.array_equal(x, x0)
-        assert calls == [2]   # the starting residual only
+        assert calls == [x0.shape]   # the starting residual only
 
     def test_non_finite_residual_raises_at_once(self):
         calls = []
 
         def matvec(x):
-            calls.append(len(x))
+            calls.append(x.shape)
             return np.full_like(x, np.nan)
 
-        rhs = symmetric_stack(np.random.default_rng(5), 2, 4)
+        rhs = symmetric_stack(np.random.default_rng(5), 1, 4)[0]
         for start in (None, np.ones_like(rhs)):
             calls.clear()
             with pytest.raises(RuntimeError, match="conjugate gradient failed.*non-finite"):
                 solver._conjugate_gradient(matvec, rhs, start, 200)
-            assert calls == [2]
+            assert calls == [rhs.shape]
 
 
 # (lambda, beta) of a stack's cells; the fourth annihilates the fit
@@ -880,7 +887,7 @@ class TestStackedAdmm:
         free = FitConfig(eta=10.0, tol=1e-9, max_iters=2000)
         capped = FitConfig(max_iters=3)
         for base in (free, capped):
-            stacked = solver._iterate(system, pre, base, STACK_LAM, STACK_BETA)
+            stacked = solver._iterate(system, base, STACK_LAM, STACK_BETA)
             for lam, beta, out in zip(STACK_LAM, STACK_BETA, stacked):
                 single = admm_fit(data, cross, grams, replace(base, lam=lam, beta=beta),
                                   pre=pre)
@@ -982,8 +989,8 @@ class TestZeroCertificate:
         mixed_cells = [zero[0], iterating[0], zero[1], iterating[1], iterating[2]]
         system = solver._System(pre, None, g_sym=pre.G_sym)
         for base in (FitConfig(), FitConfig(max_iters=7)):   # free, and capped
-            alone = solver._iterate(system, pre, base, *zip(*iterating))
-            mixed = solver._iterate(system, pre, base, *zip(*mixed_cells))
+            alone = solver._iterate(system, base, *zip(*iterating))
+            mixed = solver._iterate(system, base, *zip(*mixed_cells))
             for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
                 assert ref["n_iters"] == out["n_iters"] > 0
                 assert ref["converged"] == out["converged"]

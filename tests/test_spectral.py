@@ -5,7 +5,8 @@ from scipy.linalg import subspace_angles
 
 from mfcov.data import FunctionalDataset, cross_products, gram_factors
 from mfcov.kernel import GramFactor, KernelSpec
-from mfcov.solver import CovarianceFit, FitConfig, precompute
+from mfcov.simulate import SimSetting, generate
+from mfcov.solver import CovarianceFit, FitConfig, admm_fit, precompute
 from mfcov.spectral import (
     evaluate_cov,
     evaluate_on_grid,
@@ -282,6 +283,52 @@ class TestMarginalBasis:
         fit.coeffs = square_fold(b_sq, dims + dims)
         assert len(marginal_basis(fit, SPEC, 0)) == 2
         assert len(marginal_basis(fit, SPEC, 1)) == dims[1]
+
+
+def peak_signs(coefficients):
+    """The sign of the largest-magnitude entry of each column."""
+    cols = np.arange(coefficients.shape[1])
+    return np.sign(coefficients[np.abs(coefficients).argmax(axis=0), cols])
+
+
+class TestCanonicalSigns:
+    def test_largest_cosine_coefficient_is_positive(self):
+        # data shaped like the CLI benchmark's: n = 20, m = 10, gram cap 12
+        # (Q = 144), and the cell its cross-validation selects
+        data = generate(SimSetting(setting=1, n=20, m=10, spawn_key=(1, 0)))
+        spec = KernelSpec()
+        grams = gram_factors(data, spec, cap=12)
+        fit = admm_fit(data, cross_products(data), grams,
+                       FitConfig(lam=6.8e-5, beta=0.0, max_iters=25))
+        eig = l2_eigensystem(fit, spec)
+        assert len(eig) > 0
+        sections = np.stack([eig.section_coefficients(l) for l in range(len(eig))], axis=1)
+        assert (peak_signs(sections) == 1.0).all()
+        for k in range(2):
+            mb = marginal_basis(fit, spec, k)
+            assert len(mb) > 0
+            assert (peak_signs(mb.map.T @ mb.vectors) == 1.0).all()
+
+    def test_exports_ignore_the_signs_of_the_factor_basis(self):
+        # negating factor columns changes the coefficients, not the surface,
+        # so neither the eigenfunctions nor the marginal functions move
+        _, grams = kernel_problem(p=2, n=5, m=4, seed=35, cap=3)
+        fit = cov_fit(grams, seed=36)
+        flip = np.array([-1.0, 1.0, -1.0])
+        flipped = cov_fit([GramFactor(factor=grams[0].factor * flip, retained_rank=3,
+                                      coef_map=grams[0].coef_map * flip[:, None]),
+                           grams[1]])
+        flipped.coeffs = fit.coeffs * flip[:, None, None, None] * flip[None, None, :, None]
+        ax = np.linspace(0.0, 1.0, 7)
+        eig, eig_f = l2_eigensystem(fit, SPEC), l2_eigensystem(flipped, SPEC)
+        assert len(eig) == len(eig_f) > 1
+        for l in range(len(eig)):
+            np.testing.assert_allclose(eig_f.eigenfunction_grid(l, [ax, ax]),
+                                       eig.eigenfunction_grid(l, [ax, ax]), atol=1e-10)
+        for k in range(2):
+            np.testing.assert_allclose(marginal_basis(flipped, SPEC, k).basis_grid(ax),
+                                       marginal_basis(fit, SPEC, k).basis_grid(ax),
+                                       atol=1e-10)
 
 
 class TestGridAxes:
