@@ -201,18 +201,19 @@ def gram_factors(data, spec, tol=1e-10, cap=12):
             for k in range(data.p)]
 
 
-def check_fold_count(n, n_folds):
-    """A ValueError unless ``n`` subjects split into ``n_folds`` folds."""
+def check_fold_count(n_folds, n=None):
+    """A ValueError unless there are at least 2 folds and, when ``n`` is
+    given, ``n`` subjects split into ``n_folds`` folds."""
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
-    if n_folds > n:
+    if n is not None and n_folds > n:
         raise ValueError(f"cannot split {n} subjects into {n_folds} folds")
 
 
 def make_folds(data, n_folds=5, seed=0):
     """Random balanced fold assignment; sizes differ by at most one."""
     n = data.n
-    check_fold_count(n, n_folds)
+    check_fold_count(n_folds, n)
     if seed < 0:
         raise ValueError(f"fold_seed must be >= 0, got {seed}")
     perm = default_rng(seed).permutation(n)

@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "KernelSpec",
     "check_unit_interval",
+    "check_point",
     "basis_matrix",
     "kernel_eval",
     "GramFactor",
@@ -64,6 +65,15 @@ def check_unit_interval(x, what):
     x = np.asarray(x, dtype=float)
     if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise ValueError(f"{what} must lie in [0, 1]")
+    return x
+
+
+def check_point(x, p, what):
+    """``x`` as a float vector; a ValueError naming ``what`` unless it is
+    one point of the p-dimensional cube (its shape is (p,))."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (p,):
+        raise ValueError(f"{what} must be a point in [0,1]^{p}, got shape {x.shape}")
     return x
 
 

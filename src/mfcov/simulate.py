@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import FunctionalDataset, check_fold_count, cross_products, gram_factors
-from .kernel import KernelSpec, check_unit_interval
+from .kernel import KernelSpec, check_point, check_unit_interval
 from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
 from .spectral import evaluate_on_grid
@@ -113,16 +113,10 @@ def component_functions(setting, pts):
     return np.column_stack(cols)
 
 
-def _point(x, name):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (2,):
-        raise ValueError(f"{name} must be a point in [0,1]^2, got shape {x.shape}")
-    return x
-
-
 def true_covariance(setting, s, t):
     """Population covariance sum_k k^{-2} psi_k(s) psi_k(t)."""
-    psi = component_functions(setting, np.stack([_point(s, "s"), _point(t, "t")]))
+    pts = np.stack([check_point(s, 2, "s"), check_point(t, 2, "t")])
+    psi = component_functions(setting, pts)
     return float(psi[0] @ (setting.eigenvalues * psi[1]))
 
 
@@ -196,7 +190,9 @@ def aise(fit, spec, setting, grid_per_axis=21):
 #: generic solver grid: per-replication optimal lambdas land in
 #: [1e-6, 1e-4], which this grid spans.  eta likewise steps down to the
 #: loss curvature of that scale (the optimum does not depend on eta, the
-#: iteration path does).
+#: iteration path does).  It is the step at the grid's median lambda, 1e-5;
+#: the CV scales it with lambda (``FitProtocol.eta_grid``), so every cell
+#: runs at the prox thresholds of the cell at 1e-5.
 BENCHMARK_LAMBDA_GRID = tuple(np.logspace(-6.0, -4.0, 5))
 BENCHMARK_BASE = FitConfig(eta=1e-9)
 
@@ -207,6 +203,8 @@ class FitProtocol:
 
     Single-cell grids (one lambda and one beta) mean a fixed configuration:
     cross-validation is skipped and the values are used directly.
+    ``base.eta`` is the ADMM step at the median positive lambda of the grid;
+    the cross-validation steps each lambda with ``eta_grid``.
     """
 
     lambda_grid: tuple = BENCHMARK_LAMBDA_GRID
@@ -225,8 +223,7 @@ class FitProtocol:
                            tuple(float(x) for x in self.beta_grid))
         if not self.lambda_grid or not self.beta_grid:
             raise ValueError("empty tuning grid")
-        if self.n_folds < 2:
-            raise ValueError("need at least 2 folds")
+        check_fold_count(self.n_folds)
         if self.gram_cap < 1:
             raise ValueError("gram_cap must be >= 1")
         _simpson_weights(int(self.aise_grid))
@@ -234,6 +231,19 @@ class FitProtocol:
     @property
     def is_fixed(self):
         return len(self.lambda_grid) == 1 and len(self.beta_grid) == 1
+
+    @property
+    def eta_grid(self):
+        """One ADMM step per lambda: base.eta * lambda / lambda_ref, with
+        lambda_ref the median positive lambda of the grid, so every cell
+        runs at the prox thresholds lambda beta / eta of the reference
+        cell.  A lambda = 0 cell keeps base.eta."""
+        positive = sorted(lam for lam in self.lambda_grid if lam > 0.0)
+        k = len(positive)
+        # the median; np.median and statistics would add imports to every run
+        ref = (positive[(k - 1) // 2] + positive[k // 2]) / 2.0 if k else None
+        return tuple(self.base.eta * (lam / ref) if lam > 0.0 else self.base.eta
+                     for lam in self.lambda_grid)
 
     def to_dict(self):
         # every replication takes lambda and beta from the grids, never the base
@@ -268,7 +278,8 @@ def run_replication(setting, protocol=None):
     else:
         chosen, _, _ = cv_select(data, grams, protocol.lambda_grid,
                                  protocol.beta_grid, base=protocol.base,
-                                 n_folds=protocol.n_folds)
+                                 n_folds=protocol.n_folds,
+                                 eta_grid=protocol.eta_grid)
     fit = admm_fit(data, cross_products(data), grams, chosen)
     ranks = rank_report(fit)
     return {
@@ -349,7 +360,7 @@ def run_benchmark(setting, reps, protocol=None, workers=1):
     if protocol is None:
         protocol = FitProtocol()
     if not protocol.is_fixed:
-        check_fold_count(setting.n, protocol.n_folds)
+        check_fold_count(protocol.n_folds, setting.n)
     jobs = [(rep, replace(setting, spawn_key=setting.spawn_key + (rep,)),
              protocol) for rep in range(int(reps))]
     if workers > 1:

@@ -27,15 +27,19 @@ p singular-value soft-thresholds, updates scaled duals, and extrapolates
 with a Nesterov momentum sequence (restarted whenever the objective
 increases).
 
-The iteration advances a stack of cells: (lambda, beta) settings that share
-one loss system, eta, tolerance and iteration cap.  Their proximal steps
+The iteration advances a stack of cells: (lambda, beta, eta) settings that
+share one loss system, tolerance and iteration cap.  Their proximal steps
 run as stacked eigh calls, while momentum, restarts and the stopping test
-stay per cell; a converged cell leaves the stack.  Each cell's iterates are
-the ones it would have alone bit for bit on the matrix-free path, and up to
-rounding on the dense path, where numpy multiplies a stack of one by gemv
-and a larger stack by gemm, which sum in another order
-(``test_stack_matches_stacks_of_one``).  A single fit is a stack of one, and
-cross-validation runs a fold's whole grid as one stack on the dense path.
+stay per cell; a converged cell leaves the stack.  Each cell steps with its
+own eta (ridge shift, prox thresholds and consensus anchor), so a CV grid
+can scale eta with lambda (``cv_select``'s ``eta_grid``, which the
+simulation protocol uses); the CLI's ``fit`` and ``cv`` run every cell at
+one eta.  Each cell's iterates are the ones it would have alone bit for
+bit on the matrix-free path, and up to rounding on the dense path, where
+numpy multiplies a stack of one by gemv and a larger stack by gemm, which
+sum in another order (``test_stack_matches_stacks_of_one``).  A single fit
+is a stack of one, and cross-validation runs a fold's whole grid as one
+stack on the dense path.
 A one-way unfolding M is q_k x (Q^2 / q_k), so its singular-value
 soft-threshold comes from the eigendecomposition of the small Gram M M^T,
 not from an SVD of M; cells with beta = 1 skip it.
@@ -514,6 +518,11 @@ class _System:
             self.g_eig, self.g_vec = np.linalg.eigh(g_sym)
 
     @cached_property
+    def h_norm(self):
+        """||h||_F, the scale of the consensus guard's anchor."""
+        return float(_frob(self.h))
+
+    @cached_property
     def _zero_bounds(self):
         """(rho_0, rho_1) of the linear term; see the module docstring."""
         rho0 = max(float(np.linalg.eigvalsh(self.h)[-1]), 0.0)
@@ -539,18 +548,20 @@ class _System:
         return np.einsum("cp,cp->c", x, x @ self.g_sym) - x @ self.h_packed + self.c0
 
     def solve(self, acc, eta, x0=None):
-        """The symmetric B of each cell, for the consensus target acc[c];
-        the matrix-free path warm-starts from x0[c]."""
+        """The symmetric B of each cell, for the consensus target acc[c] and
+        step eta[c] (or one eta for every cell); the matrix-free path
+        warm-starts from x0[c]."""
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
         shift = (self.p + 1) * eta
         if self.dense:
-            y = (self.h_packed + eta * self.pack.pack(acc)) @ self.g_vec
-            y /= 2.0 * self.g_eig + shift
+            y = (self.h_packed + eta[:, None] * self.pack.pack(acc)) @ self.g_vec
+            y /= 2.0 * self.g_eig + shift[:, None]
             return self.pack.unpack(y @ self.g_vec.T)
 
-        rhs = _sym(self.h + eta * acc)
+        rhs = _sym(self.h + eta[:, None, None] * acc)
         q = len(self.h)   # at most 20 D steps, D = Q(Q+1)/2
         return np.stack([_sym(_conjugate_gradient(
-            lambda x: 2.0 * self._apply(x) + shift * x, rhs[c],
+            lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
             None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
 
 
@@ -593,10 +604,11 @@ def _conjugate_gradient(matvec, rhs, x0, max_iters):
                        f"in {max_iters} iterations")
 
 
-def _iterate(system, base, lam, beta):
+def _iterate(system, base, lam, beta, eta=None):
     """Run the accelerated ADMM for a stack of cells on one loss system.
 
-    Cell c penalizes with (lam[c], beta[c]) and starts from zero; eta, tol and
+    Cell c penalizes with (lam[c], beta[c]), steps with eta[c] (``base.eta``
+    for every cell when ``eta`` is None) and starts from zero; tol and
     max_iters come from the FitConfig ``base``.  Returns one result dict per
     cell; a cell the zero certificate covers returns the zero fit at 0
     iterations.
@@ -604,9 +616,9 @@ def _iterate(system, base, lam, beta):
     p = system.p
     q = len(system.h)
     dims2 = system.dims + system.dims
-    eta = base.eta
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    eta = np.full(lam.shape, base.eta) if eta is None else np.asarray(eta, dtype=float)
 
     # at the zero start the loss is c0 and the penalties vanish; 0 * h is
     # NaN where h is not finite
@@ -643,13 +655,13 @@ def _iterate(system, base, lam, beta):
         acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
             acc = acc + d_hat[:, k] - v_hat[:, k]
-        b = system.solve(acc, eta, x0=b)
+        b = system.solve(acc, eta[cell], x0=b)
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the Gram eigendecomposition and keep it
         d_new = b[:, None] + v_hat
-        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], lam[cell] * beta[cell] / eta)
-        thr_one = lam[cell] * (1.0 - beta[cell]) / (p * eta)
+        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], lam[cell] * beta[cell] / eta[cell])
+        thr_one = lam[cell] * (1.0 - beta[cell]) / (p * eta[cell])
         one_rows = np.flatnonzero(thr_one != 0.0)
         if one_rows.size:
             for k in range(1, p + 1):
@@ -688,7 +700,7 @@ def _iterate(system, base, lam, beta):
             # absolute anchor) before declaring convergence.
             r_cons = _frob(b[:, None] - d).max(axis=1)
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
-                                _frob(system.h) / ((p + 1) * eta))
+                                system.h_norm / ((p + 1) * eta[cell]))
             conv &= r_cons <= np.sqrt(base.tol) * np.maximum(anchor, 1e-300)
 
         done = conv | (t + 1 >= base.max_iters)
@@ -753,17 +765,19 @@ class CvDiagnostics:
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
               beta_grid=DEFAULT_BETA_GRID, folds=None, base=None,
-              n_folds=5, fold_seed=0):
+              n_folds=5, fold_seed=0, eta_grid=None):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
     For every fold, the fit uses the training subjects' loss pieces (derived
     from the shared full-data precomputation by subtraction) and is scored by
     the held-out squared-error loss on the validation subjects.  On the dense
     path a fold's whole grid runs as one stack of cells; on the matrix-free
-    path the cells run one at a time, which bounds the iterate memory.  Ties
-    are broken toward larger lambda, then larger beta.  Returns the winning
-    FitConfig, the (len(lambda_grid), len(beta_grid)) score table and the
-    cells' CvDiagnostics.
+    path the cells run one at a time, which bounds the iterate memory.  The
+    cells of lambda_grid[i] step with eta_grid[i], or with ``base.eta`` when
+    ``eta_grid`` is None.  Ties are broken toward larger lambda, then larger
+    beta.  Returns the winning FitConfig (with its cell's eta), the
+    (len(lambda_grid), len(beta_grid)) score table and the cells'
+    CvDiagnostics.
     """
     if base is None:
         base = FitConfig()
@@ -772,6 +786,12 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     beta_grid = [replace(base, beta=float(x)).beta for x in beta_grid]
     if not lambda_grid or not beta_grid:
         raise ValueError("empty tuning grid")
+    if eta_grid is None:
+        eta_grid = [base.eta] * len(lambda_grid)
+    eta_grid = [replace(base, eta=float(x)).eta for x in eta_grid]
+    if len(eta_grid) != len(lambda_grid):
+        raise ValueError(f"eta_grid needs one eta per lambda ({len(lambda_grid)}), "
+                         f"got {len(eta_grid)}")
     if folds is None:
         folds = make_folds(data, n_folds, fold_seed)
     cross = cross_products(data)
@@ -780,6 +800,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
     cell_lam = np.array([lambda_grid[li] for li, _ in cells])
     cell_beta = np.array([beta_grid[bj] for _, bj in cells])
+    cell_eta = np.array([eta_grid[li] for li, _ in cells])
     size = 1 if pre.G_sym is None else len(cells)
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
@@ -790,7 +811,8 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
         system = _System(pre, train, g_sym=g_sym)
         for start in range(0, len(cells), size):
             stack = slice(start, start + size)
-            outs = _iterate(system, base, cell_lam[stack], cell_beta[stack])
+            outs = _iterate(system, base, cell_lam[stack], cell_beta[stack],
+                            cell_eta[stack])
             b_sq = np.stack([square_unfold(out["coeffs"]) for out in outs])
             held_out = pre.loss_direct(b_sq, folds.valid_subjects(f))
             for (li, bj), out, score in zip(cells[stack], outs, held_out):
@@ -806,5 +828,5 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
             if best is None or cand < best[0]:
                 best = (cand, li, bj)
     li, bj = best[1], best[2]
-    chosen = replace(base, lam=lambda_grid[li], beta=beta_grid[bj])
+    chosen = replace(base, lam=lambda_grid[li], beta=beta_grid[bj], eta=eta_grid[li])
     return chosen, scores, CvDiagnostics(n_iters=n_iters, unconverged_folds=unconverged)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import basis_matrix
+from .kernel import basis_matrix, check_point
 from .tensor import n_mode_product, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -78,13 +78,6 @@ def _contract(tensor, mats):
     return tensor
 
 
-def _check_point(x, p, name):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (p,):
-        raise ValueError(f"{name} must be a point in [0,1]^{p}, got shape {x.shape}")
-    return x
-
-
 def evaluate_cov(fit, spec, s, t):
     """Fitted covariance value at a pair of points of the unit cube.
 
@@ -94,8 +87,8 @@ def evaluate_cov(fit, spec, s, t):
     loss.
     """
     p = len(fit.grams)
-    s = _check_point(s, p, "s")
-    t = _check_point(t, p, "t")
+    s = check_point(s, p, "s")
+    t = check_point(t, p, "t")
     row_s = row_t = np.ones(1)
     for k, c in enumerate(_coef_maps(fit)):
         proj = _basis_values(spec, c, [s[k], t[k]])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfcov.data import FunctionalDataset, cross_products, load_csv, make_folds, save_csv
+from mfcov.data import (FunctionalDataset, check_fold_count, cross_products, load_csv,
+                        make_folds, save_csv)
 
 # Text shaped like the CSV format, so examples get past the header check.
 CSV_LIKE = st.text(alphabet="ab,.0123456789e-+\"\n\r inf", max_size=300).map(
@@ -195,3 +196,12 @@ class TestMakeFolds:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="fold_seed must be >= 0"):
             make_folds(toy_dataset(), 2, seed=-1)
+
+    def test_fold_count_rule_with_and_without_n(self):
+        check_fold_count(2)
+        check_fold_count(3, 3)
+        for args in ((1,), (1, 10), (0, 10)):
+            with pytest.raises(ValueError, match="^need at least 2 folds$"):
+                check_fold_count(*args)
+        with pytest.raises(ValueError, match="^cannot split 3 subjects into 4 folds$"):
+            check_fold_count(4, 3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mfcov.kernel import (
     GramFactor,
     KernelSpec,
     basis_matrix,
+    check_point,
     check_unit_interval,
     factor_kernel,
     kernel_eval,
@@ -350,3 +352,19 @@ class TestUnitInterval:
         for bad in (-1e-300, 1.0 + 1e-15, math.inf):
             with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
                 check_unit_interval([0.5, bad], "x")
+
+
+class TestPoint:
+    def test_shape_rule_and_message(self):
+        np.testing.assert_array_equal(check_point(0.25, 1, "s"), [0.25])
+        np.testing.assert_array_equal(check_point([0.5, 1.0], 2, "t"), [0.5, 1.0])
+        for bad in ([0.5], [[0.5, 0.5]], [0.1, 0.2, 0.3]):
+            shape = np.atleast_1d(np.asarray(bad)).shape
+            message = f"s must be a point in [0,1]^2, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_point(bad, 2, "s")
+
+    def test_true_covariance_uses_the_rule(self):
+        with pytest.raises(ValueError, match=r"^t must be a point in \[0,1\]\^2, "
+                                             r"got shape \(3,\)$"):
+            true_covariance(SimSetting(setting=1), (0.5, 0.5), (0.1, 0.2, 0.3))

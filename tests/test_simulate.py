@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import mfcov.simulate as simulate
+from mfcov import solver
 from mfcov.cli import _write_json
-from mfcov.data import cross_products, gram_factors
+from mfcov.data import cross_products, gram_factors, make_folds
 from mfcov.kernel import KernelSpec, basis_matrix
 from mfcov.simulate import (COMPONENTS, FitProtocol, SimSetting, aise,
                             component_functions, generate, run_benchmark,
                             run_replication, save_table, true_covariance,
                             true_covariance_grid)
-from mfcov.solver import FitConfig, admm_fit
+from mfcov.solver import FitConfig, admm_fit, cv_select
 
 # small enough to keep the pipeline tests quick, still a real estimate
 FAST = FitProtocol(lambda_grid=(1e-3,), beta_grid=(0.5,), gram_cap=3,
@@ -313,6 +314,63 @@ class TestProtocol:
         # the grids set lambda and beta; the base records only the rest
         assert d["base"] == {"eta": 2.0, "max_iters": 500, "tol": 1e-6,
                              "rank_threshold": 1e-4}
+
+
+class TestScaledEta:
+    """The protocol steps each lambda of its CV grid with eta proportional to
+    lambda, anchored at the grid's median lambda."""
+
+    def test_eta_grid_scales_with_lambda(self):
+        proto = FitProtocol()
+        lam = np.array(proto.lambda_grid)
+        np.testing.assert_allclose(proto.eta_grid, 1e-9 * lam / 1e-5, rtol=1e-15)
+        assert proto.eta_grid[2] == 1e-9 == proto.base.eta
+        assert FitProtocol(lambda_grid=(3e-6,)).eta_grid == (1e-9,)
+        assert FitProtocol(lambda_grid=(3e-6,), base=FitConfig(eta=0.7)).eta_grid == (0.7,)
+        mixed = FitProtocol(lambda_grid=(0.0, 1e-6, 1e-5, 1e-4))
+        assert mixed.eta_grid[0] == 1e-9   # lambda = 0 keeps base.eta
+        np.testing.assert_allclose(mixed.eta_grid[1:], [1e-10, 1e-9, 1e-8], rtol=1e-15)
+        assert FitProtocol(lambda_grid=(0.0,)).eta_grid == (1e-9,)
+
+    @pytest.fixture(scope="class")
+    def replication_data(self):
+        """Key (1, 0), m = 10: the data and gram factors of one replication."""
+        proto = FitProtocol()
+        data = generate(SimSetting(setting=1, n=100, m=10, sigma=0.1, spawn_key=(1, 0)))
+        grams = gram_factors(data, proto.kernel, tol=proto.gram_tol, cap=proto.gram_cap)
+        return proto, data, grams
+
+    def test_scaled_fits_sit_no_further_above_the_optimum(self, replication_data):
+        proto, data, grams = replication_data
+        folds = make_folds(data, proto.n_folds, 0)
+        pre = solver.precompute(data, cross_products(data), grams, folds=folds)
+        train = folds.train_subjects(0)
+        system = solver._System(pre, train,
+                                g_sym=(pre.G_sym * pre.n - pre.G_fold[0]) / train.size)
+        step = dict(zip(proto.lambda_grid, proto.eta_grid))
+        cells = [(lam, beta) for lam in (proto.lambda_grid[0], proto.lambda_grid[-1])
+                 for beta in (0.0, 0.5, 1.0)]
+        lam, beta = (np.array(x) for x in zip(*cells))
+        eta = np.array([step[x] for x in lam])
+        long = replace(proto.base, tol=1e-14, max_iters=20000)
+        ref = [out["objective_value"] for out in solver._iterate(system, long, lam, beta, eta)]
+
+        def excess(outs):
+            return np.median([(out["objective_value"] - r) / abs(r)
+                              for out, r in zip(outs, ref)])
+
+        fixed = solver._iterate(system, proto.base, lam, beta)
+        scaled = solver._iterate(system, proto.base, lam, beta, eta)
+        assert excess(scaled) <= excess(fixed)
+        assert all(out["converged"] for out in fixed + scaled)
+
+    def test_cv_iteration_budget(self, replication_data):
+        # the fixed eta needs 4,121 cell-iterations here
+        proto, data, grams = replication_data
+        _, _, cells = cv_select(data, grams, proto.lambda_grid, proto.beta_grid,
+                                base=proto.base, n_folds=proto.n_folds,
+                                eta_grid=proto.eta_grid)
+        assert cells.n_iters.sum() <= 2600
 
 
 class TestBenchmark:

@@ -807,10 +807,14 @@ class TestRidgeSolve:
         acc = rng.standard_normal((4, pre.q_total, pre.q_total))
         acc *= np.array([1.0, 1e3, 1e-3, 30.0])[:, None, None]
         x0 = symmetric_stack(rng, 4, pre.q_total)
-        for eta, start in ((0.1, None), (1e-3, None), (1e-3, x0)):
+        mixed = np.array([0.1, 1e-3, 10.0, 1.0])   # one eta per row
+        for eta, start in ((0.1, None), (1e-3, None), (1e-3, x0), (mixed, None),
+                           (mixed, x0)):
             stacked = system.solve(acc, eta, x0=start)
+            row_eta = np.broadcast_to(eta, (len(acc),))
             ones = np.concatenate([
-                system.solve(acc[c:c + 1], eta, x0=None if start is None else start[c:c + 1])
+                system.solve(acc[c:c + 1], row_eta[c],
+                             x0=None if start is None else start[c:c + 1])
                 for c in range(len(acc))])
             if dense:
                 # a one-row product takes numpy's gemv, which sums in
@@ -903,6 +907,32 @@ class TestStackedAdmm:
                 assert not any(stacked[c]["converged"] for c in (0, 1, 2, 4))
             else:
                 assert min(n_iters[:3]) > 10 and len(set(n_iters)) == 5
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_mixed_eta_cells_match_single_cell_runs(self, dense, monkeypatch):
+        # each cell of a stack steps with its own eta, as it would alone
+        data, cross, grams, _ = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        pre = precompute(data, cross, grams)
+        system = solver._System(pre, None, g_sym=pre.G_sym)
+        base = FitConfig(tol=1e-9, max_iters=2000)
+        etas = [10.0, 1.0, 0.3, 5.0, 30.0]
+        stacked = solver._iterate(system, base, STACK_LAM, STACK_BETA, etas)
+        for lam, beta, eta, out in zip(STACK_LAM, STACK_BETA, etas, stacked):
+            single = admm_fit(data, cross, grams,
+                              replace(base, lam=lam, beta=beta, eta=eta), pre=pre)
+            assert out["n_iters"] == single.n_iters
+            assert out["converged"] == single.converged
+            if dense:
+                ref = np.linalg.norm(single.coeffs)
+                assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-14 * ref
+            else:
+                assert np.array_equal(out["coeffs"], single.coeffs)
+        # the steps were used: at one eta for every cell the fits stop elsewhere
+        at_one_eta = solver._iterate(system, base, STACK_LAM, STACK_BETA)
+        assert [o["n_iters"] for o in at_one_eta] != [o["n_iters"] for o in stacked]
 
 
 def linear_term_bounds(pre):
@@ -1111,6 +1141,33 @@ class TestCvSelect:
                                base=FitConfig(max_iters=4, tol=1e-12))
         assert zero.n_iters[0, 0] == 0
         assert zero.unconverged_folds[0, 0] == 0
+
+    def test_one_eta_grid_is_the_fixed_eta_path(self):
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        base = FitConfig(eta=0.5, max_iters=60)
+        grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
+        best, scores, cells = cv_select(data, grams, *grid, n_folds=3, base=base)
+        best_e, scores_e, cells_e = cv_select(data, grams, *grid, n_folds=3, base=base,
+                                              eta_grid=[base.eta] * 3)
+        assert best_e == best and best.eta == base.eta
+        assert np.array_equal(scores_e, scores)
+        assert np.array_equal(cells_e.n_iters, cells.n_iters)
+        assert np.array_equal(cells_e.unconverged_folds, cells.unconverged_folds)
+
+    def test_winner_keeps_its_cells_eta(self):
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
+        etas = [0.2, 0.7, 3.0]
+        best, scores, _ = cv_select(data, grams, *grid, n_folds=3, eta_grid=etas)
+        assert best.eta == etas[grid[0].index(best.lam)]
+        _, scores_1, _ = cv_select(data, grams, *grid, n_folds=3)
+        assert not np.array_equal(scores, scores_1)   # the steps were used
+        with pytest.raises(ValueError, match="one eta per lambda"):
+            cv_select(data, grams, *grid, n_folds=3, eta_grid=etas[:2])
+        with pytest.raises(ValueError, match="eta"):
+            cv_select(data, grams, *grid, n_folds=3, eta_grid=[0.2, 0.0, 1.0])
 
     def test_empty_grid_rejected(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
