@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import cross_products, gram_factors, load_csv, make_folds
-from .kernel import KernelSpec
+from .kernel import KernelSpec, check_gram_options
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_table
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
                      FitConfig, admm_fit, cv_select, rank_report)
@@ -420,8 +420,7 @@ def _sidecar_parts(container, sidecar):
         gram, fit = sidecar["gram"], sidecar["fit"]
         tol, cap = float(gram["tol"]), int(gram["cap"])
         hashes = gram["locations_sha256"]
-        if cap < 1:
-            raise ValueError(f"gram cap {cap} is below 1")
+        check_gram_options(tol, cap)
         config = _drop_adaptive_eta(fit["config"])
         if "lambda" in config:
             config["lam"] = config.pop("lambda")

@@ -9,9 +9,13 @@ trace for the default decay 4.
 Kernels are represented in coefficient space.  Over N pooled coordinates
 the gram is E W E^T, with E the N x T basis matrix and W the diagonal of
 coefficients, so it has rank at most T.  ``factor_kernel`` factors it
-through the thin SVD of E W^{1/2} and keeps an N x q factor for the solver
-plus a q x T map from the cosine basis to the factor's coefficient basis;
-no N x N matrix is ever formed.
+through the smaller of the two Grams of A = E W^{1/2}, the T x T A^T A or
+the N x N A A^T, and keeps an N x q factor for the solver plus a q x T map
+from the cosine basis to the factor's coefficient basis.  One eigh of a
+min(N, T) square does all the work, so no gram larger than that square is
+ever formed.  Squaring A squares its conditioning: a kept direction whose
+eigenvalue is a fraction r of the largest is accurate to about eps / r, and
+the keep rule holds r above the gram tolerance.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ __all__ = [
     "basis_matrix",
     "kernel_eval",
     "GramFactor",
+    "check_gram_options",
     "factor_kernel",
 ]
 
@@ -147,33 +152,57 @@ class GramFactor:
         return hashlib.sha256(payload.tobytes()).hexdigest()
 
 
+def check_gram_options(tol, cap):
+    """A ValueError unless the gram tolerance lies in [0, 1) and the cap is
+    at least 1.  The tolerance test is a range, so NaN fails it."""
+    if cap < 1:
+        raise ValueError(f"gram cap must be >= 1, got {cap}")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"gram tol must be in [0, 1), got {tol}")
+
+
 def factor_kernel(spec, coords, tol=1e-10, cap=12):
     """Rank-q factor of the kernel gram [K(t_a, t_b)] over ``coords``.
 
-    The gram E W E^T has rank at most T, so it is never formed: the thin SVD
-    A = E W^{1/2} = U S V^T (N x T) gives its eigenvalues S^2 and
-    eigenvectors U.  Directions with S^2 above ``tol`` times the largest are
-    kept, up to ``cap`` of them; M = U_q S_q and C = V_q^T W^{1/2}.  Columns
-    are sign-canonicalized (largest-magnitude entry of each U column
-    positive) so refactorizing the same coordinates on a different BLAS
-    reproduces the same basis.
+    The gram A A^T, A = E W^{1/2} (N x T), is never formed beyond the
+    smaller of A^T A and A A^T (the method of snapshots), whose eigenvalues
+    ev are the gram's nonzero ones.  Directions with ev above ``tol`` times
+    the largest are kept, up to ``cap`` of them.  With T <= N and
+    A^T A = V diag(ev) V^T, the factor is M = A V_q and C = V_q^T W^{1/2};
+    with N < T and A A^T = U diag(ev) U^T, M = U_q ev_q^{1/2} and
+    C = (A^T U_q ev_q^{-1/2})^T W^{1/2}.
+
+    The cross-product squares the conditioning of A: a kept column whose
+    eigenvalue is a fraction r of the largest is accurate to about eps / r,
+    and the keep rule holds r above ``tol``.  A rank-deficient gram's null
+    eigenvalues come out near eps times the largest, so a ``tol`` below
+    about 1e-15 can keep directions that are rounding noise.
+
+    Columns are sign-canonicalized (the largest-magnitude entry of each
+    column of M positive) so refactorizing the same coordinates on a
+    different BLAS reproduces the same basis.
     """
-    if cap < 1:
-        raise ValueError(f"gram cap must be >= 1, got {cap}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"gram tol must be finite and nonnegative, got {tol}")
+    check_gram_options(tol, cap)
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     if coords.size == 0:
         raise ValueError("empty coordinate list")
     e, w = basis_matrix(spec, coords)
     root_w = np.sqrt(w)
-    u, s, vt = np.linalg.svd(e * root_w, full_matrices=False)
-    q = min(int((s * s > tol * s[0] * s[0]).sum()), cap)
-    u, s, vt = u[:, :q], s[:q], vt[:q]
-    flip = np.where(u[np.abs(u).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    a = e * root_w
+    wide = a.shape[0] < a.shape[1]
+    ev, vec = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    ev, vec = ev[::-1], vec[:, ::-1]
+    q = min(int((ev > tol * ev[0]).sum()), cap)
+    vec = vec[:, :q]
+    if wide:
+        root_ev = np.sqrt(ev[:q])
+        m, c = vec * root_ev, (vec / root_ev).T @ a
+    else:
+        m, c = a @ vec, vec.T
+    flip = np.where(m[np.abs(m).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
     return GramFactor(
-        factor=u * (s * flip),
+        factor=m * flip,
         retained_rank=q,
-        coef_map=(vt * flip[:, None]) * root_w,
+        coef_map=(c * flip[:, None]) * root_w,
         locations=coords,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import FunctionalDataset, check_fold_count, cross_products, gram_factors
-from .kernel import KernelSpec, check_point, check_unit_interval
+from .kernel import KernelSpec, check_gram_options, check_point, check_unit_interval
 from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
 from .spectral import evaluate_on_grid
@@ -224,8 +224,7 @@ class FitProtocol:
         if not self.lambda_grid or not self.beta_grid:
             raise ValueError("empty tuning grid")
         check_fold_count(self.n_folds)
-        if self.gram_cap < 1:
-            raise ValueError("gram_cap must be >= 1")
+        check_gram_options(self.gram_tol, self.gram_cap)
         _simpson_weights(int(self.aise_grid))
 
     @property

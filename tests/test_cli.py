@@ -506,13 +506,17 @@ class TestFit:
     @pytest.mark.parametrize("option, value", [("--gram-cap", "0"),
                                                ("--gram-tol", "nan"),
                                                ("--gram-tol", "inf"),
-                                               ("--gram-tol", "-1e-10")])
+                                               ("--gram-tol", "-1e-10"),
+                                               ("--gram-tol", "-1"),
+                                               ("--gram-tol", "1"),
+                                               ("--gram-tol", "2")])
     def test_bad_gram_parameter_exits_one(self, dataset_csv, tmp_path, option, value):
         code, err = run_captured("fit", "--data", dataset_csv, "--out", tmp_path / "o",
                                  f"{option}={value}")
         assert code == 1
         name = option.removeprefix("--").replace("-", " ")
         assert len(err) == 1 and err[0].startswith(f"mfcov fit: {name} must be")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option", ["--lambda", "--eta", "--tol", "--rank-threshold"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -636,6 +640,21 @@ class TestSimulate:
         assert (code, err) == (1, [f"mfcov simulate: {message}"])
         assert not (out / "benchmark.json").exists()
 
+    @pytest.mark.parametrize("tol", ["-1", "1", "2", "nan"])
+    def test_gram_tolerance_outside_unit_interval_exits_one(self, tmp_path, monkeypatch,
+                                                           tol):
+        # refused while the protocol is built, before any replication starts
+        started = []
+        monkeypatch.setattr(simulate, "run_replication",
+                            lambda *args: started.append(args))
+        out = tmp_path / "sim"
+        code, err = run_captured("simulate", "--out", out, *SIM_FLAGS,
+                                 f"--gram-tol={tol}")
+        assert (code, err) == (1, [f"mfcov simulate: gram tol must be in [0, 1), "
+                                   f"got {float(tol)}"])
+        assert started == []
+        assert not (out / "benchmark.json").exists()
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run("simulate", "--out", out1, *SIM_FLAGS) == 0
@@ -685,6 +704,16 @@ CV_FLAGS = ["--gram-cap", "4", "--eta", "1e-9", "--n-folds", "3"]
 
 
 class TestCv:
+    @pytest.mark.parametrize("tol", ["-1", "1", "2", "nan"])
+    def test_gram_tolerance_outside_unit_interval_exits_one(self, dataset_csv, tmp_path,
+                                                           tol):
+        out = tmp_path / "cv"
+        code, err = run_captured("cv", "--data", dataset_csv, "--out", out, *CV_FLAGS,
+                                 f"--gram-tol={tol}")
+        assert (code, err) == (1, [f"mfcov cv: gram tol must be in [0, 1), "
+                                   f"got {float(tol)}"])
+        assert not out.exists()
+
     def test_single_cell_grid(self, dataset_csv, tmp_path):
         out = tmp_path / "cv"
         code = run("cv", "--data", dataset_csv, "--out", out, *CV_FLAGS,

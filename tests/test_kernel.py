@@ -272,6 +272,76 @@ class TestFactorizeGram:
             np.testing.assert_allclose(rows, gf.factor[:100], atol=1e-13)
 
 
+def svd_factor(spec, coords, tol=1e-10, cap=12):
+    """(M, q, C) from the thin SVD A = E W^{1/2} = U S V^T with the same keep
+    and sign rules: M = U_q S_q, C = V_q^T W^{1/2}."""
+    e, w = basis_matrix(spec, coords)
+    u, s, vt = np.linalg.svd(e * np.sqrt(w), full_matrices=False)
+    q = min(int((s * s > tol * s[0] * s[0]).sum()), cap)
+    m, c = u[:, :q] * s[:q], vt[:q] * np.sqrt(w)
+    flip = np.where(m[np.abs(m).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    return m * flip, q, c * flip[:, None]
+
+
+def assert_matches_svd(gf, spec, coords, **options):
+    """Same rank as the SVD reference; each factor column and coefficient row
+    within 1e-12 relative, or within the documented eps / r where a kept
+    eigenvalue is a fraction r of the largest that small."""
+    m, q, c = svd_factor(spec, coords, **options)
+    assert gf.retained_rank == q
+    norms = np.linalg.norm(m, axis=0)
+    bound = np.maximum(1e-12, 64 * np.finfo(float).eps * (norms[0] / norms) ** 2)
+    assert np.all(np.linalg.norm(gf.factor - m, axis=0) <= bound * norms)
+    assert np.all(np.linalg.norm(gf.coef_map - c, axis=1)
+                  <= bound * np.linalg.norm(c, axis=1))
+    assert np.linalg.norm(gf.factor - m) <= 1e-12 * np.linalg.norm(m)
+
+
+class TestSmallerGram:
+    """The factor from the smaller of A^T A and A A^T against a thin SVD."""
+
+    @pytest.mark.parametrize("n", [12, 4_000])
+    @pytest.mark.parametrize("cap", [5, 12])
+    def test_spread_coordinates_match_svd(self, n, cap):
+        # one point in each of n equal cells, so no mirror pairs tie the signs
+        rng = np.random.default_rng(n + cap)
+        coords = (np.arange(n) + rng.uniform(size=n)) / n
+        spec = KernelSpec()
+        assert_matches_svd(factor_kernel(spec, coords, cap=cap), spec, coords, cap=cap)
+
+    def test_repeated_grid_keeps_its_rank(self):
+        # 40 subjects on one 10-point grid: the gram has rank 10 however
+        # many rows it has
+        spec = KernelSpec()
+        coords = np.tile((np.arange(10) + 0.3) / 10, 40)
+        gf = factor_kernel(spec, coords, cap=12)
+        assert gf.retained_rank == 10
+        assert_matches_svd(gf, spec, coords, cap=12)
+
+    def test_few_points_decompose_the_points_gram(self, monkeypatch):
+        # N = 72 points against T = 6,000 terms: the T x T Gram would take
+        # 288 MB and a cubic eigh, the N x N one is tiny
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        spec = KernelSpec(truncation_order=6_000)
+        coords = np.random.default_rng(12).uniform(size=72)
+        gf = factor_kernel(spec, coords)
+        assert shapes == [(72, 72)]
+        assert gf.coef_map.shape == (12, 6_000)
+        assert_matches_svd(gf, spec, coords)
+
+    @pytest.mark.parametrize("tol", [-1.0, 1.0, 2.0, math.nan])
+    def test_tolerance_outside_unit_interval_refused(self, tol):
+        with pytest.raises(ValueError, match=r"^gram tol must be in \[0, 1\), got "):
+            factor_kernel(KernelSpec(), [0.2, 0.7], tol=tol)
+
+
 class TestKernelCrossIntegral:
     """The L2 metric of the coefficient basis, C C^T, against quadrature."""
 

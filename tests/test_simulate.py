@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -300,8 +301,11 @@ class TestProtocol:
             FitProtocol(lambda_grid=())
         with pytest.raises(ValueError, match="folds"):
             FitProtocol(n_folds=1)
-        with pytest.raises(ValueError, match="gram_cap"):
+        with pytest.raises(ValueError, match="gram cap"):
             FitProtocol(gram_cap=0)
+        for tol in (-1.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"gram tol must be in \[0, 1\)"):
+                FitProtocol(gram_tol=tol)
         with pytest.raises(ValueError, match="odd"):
             FitProtocol(aise_grid=8)
 
