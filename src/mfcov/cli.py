@@ -32,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import cross_products, gram_factors, load_csv, make_folds
-from .kernel import KernelSpec, check_gram_options
+from .data import (DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, cross_products, gram_factors,
+                   load_csv, make_folds)
+from .kernel import DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_table
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
                      FitConfig, admm_fit, cv_select, rank_report)
@@ -266,8 +267,8 @@ def _has_type(value, kind):
 def _defaults(command):
     """Defaults of the command's options, taken from the library objects
     themselves; the paths have none."""
-    out = {**asdict(KernelSpec()), "n_folds": 5, "fold_seed": 0,
-           "eigen_grid": 21, "components": 8}
+    out = {**asdict(KernelSpec()), "n_folds": DEFAULT_N_FOLDS,
+           "fold_seed": DEFAULT_FOLD_SEED, "eigen_grid": 21, "components": 8}
     if command == "simulate":
         proto, setting = FitProtocol(), SimSetting()
         base = proto.base
@@ -280,7 +281,7 @@ def _defaults(command):
     else:
         base = FitConfig()
         out.update(
-            gram_tol=1e-10, gram_cap=12,
+            gram_tol=DEFAULT_GRAM_TOL, gram_cap=DEFAULT_GRAM_CAP,
             lambda_grid=[float(x) for x in DEFAULT_LAMBDA_GRID],
             beta_grid=[float(x) for x in DEFAULT_BETA_GRID],
         )

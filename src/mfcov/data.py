@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng  # at import, not in the first fold split
 
-from .kernel import check_unit_interval, factor_kernel
+from .kernel import DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, check_unit_interval, factor_kernel
 
 __all__ = [
     "FunctionalDataset",
@@ -26,7 +26,11 @@ __all__ = [
     "check_fold_count",
     "make_folds",
     "gram_factors",
+    "DEFAULT_N_FOLDS", "DEFAULT_FOLD_SEED",
 ]
+
+# cross-validation defaults: the fold count and the seed of the fold split
+DEFAULT_N_FOLDS, DEFAULT_FOLD_SEED = 5, 0
 
 
 # Finite values whose products leave the float64 range make the loss
@@ -76,11 +80,8 @@ class FunctionalDataset:
 
     def subject_slices(self):
         """Row ranges of each subject inside the pooled ordering."""
-        out, start = [], 0
-        for m in self.counts:
-            out.append(slice(start, start + int(m)))
-            start += int(m)
-        return out
+        ends = np.cumsum(self.counts).tolist()
+        return [slice(end - int(m), end) for end, m in zip(ends, self.counts)]
 
     def stats(self):
         counts = self.counts
@@ -106,11 +107,9 @@ def load_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None or len(header) < 3 or header[0] != "subject" or header[-1] != "y":
-                raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
+            header = next(reader, None) or []
             p = len(header) - 2
-            if [c for c in header[1:-1]] != [f"t{k}" for k in range(1, p + 1)]:
+            if p < 1 or header != ["subject", *(f"t{k}" for k in range(1, p + 1)), "y"]:
                 raise ValueError(f"{path}: expected header 'subject,t1,...,tp,y'")
             for lineno, row in enumerate(reader, start=2):
                 if not row:
@@ -190,7 +189,7 @@ class FoldAssignment:
         return np.flatnonzero(self.assignment == fold)
 
 
-def gram_factors(data, spec, tol=1e-10, cap=12):
+def gram_factors(data, spec, tol=DEFAULT_GRAM_TOL, cap=DEFAULT_GRAM_CAP):
     """Per-dimension gram factors over the pooled observed coordinates.
 
     Row order follows the pooled (subject, observation) enumeration, so the
@@ -210,7 +209,7 @@ def check_fold_count(n_folds, n=None):
         raise ValueError(f"cannot split {n} subjects into {n_folds} folds")
 
 
-def make_folds(data, n_folds=5, seed=0):
+def make_folds(data, n_folds=DEFAULT_N_FOLDS, seed=DEFAULT_FOLD_SEED):
     """Random balanced fold assignment; sizes differ by at most one."""
     n = data.n
     check_fold_count(n_folds, n)

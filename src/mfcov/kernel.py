@@ -31,9 +31,14 @@ __all__ = [
     "basis_matrix",
     "kernel_eval",
     "GramFactor",
+    "DEFAULT_GRAM_TOL", "DEFAULT_GRAM_CAP",
     "check_gram_options",
+    "peak_signs",
     "factor_kernel",
 ]
+
+# gram factorization defaults: the keep tolerance and the rank cap
+DEFAULT_GRAM_TOL, DEFAULT_GRAM_CAP = 1e-10, 12
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,18 @@ def check_gram_options(tol, cap):
         raise ValueError(f"gram tol must be in [0, 1), got {tol}")
 
 
-def factor_kernel(spec, coords, tol=1e-10, cap=12):
+def peak_signs(x):
+    """+1 or -1 per column of the array ``x`` (one value for a vector): the
+    sign of the lowest-index entry within a relative 1e-9 of the column's
+    largest magnitude, so the two opposite peaks of an odd column on a
+    mirror-symmetric design resolve the same way whatever the rounding."""
+    mag = np.abs(x)
+    first = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
+    peak = np.take_along_axis(x, np.expand_dims(first, 0), axis=0)[0]
+    return np.where(peak < 0, -1.0, 1.0)
+
+
+def factor_kernel(spec, coords, tol=DEFAULT_GRAM_TOL, cap=DEFAULT_GRAM_CAP):
     """Rank-q factor of the kernel gram [K(t_a, t_b)] over ``coords``.
 
     The gram A A^T, A = E W^{1/2} (N x T), is never formed beyond the
@@ -178,9 +194,9 @@ def factor_kernel(spec, coords, tol=1e-10, cap=12):
     eigenvalues come out near eps times the largest, so a ``tol`` below
     about 1e-15 can keep directions that are rounding noise.
 
-    Columns are sign-canonicalized (the largest-magnitude entry of each
-    column of M positive) so refactorizing the same coordinates on a
-    different BLAS reproduces the same basis.
+    Columns are sign-canonicalized (``peak_signs`` of each column of M is
+    +1) so refactorizing the same coordinates on a different BLAS reproduces
+    the same basis.
     """
     check_gram_options(tol, cap)
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
@@ -199,7 +215,7 @@ def factor_kernel(spec, coords, tol=1e-10, cap=12):
         m, c = vec * root_ev, (vec / root_ev).T @ a
     else:
         m, c = a @ vec, vec.T
-    flip = np.where(m[np.abs(m).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    flip = peak_signs(m)
     return GramFactor(
         factor=m * flip,
         retained_rank=q,

@@ -18,8 +18,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
-from .data import FunctionalDataset, check_fold_count, cross_products, gram_factors
-from .kernel import KernelSpec, check_gram_options, check_point, check_unit_interval
+from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_products,
+                   gram_factors)
+from .kernel import (DEFAULT_GRAM_TOL, KernelSpec, check_gram_options, check_point,
+                     check_unit_interval)
 from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
 from .spectral import evaluate_on_grid
@@ -209,9 +211,9 @@ class FitProtocol:
 
     lambda_grid: tuple = BENCHMARK_LAMBDA_GRID
     beta_grid: tuple = DEFAULT_BETA_GRID
-    n_folds: int = 5
+    n_folds: int = DEFAULT_N_FOLDS
     gram_cap: int = 5
-    gram_tol: float = 1e-10
+    gram_tol: float = DEFAULT_GRAM_TOL
     kernel: KernelSpec = KernelSpec()
     base: FitConfig = BENCHMARK_BASE
     aise_grid: int = 21

@@ -47,15 +47,15 @@ not from an SVD of M; cells with beta = 1 skip it.
 Every iterate's square unfolding is kept exactly symmetric by restricting
 the B-subproblem to the symmetric subspace (the ridge system maps that
 subspace to itself, so this is the subproblem's exact minimizer over
-symmetric B).  ``_System.solve`` returns B as symmetric Q x Q matrices.  The
-dense path solves in packed symmetric coordinates (dimension Q(Q+1)/2, an
-isometry that roughly halves the linear algebra), where one eigendecomposition
-of the packed G per loss system makes the solve for any eta a diagonal
-scaling.  Beyond ``DENSE_LIMIT`` it is conjugate gradients on the Q x Q
-matrix of each cell (``_conjugate_gradient``, numpy only, one system per
-call) with a symmetrized right-hand side and result, warm-started from the
-previous iterate, until the residual is finite and below 1e-12 relative to
-the right-hand side.  Cells then run one at a time.
+symmetric B).  The dense path solves in packed symmetric coordinates
+(dimension Q(Q+1)/2, an isometry that roughly halves the linear algebra),
+where one eigendecomposition of the packed G per loss system, made on its
+first solve, makes the solve for any eta a diagonal scaling.  Beyond
+``DENSE_LIMIT`` it is conjugate gradients on the Q x Q matrix of each cell
+(``_conjugate_gradient``, numpy only, one system per call) with a
+symmetrized right-hand side and result, warm-started from the previous
+iterate, until the residual is finite and below 1e-12 relative to the
+right-hand side.  Cells then run one at a time.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
@@ -75,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CROSS_OVERFLOW, cross_products, make_folds
+from .data import CROSS_OVERFLOW, DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, cross_products, make_folds
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -214,12 +214,6 @@ def _size(groups):
     return sum(g.subjects.size for g in groups)
 
 
-def _loss(groups, b):
-    """Off-diagonal squared-error loss of each matrix of the stack ``b``."""
-    return sum(g.u * ((g.z - g.forward(b)) ** 2).sum(axis=(-3, -2, -1))
-               for g in groups) / _size(groups)
-
-
 def _data_pieces(groups):
     """Normalized (h, c0) of the loss over the groups' subjects, h as Q x Q."""
     n_sub = _size(groups)
@@ -230,23 +224,27 @@ def _data_pieces(groups):
 
 @dataclass
 class Precompute:
-    """Factor rows grouped by observation count, and the quadratic-loss pieces.
+    """The quadratic loss of one subject set, and the ridge solves the ADMM
+    runs on.
 
-    ``G_sym``/``h``/``c0`` describe the full-data loss, G_sym = S^T G S in
-    packed symmetric coordinates.  When built with a fold assignment on the
-    dense path, ``G_fold[f]`` holds the packed raw sum of u_i G_i over fold
-    f's subjects, so a training operator comes from one subtraction.  No
-    (Q^2, Q^2) array is stored: ``G`` is derived on access.
+    ``groups`` batches the factor rows by observation count; h, c0 and, on
+    the dense path, the packed G_sym = S^T G S give the loss.  ``G_sym`` is
+    None in matrix-free mode (``precompute`` decides, by ``DENSE_LIMIT``).
+    With a fold assignment on the dense path, ``G_fold[f]`` holds the packed
+    raw sum of u_i G_i over fold f's subjects, from which ``training``
+    subtracts.  ``G``, (Q^2, Q^2), is derived on access, never stored.
+    ``solve`` solves (2 G + (p+1) eta I) B = h + eta sym(acc) for each cell
+    of a stack, over symmetric Q x Q matrices B (see the module docstring).
     """
 
     grams: list
     dims: tuple
     L: list                  # per-subject views of the pooled factor rows
     groups: list             # CountGroup batches covering every subject
-    h: np.ndarray            # full-data (Q^2,)
+    h: np.ndarray            # (Q^2,)
     c0: float
     pack: SymPacking
-    G_sym: np.ndarray | None  # full-data packed (D, D), None in matrix-free mode
+    G_sym: np.ndarray | None  # packed (D, D), None in matrix-free mode
     G_fold: list = field(default_factory=list)   # packed (D, D) raw fold sums
 
     @property
@@ -273,8 +271,84 @@ class Precompute:
 
     def loss_direct(self, b_sq, subjects=None):
         """Off-diagonal squared-error loss of the square unfolding ``b_sq``,
-        or of each matrix of a stack (..., Q, Q)."""
-        return _loss(_select(self.groups, subjects), b_sq)
+        or of each matrix of a stack (..., Q, Q), over ``subjects`` (all
+        when None)."""
+        groups = _select(self.groups, subjects)
+        return sum(g.u * ((g.z - g.forward(b_sq)) ** 2).sum(axis=(-3, -2, -1))
+                   for g in groups) / _size(groups)
+
+    def training(self, folds, f):
+        """The loss system of fold f's training subjects; this precompute
+        must have been built with ``folds``."""
+        train = folds.train_subjects(f)
+        groups = _select(self.groups, train)
+        h, c0 = _data_pieces(groups)
+        g_sym = None if self.G_sym is None else (
+            (self.G_sym * self.n - self.G_fold[f]) / train.size)
+        return replace(self, L=[self.L[i] for i in train], groups=groups,
+                       h=h.ravel(), c0=c0, G_sym=g_sym, G_fold=[])
+
+    @cached_property
+    def h_sq(self):
+        """The symmetric Q x Q square unfolding of h."""
+        return _sym(self.h.reshape(self.q_total, self.q_total))
+
+    @cached_property
+    def h_norm(self):
+        """||h||_F, the scale of the consensus guard's anchor."""
+        return float(_frob(self.h_sq))
+
+    @cached_property
+    def _zero_bounds(self):
+        """(rho_0, rho_1) of the linear term; see the module docstring."""
+        rho0 = max(float(np.linalg.eigvalsh(self.h_sq)[-1]), 0.0)
+        rho1 = max(float(s[0, -1]) for s in _one_way_singular_values(self.h_sq, self.dims))
+        return rho0, rho1
+
+    def zero_certified(self, lam, beta):
+        """Whether B = 0 is optimal for each cell (lam[c], beta[c])."""
+        rho0, rho1 = self._zero_bounds
+        theta = (np.maximum(1.0 - lam * (1.0 - beta) / rho1, 0.0) if rho1 > 0.0
+                 else np.zeros_like(lam))
+        return theta * rho0 <= lam * beta
+
+    @cached_property
+    def _h_packed(self):
+        return self.pack.pack(self.h_sq)
+
+    @cached_property
+    def _g_eigh(self):
+        """(g, U) with G_sym = U diag(g) U^T, made on the first dense solve."""
+        return np.linalg.eigh(self.G_sym)
+
+    def _apply(self, x):
+        """Matrix-free G X for each matrix X of the stack."""
+        return sum(g.adjoint(g.forward(x)) for g in self.groups) / self.n
+
+    def quad(self, x):
+        """Data loss at each symmetric Q x Q matrix of the stack."""
+        if self.G_sym is None:
+            return self.loss_direct(x)
+        x = self.pack.pack(x)
+        return np.einsum("cp,cp->c", x, x @ self.G_sym) - x @ self._h_packed + self.c0
+
+    def solve(self, acc, eta, x0=None):
+        """The symmetric B of each cell, for the consensus target acc[c] and
+        step eta[c] (or one eta for every cell); the matrix-free path
+        warm-starts from x0[c]."""
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
+        shift = (self.p + 1) * eta
+        if self.G_sym is not None:
+            g_eig, g_vec = self._g_eigh
+            y = (self._h_packed + eta[:, None] * self.pack.pack(acc)) @ g_vec
+            y /= 2.0 * g_eig + shift[:, None]
+            return self.pack.unpack(y @ g_vec.T)
+
+        rhs = _sym(self.h_sq + eta[:, None, None] * acc)
+        q = self.q_total   # at most 20 D steps, D = Q(Q+1)/2
+        return np.stack([_sym(_conjugate_gradient(
+            lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
+            None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
 
 
 def _layout(grams, data, cross):
@@ -494,77 +568,6 @@ class CovarianceFit:
         return square_unfold(self.coeffs)
 
 
-class _System:
-    """The ridge solves (2 G + (p+1) eta I) B = h + eta sym(acc) of a stack
-    of cells, over symmetric Q x Q matrices B.
-
-    Dense: in packed symmetric coordinates, G_sym = U diag(g) U^T is
-    decomposed once, and the solve for any eta is a diagonal scaling in U's
-    basis.  Matrix-free: conjugate gradients on each cell's Q x Q matrix,
-    with G X = sum over the subjects' count groups of adjoint(forward(X)) / n.
-    """
-
-    def __init__(self, pre, subjects, g_sym=None):
-        self.p = pre.p
-        self.groups = _select(pre.groups, subjects)
-        h, self.c0 = _data_pieces(self.groups)
-        self.h = _sym(h)
-        self.dims = pre.dims
-        self.dense = g_sym is not None
-        if self.dense:
-            self.pack = pre.pack
-            self.h_packed = self.pack.pack(h)
-            self.g_sym = g_sym
-            self.g_eig, self.g_vec = np.linalg.eigh(g_sym)
-
-    @cached_property
-    def h_norm(self):
-        """||h||_F, the scale of the consensus guard's anchor."""
-        return float(_frob(self.h))
-
-    @cached_property
-    def _zero_bounds(self):
-        """(rho_0, rho_1) of the linear term; see the module docstring."""
-        rho0 = max(float(np.linalg.eigvalsh(self.h)[-1]), 0.0)
-        rho1 = max(float(s[0, -1]) for s in _one_way_singular_values(self.h, self.dims))
-        return rho0, rho1
-
-    def zero_certified(self, lam, beta):
-        """Whether B = 0 is optimal for each cell (lam[c], beta[c])."""
-        rho0, rho1 = self._zero_bounds
-        theta = (np.maximum(1.0 - lam * (1.0 - beta) / rho1, 0.0) if rho1 > 0.0
-                 else np.zeros_like(lam))
-        return theta * rho0 <= lam * beta
-
-    def _apply(self, x):
-        """Matrix-free G X for each matrix X of the stack."""
-        return sum(g.adjoint(g.forward(x)) for g in self.groups) / _size(self.groups)
-
-    def quad(self, x):
-        """Data loss at each symmetric Q x Q matrix of the stack."""
-        if not self.dense:
-            return _loss(self.groups, x)
-        x = self.pack.pack(x)
-        return np.einsum("cp,cp->c", x, x @ self.g_sym) - x @ self.h_packed + self.c0
-
-    def solve(self, acc, eta, x0=None):
-        """The symmetric B of each cell, for the consensus target acc[c] and
-        step eta[c] (or one eta for every cell); the matrix-free path
-        warm-starts from x0[c]."""
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
-        shift = (self.p + 1) * eta
-        if self.dense:
-            y = (self.h_packed + eta[:, None] * self.pack.pack(acc)) @ self.g_vec
-            y /= 2.0 * self.g_eig + shift[:, None]
-            return self.pack.unpack(y @ self.g_vec.T)
-
-        rhs = _sym(self.h + eta[:, None, None] * acc)
-        q = len(self.h)   # at most 20 D steps, D = Q(Q+1)/2
-        return np.stack([_sym(_conjugate_gradient(
-            lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
-            None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
-
-
 def _conjugate_gradient(matvec, rhs, x0, max_iters):
     """Solve A X = rhs for one matrix by conjugate gradients (Frobenius inner
     product) from x0, zero when ``x0`` is None.
@@ -604,25 +607,25 @@ def _conjugate_gradient(matvec, rhs, x0, max_iters):
                        f"in {max_iters} iterations")
 
 
-def _iterate(system, base, lam, beta, eta=None):
-    """Run the accelerated ADMM for a stack of cells on one loss system.
+def _iterate(pre, base, lam, beta, eta):
+    """Run the accelerated ADMM for a stack of cells on the loss system
+    ``pre`` (a ``Precompute``).
 
-    Cell c penalizes with (lam[c], beta[c]), steps with eta[c] (``base.eta``
-    for every cell when ``eta`` is None) and starts from zero; tol and
-    max_iters come from the FitConfig ``base``.  Returns one result dict per
-    cell; a cell the zero certificate covers returns the zero fit at 0
-    iterations.
+    Cell c penalizes with (lam[c], beta[c]), steps with eta[c] and starts
+    from zero; tol and max_iters come from the FitConfig ``base``.  Returns
+    one result dict per cell; a cell the zero certificate covers returns the
+    zero fit at 0 iterations.
     """
-    p = system.p
-    q = len(system.h)
-    dims2 = system.dims + system.dims
+    p = pre.p
+    q = pre.q_total
+    dims2 = pre.dims + pre.dims
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    eta = np.full(lam.shape, base.eta) if eta is None else np.asarray(eta, dtype=float)
+    eta = np.asarray(eta, dtype=float)
 
     # at the zero start the loss is c0 and the penalties vanish; 0 * h is
     # NaN where h is not finite
-    obj_init = system.c0 if np.isfinite(system.h).all() else math.nan
+    obj_init = pre.c0 if np.isfinite(pre.h_sq).all() else math.nan
     if not math.isfinite(obj_init):
         raise RuntimeError(
             f"non-finite objective ({obj_init}) at initialization; "
@@ -640,10 +643,10 @@ def _iterate(system, base, lam, beta, eta=None):
         }
 
     # certified cells return the zero fit and never enter the stack
-    zero = system.zero_certified(lam, beta)
+    zero = pre.zero_certified(lam, beta)
     blocks0 = np.zeros((p + 1, q, q))
     for c in np.flatnonzero(zero):
-        finish(c, blocks0[0], blocks0, True, 0, system.c0)
+        finish(c, blocks0[0], blocks0, True, 0, pre.c0)
     # Iterate arrays, never written in place, hold one row per active cell;
     # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
@@ -655,7 +658,7 @@ def _iterate(system, base, lam, beta, eta=None):
         acc = d_hat[:, 0] - v_hat[:, 0]
         for k in range(1, p + 1):
             acc = acc + d_hat[:, k] - v_hat[:, k]
-        b = system.solve(acc, eta[cell], x0=b)
+        b = pre.solve(acc, eta[cell], x0=b)
 
         # each prox overwrites its block of B + V_hat; the one-way blocks of
         # beta=1 cells skip the Gram eigendecomposition and keep it
@@ -670,8 +673,8 @@ def _iterate(system, base, lam, beta, eta=None):
                 d_new[one_rows, k] = dk.reshape(-1, q, q)
         v_new = v_hat + b[:, None] - d_new
 
-        obj = _penalized(system.quad(d_new[:, 0]), d_new[:, 0], eigs,
-                         lam[cell], beta[cell], system.dims)
+        obj = _penalized(pre.quad(d_new[:, 0]), d_new[:, 0], eigs,
+                         lam[cell], beta[cell], pre.dims)
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
             raise RuntimeError(
@@ -700,7 +703,7 @@ def _iterate(system, base, lam, beta, eta=None):
             # absolute anchor) before declaring convergence.
             r_cons = _frob(b[:, None] - d).max(axis=1)
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
-                                system.h_norm / ((p + 1) * eta[cell]))
+                                pre.h_norm / ((p + 1) * eta[cell]))
             conv &= r_cons <= np.sqrt(base.tol) * np.maximum(anchor, 1e-300)
 
         done = conv | (t + 1 >= base.max_iters)
@@ -725,8 +728,7 @@ def admm_fit(data, cross, grams, config, pre=None):
     """
     if pre is None:
         pre = precompute(data, cross, grams)
-    system = _System(pre, None, g_sym=pre.G_sym)
-    (out,) = _iterate(system, config, [config.lam], [config.beta])
+    (out,) = _iterate(pre, config, [config.lam], [config.beta], [config.eta])
     return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
@@ -738,19 +740,14 @@ def rank_report(fit, threshold=None):
     """
     if threshold is None:
         threshold = fit.config.rank_threshold
-    b_sq = fit.coeff_square()
-    w = np.linalg.eigvalsh(_sym(b_sq))
-    lam_max = w.max() if w.size else 0.0
-    if lam_max <= 0.0:
-        two_way = 0
-    else:
-        two_way = int((w > threshold * lam_max).sum())
-    ranks = [two_way]
-    for k in range(fit.coeffs.ndim // 2):
-        s = np.linalg.svd(one_way_unfold(fit.coeffs, k), compute_uv=False)
-        s_max = s.max() if s.size else 0.0
-        ranks.append(0 if s_max <= 0.0 else int((s > threshold * s_max).sum()))
-    return tuple(ranks)
+
+    def rank(v):
+        top = v.max() if v.size else 0.0
+        return 0 if top <= 0.0 else int((v > threshold * top).sum())
+
+    return (rank(np.linalg.eigvalsh(_sym(fit.coeff_square()))),
+            *(rank(np.linalg.svd(one_way_unfold(fit.coeffs, k), compute_uv=False))
+              for k in range(fit.coeffs.ndim // 2)))
 
 
 @dataclass(frozen=True)
@@ -765,7 +762,7 @@ class CvDiagnostics:
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
               beta_grid=DEFAULT_BETA_GRID, folds=None, base=None,
-              n_folds=5, fold_seed=0, eta_grid=None):
+              n_folds=DEFAULT_N_FOLDS, fold_seed=DEFAULT_FOLD_SEED, eta_grid=None):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
     For every fold, the fit uses the training subjects' loss pieces (derived
@@ -798,17 +795,14 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     pre = precompute(data, cross, grams, folds=folds)
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
-    cell_lam = np.array([lambda_grid[li] for li, _ in cells])
-    cell_beta = np.array([beta_grid[bj] for _, bj in cells])
-    cell_eta = np.array([eta_grid[li] for li, _ in cells])
+    cell_lam, cell_beta, cell_eta = (np.array(x) for x in zip(
+        *[(lambda_grid[li], beta_grid[bj], eta_grid[li]) for li, bj in cells]))
     size = 1 if pre.G_sym is None else len(cells)
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
     unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
-        train = folds.train_subjects(f)
-        g_sym = None if pre.G_sym is None else (pre.G_sym * pre.n - pre.G_fold[f]) / train.size
-        system = _System(pre, train, g_sym=g_sym)
+        system = pre.training(folds, f)
         for start in range(0, len(cells), size):
             stack = slice(start, start + size)
             outs = _iterate(system, base, cell_lam[stack], cell_beta[stack],
@@ -821,12 +815,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
                 unconverged[li, bj] += not out["converged"]
     scores /= folds.n_folds
 
-    best = None
-    for li, lam in enumerate(lambda_grid):
-        for bj, beta in enumerate(beta_grid):
-            cand = (scores[li, bj], -lam, -beta)
-            if best is None or cand < best[0]:
-                best = (cand, li, bj)
-    li, bj = best[1], best[2]
+    li, bj = min(np.ndindex(scores.shape), key=lambda c: (
+        scores[c], -lambda_grid[c[0]], -beta_grid[c[1]]))
     chosen = replace(base, lam=lambda_grid[li], beta=beta_grid[bj], eta=eta_grid[li])
     return chosen, scores, CvDiagnostics(n_iters=n_iters, unconverged_folds=unconverged)

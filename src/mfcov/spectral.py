@@ -17,15 +17,16 @@ through A_k = Q_k^T applied to e.  Nothing is inverted, so a rank-deficient
 C_k needs no floor.
 
 Each eigenvector and marginal vector is signed so that its function's
-largest-magnitude cosine coefficient is positive (``factor_kernel``'s rule),
-so exports depend neither on the orthonormalization nor on the LAPACK build.
+peak cosine coefficient is positive (``kernel.peak_signs``, the rule of
+``factor_kernel``), so exports depend neither on the orthonormalization nor
+on the LAPACK build.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import basis_matrix, check_point
+from .kernel import basis_matrix, check_point, peak_signs
 from .tensor import n_mode_product, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -116,12 +117,6 @@ def _l2_transform(fit):
             [q.T for q, _ in factors])
 
 
-def _peak_sign(coefficients):
-    """-1.0 if the largest-magnitude entry of ``coefficients`` is negative,
-    else 1.0."""
-    return -1.0 if coefficients[np.abs(coefficients).argmax()] < 0 else 1.0
-
-
 @dataclass
 class L2EigenSystem:
     """L2 spectrum of a fitted covariance.
@@ -196,12 +191,10 @@ def l2_eigensystem(fit, spec):
     bl_sq = square_unfold(b)
     bl_sq = (bl_sq + bl_sq.T) / 2.0
     w, v = np.linalg.eigh(bl_sq)
-    w = w[::-1]
-    v = v[:, ::-1]
+    w, v = w[::-1], v[:, ::-1]
     w_max = max(float(w[0]), 0.0) if w.size else 0.0
     kept = w > SPECTRUM_FLOOR * w_max if w_max > 0 else np.zeros_like(w, bool)
-    eigenvalues = w[kept]
-    vectors = v[:, kept]
+    eigenvalues, vectors = w[kept], v[:, kept]
     total = eigenvalues.sum()
     fve = np.cumsum(eigenvalues) / total if total > 0 else np.zeros(0)
     eig = L2EigenSystem(
@@ -213,7 +206,7 @@ def l2_eigensystem(fit, spec):
         dims=fit.dims,
     )
     for l in range(len(eig)):
-        eig.vectors[:, l] *= _peak_sign(eig.section_coefficients(l))
+        eig.vectors[:, l] *= peak_signs(eig.section_coefficients(l))
     return eig
 
 
@@ -232,7 +225,7 @@ def marginal_basis(fit, spec, k):
     s_max = float(s[0]) if s.size else 0.0
     kept = s > SPECTRUM_FLOOR * s_max if s_max > 0 else np.zeros_like(s, bool)
     vectors = u[:, kept]
-    vectors *= [_peak_sign(maps[k].T @ col) for col in vectors.T]
+    vectors *= peak_signs(maps[k].T @ vectors)
     return MarginalBasis(
         dimension=k,
         singular_values=s[kept],

@@ -474,22 +474,33 @@ class TestFit:
         assert done.stderr.splitlines() == [
             "mfcov fit: cross-products overflow float64; rescale the values"]
 
-    def test_matrix_free_fit_imports_numpy_alone(self, dataset_csv, tmp_path):
-        # the default gram cap of 12 gives q = 144, past DENSE_LIMIT, so the
-        # fit's ridge solves run conjugate gradients
+    @pytest.mark.parametrize("command", ["fit", "cv", "eigen", "simulate"])
+    def test_matrix_free_fit_imports_numpy_alone(self, dataset_csv, fitted_container,
+                                                 tmp_path, command):
+        # no subcommand loads scipy; the default gram cap of 12 gives
+        # q = 144, past DENSE_LIMIT, so fit's and cv's ridge solves run
+        # conjugate gradients, stopped here at the iteration cap (exit 2)
         out = tmp_path / "o"
+        argv = {
+            "fit": ["--data", dataset_csv, "--lambda", "1e-6", "--max-iters", "2"],
+            "cv": ["--data", dataset_csv, "--lambda-grid", "1e-6", "--beta-grid", "0.5",
+                   "--max-iters", "2"],
+            "eigen": ["--container", fitted_container, "--data", dataset_csv],
+            "simulate": [*SIM_FLAGS, "--reps", "1"],
+        }[command]
         script = (
             "import sys\n"
             "from mfcov import cli\n"
-            f"rc = cli.main(['fit', '--data', {str(dataset_csv)!r}, '--out', {str(out)!r},"
-            " '--lambda', '1e-6', '--max-iters', '2'])\n"
+            f"rc = cli.main({[command, '--out', str(out), *map(str, argv)]!r})\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         done = run_python("-c", script)
-        assert done.stdout.splitlines() == ["2 []"], done.stderr
-        fit = json.loads((out / "fit.json").read_text())
-        assert math.prod(fit["dims"]) ** 2 > solver.DENSE_LIMIT
-        assert fit["n_iters"] == 2 and not fit["zero_solution"]
+        code = 2 if command in ("fit", "cv") else 0
+        assert done.stdout.splitlines() == [f"{code} []"], done.stderr
+        if command == "fit":
+            fit = json.loads((out / "fit.json").read_text())
+            assert math.prod(fit["dims"]) ** 2 > solver.DENSE_LIMIT
+            assert fit["n_iters"] == 2 and not fit["zero_solution"]
 
     @pytest.mark.parametrize("command", ["fit", "cv"])
     def test_order_beyond_memory_writes_one_stderr_line(self, dataset_csv, tmp_path,

@@ -16,6 +16,7 @@ from mfcov.kernel import (
     check_unit_interval,
     factor_kernel,
     kernel_eval,
+    peak_signs,
 )
 from mfcov.simulate import (SimSetting, component_functions, generate, true_covariance,
                             true_covariance_grid)
@@ -248,6 +249,15 @@ class TestFactorizeGram:
         gf = factor_kernel(KernelSpec(), rng.uniform(size=30), cap=6)
         cols = np.arange(gf.retained_rank)
         assert gf.factor[np.abs(gf.factor).argmax(axis=0), cols].min() > 0
+        assert (peak_signs(gf.factor) == 1.0).all()
+
+    def test_peak_sign_ties_go_to_the_lowest_index(self):
+        # entries within 1e-9 relative of a column's largest magnitude tie
+        x = np.array([[1.0, -1.0, 0.0, 1.0],
+                      [-1.0 - 1e-12, 1.0, 0.0, -1.1]])
+        np.testing.assert_array_equal(peak_signs(x), [1.0, -1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(peak_signs(x[::-1]), [-1.0, 1.0, 1.0, -1.0])
+        assert peak_signs(np.array([0.5, -2.0, 2.0 * (1 - 1e-12)])) == -1.0
 
     def test_locations_hash_detects_tampering(self):
         coords = np.array([0.1, 0.2, 0.3])
@@ -279,7 +289,7 @@ def svd_factor(spec, coords, tol=1e-10, cap=12):
     u, s, vt = np.linalg.svd(e * np.sqrt(w), full_matrices=False)
     q = min(int((s * s > tol * s[0] * s[0]).sum()), cap)
     m, c = u[:, :q] * s[:q], vt[:q] * np.sqrt(w)
-    flip = np.where(m[np.abs(m).argmax(axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    flip = peak_signs(m)
     return m * flip, q, c * flip[:, None]
 
 
@@ -306,6 +316,17 @@ class TestSmallerGram:
         # one point in each of n equal cells, so no mirror pairs tie the signs
         rng = np.random.default_rng(n + cap)
         coords = (np.arange(n) + rng.uniform(size=n)) / n
+        spec = KernelSpec()
+        assert_matches_svd(factor_kernel(spec, coords, cap=cap), spec, coords, cap=cap)
+
+    @pytest.mark.parametrize("design", ["ends", "midpoints"])
+    @pytest.mark.parametrize("n", [12, 4_000])
+    @pytest.mark.parametrize("cap", [5, 12])
+    def test_mirror_designs_match_svd(self, design, n, cap):
+        # a design symmetric about 1/2 gives each odd column two peaks of
+        # one magnitude and opposite signs, which only rounding tells apart;
+        # the sign rule resolves them alike in both factorizations
+        coords = np.linspace(0.0, 1.0, n) if design == "ends" else (np.arange(n) + 0.5) / n
         spec = KernelSpec()
         assert_matches_svd(factor_kernel(spec, coords, cap=cap), spec, coords, cap=cap)
 

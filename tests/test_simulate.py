@@ -348,9 +348,7 @@ class TestScaledEta:
         proto, data, grams = replication_data
         folds = make_folds(data, proto.n_folds, 0)
         pre = solver.precompute(data, cross_products(data), grams, folds=folds)
-        train = folds.train_subjects(0)
-        system = solver._System(pre, train,
-                                g_sym=(pre.G_sym * pre.n - pre.G_fold[0]) / train.size)
+        system = pre.training(folds, 0)
         step = dict(zip(proto.lambda_grid, proto.eta_grid))
         cells = [(lam, beta) for lam in (proto.lambda_grid[0], proto.lambda_grid[-1])
                  for beta in (0.0, 0.5, 1.0)]
@@ -363,7 +361,8 @@ class TestScaledEta:
             return np.median([(out["objective_value"] - r) / abs(r)
                               for out, r in zip(outs, ref)])
 
-        fixed = solver._iterate(system, proto.base, lam, beta)
+        fixed = solver._iterate(system, proto.base, lam, beta,
+                                np.full(lam.shape, proto.base.eta))
         scaled = solver._iterate(system, proto.base, lam, beta, eta)
         assert excess(scaled) <= excess(fixed)
         assert all(out["converged"] for out in fixed + scaled)

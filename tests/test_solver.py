@@ -317,10 +317,10 @@ class TestBatchedG:
                     total += u[i] * (resid ** 2).sum()
                 want.append(total / valid.size)
             assert_rel(pre.loss_direct(stack, valid), np.array(want))
-            # packed training operator and the matrix-free G x over train
+            # the training system's packed operator and its matrix-free G x
+            system = pre.training(folds, f)
             g_train = g_oracle(pre, data, train) / train.size
-            packed = (pre.G_sym * data.n - pre.G_fold[f]) / train.size
-            assert_rel(packed, pack_operator(pre.pack, g_train))
+            assert_rel(system.G_sym, pack_operator(pre.pack, g_train))
             want_gx = []
             for x in stack:
                 out = 0.0
@@ -329,8 +329,6 @@ class TestBatchedG:
                     np.fill_diagonal(y, 0.0)
                     out = out + u[i] * (rows[i].T @ y @ rows[i])
                 want_gx.append(out / train.size)
-            system = solver._System(pre, train)
-            assert not system.dense
             assert_rel(system._apply(stack), np.array(want_gx))
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -344,13 +342,11 @@ class TestBatchedG:
         rng = np.random.default_rng(90 + p)
         stack = rng.standard_normal((4, q, q))
         stack = stack + np.swapaxes(stack, 1, 2)
-        subsets = [(None, pre.G_sym)] + [
-            (folds.train_subjects(f),
-             (pre.G_sym * data.n - pre.G_fold[f]) / folds.train_subjects(f).size)
-            for f in range(folds.n_folds)]
-        for subjects, g_sym in subsets:
-            free = solver._System(pre, subjects).quad(stack)
-            dense = solver._System(pre, subjects, g_sym=g_sym).quad(stack)
+        subsets = [(None, pre)] + [(folds.train_subjects(f), pre.training(folds, f))
+                                   for f in range(folds.n_folds)]
+        for subjects, system in subsets:
+            free = replace(system, G_sym=None).quad(stack)
+            dense = system.quad(stack)
             assert_rel(free, dense, rel=1e-12)
             assert_rel(dense, pre.loss_direct(stack, subjects), rel=1e-12)
 
@@ -360,6 +356,53 @@ def with_rows(grams, idx):
     return [GramFactor(gram=gf.factor[idx] @ gf.factor[idx].T, factor=gf.factor[idx],
                        pinv=np.linalg.pinv(gf.factor[idx]), retained_rank=gf.retained_rank)
             for gf in grams]
+
+
+class TestLossSystem:
+    """A Precompute is the loss system the ADMM runs on, for all subjects or
+    for one fold's training subjects."""
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_training_matches_a_precompute_of_its_subjects(self, p, dense, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        data, grams, folds = unequal_counts_problem(p, 2, 100 + p)
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+        slices = data.subject_slices()
+        stack = symmetric_stack(np.random.default_rng(110 + p), 3, pre.q_total)
+        for f in range(folds.n_folds):
+            train = folds.train_subjects(f)
+            alone = FunctionalDataset([data.locations[i] for i in train],
+                                      [data.values[i] for i in train])
+            idx = np.concatenate([np.arange(slices[i].start, slices[i].stop)
+                                  for i in train])
+            want = precompute(alone, cross_products(alone), with_rows(grams, idx))
+            got = pre.training(folds, f)
+            assert got.n == train.size
+            if dense:
+                assert_rel(got.G_sym, want.G_sym, rel=1e-12)
+            else:
+                assert got.G_sym is None and want.G_sym is None
+                assert_rel(got._apply(stack), want._apply(stack))
+            assert_rel(got.h, want.h)
+            assert got.c0 == pytest.approx(want.c0, rel=1e-13)
+            np.testing.assert_allclose(got._zero_bounds, want._zero_bounds, rtol=1e-12)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_a_fit_computes_the_linear_term_once(self, dense, monkeypatch):
+        # admm_fit iterates on its precompute, whose h and c0 it reuses
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        data, cross, grams, _ = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        calls = []
+        pieces = solver._data_pieces
+        monkeypatch.setattr(solver, "_data_pieces",
+                            lambda groups: calls.append(len(groups)) or pieces(groups))
+        fit = admm_fit(data, cross, grams, FitConfig(max_iters=5))
+        assert fit.n_iters == 5
+        assert len(calls) == 1
 
 
 # p in {1, 2}; three to six subjects with unequal counts; a seed for the rest
@@ -754,21 +797,20 @@ class TestAdmmFit:
 
 
 def ridge_problem(dense, monkeypatch):
-    """A loss system on the dense or the matrix-free path (Q = 4), the
-    dense packed G of its data, and its precomputation."""
+    """A loss system on the dense or the matrix-free path (Q = 4), and the
+    dense packed G of its data."""
     data, cross, grams, _ = make_problem(
         p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
     g_sym = precompute(data, cross, grams).G_sym
     if not dense:
         monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
     pre = precompute(data, cross, grams)
-    system = solver._System(pre, None, g_sym=pre.G_sym)
-    assert system.dense == dense
-    return system, g_sym, pre
+    assert (pre.G_sym is not None) == dense
+    return pre, g_sym
 
 
-def ridge_matvec(system, eta):
-    return lambda x: 2.0 * system._apply(x) + (system.p + 1) * eta * x
+def ridge_matvec(pre, eta):
+    return lambda x: 2.0 * pre._apply(x) + (pre.p + 1) * eta * x
 
 
 def symmetric_stack(rng, c, q):
@@ -786,11 +828,11 @@ class TestRidgeSolve:
         # each B of the stack is exactly symmetric and solves
         # (2 G + (p+1) eta I) B = h + eta sym(acc), checked in packed
         # coordinates with the dense packed G whichever path solves
-        system, g_sym, pre = ridge_problem(dense, monkeypatch)
+        pre, g_sym = ridge_problem(dense, monkeypatch)
         q, pk = pre.q_total, pre.pack
         acc = np.random.default_rng(24).standard_normal((3, q, q))
         for eta in (1e-3, 0.1, 1.0, 10.0):
-            b = system.solve(acc, eta)
+            b = pre.solve(acc, eta)
             assert np.array_equal(b, np.swapaxes(b, 1, 2))
             rhs = pk.pack(pre.h.reshape(q, q) + eta * acc)   # packing symmetrizes
             x = pk.pack(b)
@@ -802,7 +844,7 @@ class TestRidgeSolve:
     def test_stack_matches_stacks_of_one(self, dense, monkeypatch):
         # right-hand sides of very different scales take different numbers
         # of CG steps; each cell runs its own CG
-        system, _, pre = ridge_problem(dense, monkeypatch)
+        pre, _ = ridge_problem(dense, monkeypatch)
         rng = np.random.default_rng(25)
         acc = rng.standard_normal((4, pre.q_total, pre.q_total))
         acc *= np.array([1.0, 1e3, 1e-3, 30.0])[:, None, None]
@@ -810,10 +852,10 @@ class TestRidgeSolve:
         mixed = np.array([0.1, 1e-3, 10.0, 1.0])   # one eta per row
         for eta, start in ((0.1, None), (1e-3, None), (1e-3, x0), (mixed, None),
                            (mixed, x0)):
-            stacked = system.solve(acc, eta, x0=start)
+            stacked = pre.solve(acc, eta, x0=start)
             row_eta = np.broadcast_to(eta, (len(acc),))
             ones = np.concatenate([
-                system.solve(acc[c:c + 1], row_eta[c],
+                pre.solve(acc[c:c + 1], row_eta[c],
                              x0=None if start is None else start[c:c + 1])
                 for c in range(len(acc))])
             if dense:
@@ -831,27 +873,28 @@ class TestRidgeSolve:
                                 calls.append(name) or method(self, x))
         for dense in (True, False):
             calls.clear()
-            system, _, pre = ridge_problem(dense, monkeypatch)
-            outs = solver._iterate(system, FitConfig(max_iters=20), STACK_LAM, STACK_BETA)
+            pre, _ = ridge_problem(dense, monkeypatch)
+            outs = solver._iterate(pre, FitConfig(max_iters=20), STACK_LAM, STACK_BETA,
+                                   STACK_ETA)
             assert sum(out["n_iters"] for out in outs) > 0
             # the counter sees the dense path pack
             assert (calls != []) == dense
 
     def test_zero_right_hand_side_gives_exact_zeros(self, monkeypatch):
-        system, _, pre = ridge_problem(False, monkeypatch)
+        pre, _ = ridge_problem(False, monkeypatch)
         zero = np.zeros((pre.q_total,) * 2)
         x0 = symmetric_stack(np.random.default_rng(3), 1, pre.q_total)[0]
         for start in (None, x0):
-            x = solver._conjugate_gradient(ridge_matvec(system, 0.1), zero, start, 200)
+            x = solver._conjugate_gradient(ridge_matvec(pre, 0.1), zero, start, 200)
             assert np.array_equal(x, zero)
 
     def test_warm_start_at_the_solution_returns_it(self, monkeypatch):
-        system, g_sym, pre = ridge_problem(False, monkeypatch)
+        pre, g_sym = ridge_problem(False, monkeypatch)
         eta, pk = 0.1, pre.pack
         rhs = symmetric_stack(np.random.default_rng(4), 1, pre.q_total)[0]
-        a = 2.0 * g_sym + (system.p + 1) * eta * np.eye(pk.dim)
+        a = 2.0 * g_sym + (pre.p + 1) * eta * np.eye(pk.dim)
         x0 = pk.unpack(np.linalg.solve(a, pk.pack(rhs)))
-        matvec = ridge_matvec(system, eta)
+        matvec = ridge_matvec(pre, eta)
         assert frob(rhs - matvec(x0)) < 1e-12 * frob(rhs)
         calls = []
         x = solver._conjugate_gradient(lambda x: calls.append(x.shape) or matvec(x),
@@ -877,6 +920,7 @@ class TestRidgeSolve:
 # (lambda, beta) of a stack's cells; the fourth annihilates the fit
 STACK_LAM = [0.3, 0.3, 0.3, 1e6, 0.01]
 STACK_BETA = [0.0, 0.5, 1.0, 0.5, 1.0]
+STACK_ETA = [FitConfig().eta] * len(STACK_LAM)
 
 
 class TestStackedAdmm:
@@ -887,11 +931,11 @@ class TestStackedAdmm:
         if not dense:
             monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
         pre = precompute(data, cross, grams)
-        system = solver._System(pre, None, g_sym=pre.G_sym)
         free = FitConfig(eta=10.0, tol=1e-9, max_iters=2000)
         capped = FitConfig(max_iters=3)
         for base in (free, capped):
-            stacked = solver._iterate(system, base, STACK_LAM, STACK_BETA)
+            stacked = solver._iterate(pre, base, STACK_LAM, STACK_BETA,
+                                      [base.eta] * len(STACK_LAM))
             for lam, beta, out in zip(STACK_LAM, STACK_BETA, stacked):
                 single = admm_fit(data, cross, grams, replace(base, lam=lam, beta=beta),
                                   pre=pre)
@@ -916,10 +960,9 @@ class TestStackedAdmm:
         if not dense:
             monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
         pre = precompute(data, cross, grams)
-        system = solver._System(pre, None, g_sym=pre.G_sym)
         base = FitConfig(tol=1e-9, max_iters=2000)
         etas = [10.0, 1.0, 0.3, 5.0, 30.0]
-        stacked = solver._iterate(system, base, STACK_LAM, STACK_BETA, etas)
+        stacked = solver._iterate(pre, base, STACK_LAM, STACK_BETA, etas)
         for lam, beta, eta, out in zip(STACK_LAM, STACK_BETA, etas, stacked):
             single = admm_fit(data, cross, grams,
                               replace(base, lam=lam, beta=beta, eta=eta), pre=pre)
@@ -931,7 +974,7 @@ class TestStackedAdmm:
             else:
                 assert np.array_equal(out["coeffs"], single.coeffs)
         # the steps were used: at one eta for every cell the fits stop elsewhere
-        at_one_eta = solver._iterate(system, base, STACK_LAM, STACK_BETA)
+        at_one_eta = solver._iterate(pre, base, STACK_LAM, STACK_BETA, STACK_ETA)
         assert [o["n_iters"] for o in at_one_eta] != [o["n_iters"] for o in stacked]
 
 
@@ -948,8 +991,7 @@ def linear_term_bounds(pre):
 
 
 def certified(pre, lam, beta):
-    system = solver._System(pre, None, g_sym=pre.G_sym)
-    return system.zero_certified(np.atleast_1d(lam), np.atleast_1d(beta))
+    return pre.zero_certified(np.atleast_1d(lam), np.atleast_1d(beta))
 
 
 class TestZeroCertificate:
@@ -1017,10 +1059,9 @@ class TestZeroCertificate:
         iterating = [(0.03, 0.5), (0.01, 1.0), (0.05, 0.0)]
         zero = [(1e6, 0.5), (1.0, 1.0)]
         mixed_cells = [zero[0], iterating[0], zero[1], iterating[1], iterating[2]]
-        system = solver._System(pre, None, g_sym=pre.G_sym)
         for base in (FitConfig(), FitConfig(max_iters=7)):   # free, and capped
-            alone = solver._iterate(system, base, *zip(*iterating))
-            mixed = solver._iterate(system, base, *zip(*mixed_cells))
+            alone = solver._iterate(pre, base, *zip(*iterating), [base.eta] * 3)
+            mixed = solver._iterate(pre, base, *zip(*mixed_cells), [base.eta] * 5)
             for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
                 assert ref["n_iters"] == out["n_iters"] > 0
                 assert ref["converged"] == out["converged"]
@@ -1029,7 +1070,7 @@ class TestZeroCertificate:
             for out in (mixed[0], mixed[2]):
                 assert not out["coeffs"].any()
                 assert out["converged"] and out["n_iters"] == 0
-                assert out["objective_value"] == system.c0
+                assert out["objective_value"] == pre.c0
 
 
 def synthetic_fit(coeffs, threshold=1e-8):

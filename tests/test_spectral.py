@@ -4,7 +4,7 @@ from scipy.integrate import simpson
 from scipy.linalg import subspace_angles
 
 from mfcov.data import FunctionalDataset, cross_products, gram_factors
-from mfcov.kernel import GramFactor, KernelSpec
+from mfcov.kernel import GramFactor, KernelSpec, peak_signs
 from mfcov.simulate import SimSetting, generate
 from mfcov.solver import CovarianceFit, FitConfig, admm_fit, precompute
 from mfcov.spectral import (
@@ -283,12 +283,6 @@ class TestMarginalBasis:
         fit.coeffs = square_fold(b_sq, dims + dims)
         assert len(marginal_basis(fit, SPEC, 0)) == 2
         assert len(marginal_basis(fit, SPEC, 1)) == dims[1]
-
-
-def peak_signs(coefficients):
-    """The sign of the largest-magnitude entry of each column."""
-    cols = np.arange(coefficients.shape[1])
-    return np.sign(coefficients[np.abs(coefficients).argmax(axis=0), cols])
 
 
 class TestCanonicalSigns:
