@@ -22,10 +22,11 @@ triu(L_i^T L_i) and the packed l l^T of each row l (``_packed_g``).
 The objective, loss(B) + lambda (beta ||B_sq||_* + (1 - beta) / p sum_k
 ||B_(k)||_*), is minimized over PSD B_sq at every (lambda, beta); one
 function (``_penalized``) evaluates it for ``objective`` and the iteration.
-Each ADMM iteration solves a ridge system in B, applies one eigenvalue and
-p singular-value soft-thresholds, updates scaled duals, and extrapolates
-with a Nesterov momentum sequence (restarted whenever the objective
-increases).
+One ADMM step (``_admm_map``, a pure function of the extrapolated iterates)
+solves a ridge system in B, applies one eigenvalue and p singular-value
+soft-thresholds and updates scaled duals; the loop (``_iterate``)
+extrapolates with a Nesterov momentum sequence (restarted whenever the
+objective increases) and decides when to stop.
 
 The iteration advances a stack of cells: (lambda, beta, eta) settings that
 share one loss system, tolerance and iteration cap.  Their proximal steps
@@ -49,8 +50,9 @@ the B-subproblem to the symmetric subspace (the ridge system maps that
 subspace to itself, so this is the subproblem's exact minimizer over
 symmetric B).  The dense path solves in packed symmetric coordinates
 (dimension Q(Q+1)/2, an isometry that roughly halves the linear algebra),
-where one eigendecomposition of the packed G per loss system, made on its
-first solve, makes the solve for any eta a diagonal scaling.  Beyond
+where one eigendecomposition of the packed G per run of the iteration
+(``Precompute.solver``, freed when the run returns) makes the solve for any
+eta a diagonal scaling.  Beyond
 ``DENSE_LIMIT`` it is conjugate gradients on the Q x Q matrix of each cell
 (``_conjugate_gradient``, numpy only, one system per call) with a
 symmetrized right-hand side and result, warm-started from the previous
@@ -75,7 +77,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CROSS_OVERFLOW, DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, cross_products, make_folds
+from .data import (CROSS_OVERFLOW, DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, FoldAssignment,
+                   cross_products, make_folds)
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -224,17 +227,17 @@ def _data_pieces(groups):
 
 @dataclass
 class Precompute:
-    """The quadratic loss of one subject set, and the ridge solves the ADMM
-    runs on.
+    """The quadratic loss of one subject set, which the ADMM runs on.
 
     ``groups`` batches the factor rows by observation count; h, c0 and, on
     the dense path, the packed G_sym = S^T G S give the loss.  ``G_sym`` is
     None in matrix-free mode (``precompute`` decides, by ``DENSE_LIMIT``).
-    With a fold assignment on the dense path, ``G_fold[f]`` holds the packed
-    raw sum of u_i G_i over fold f's subjects, from which ``training``
-    subtracts.  ``G``, (Q^2, Q^2), is derived on access, never stored.
-    ``solve`` solves (2 G + (p+1) eta I) B = h + eta sym(acc) for each cell
-    of a stack, over symmetric Q x Q matrices B (see the module docstring).
+    ``folds`` is the fold assignment the precompute was built with, if any;
+    on the dense path ``G_fold[f]`` then holds the packed raw sum of u_i G_i
+    over fold f's subjects, from which ``training`` subtracts.  ``G``,
+    (Q^2, Q^2), is derived on access, never stored; only quantities of h
+    are cached.  The eigendecomposition of G_sym belongs to the ridge solve
+    that ``solver`` returns, one per run, and is never kept here.
     """
 
     grams: list
@@ -246,6 +249,7 @@ class Precompute:
     pack: SymPacking
     G_sym: np.ndarray | None  # packed (D, D), None in matrix-free mode
     G_fold: list = field(default_factory=list)   # packed (D, D) raw fold sums
+    folds: FoldAssignment | None = None
 
     @property
     def G(self):
@@ -277,16 +281,18 @@ class Precompute:
         return sum(g.u * ((g.z - g.forward(b_sq)) ** 2).sum(axis=(-3, -2, -1))
                    for g in groups) / _size(groups)
 
-    def training(self, folds, f):
-        """The loss system of fold f's training subjects; this precompute
-        must have been built with ``folds``."""
-        train = folds.train_subjects(f)
+    def training(self, f):
+        """The loss system of fold f's training subjects, under the fold
+        assignment this precompute was built with."""
+        if self.folds is None:
+            raise ValueError("training needs a precompute built with a fold assignment")
+        train = self.folds.train_subjects(f)
         groups = _select(self.groups, train)
         h, c0 = _data_pieces(groups)
         g_sym = None if self.G_sym is None else (
             (self.G_sym * self.n - self.G_fold[f]) / train.size)
         return replace(self, L=[self.L[i] for i in train], groups=groups,
-                       h=h.ravel(), c0=c0, G_sym=g_sym, G_fold=[])
+                       h=h.ravel(), c0=c0, G_sym=g_sym, G_fold=[], folds=None)
 
     @cached_property
     def h_sq(self):
@@ -316,11 +322,6 @@ class Precompute:
     def _h_packed(self):
         return self.pack.pack(self.h_sq)
 
-    @cached_property
-    def _g_eigh(self):
-        """(g, U) with G_sym = U diag(g) U^T, made on the first dense solve."""
-        return np.linalg.eigh(self.G_sym)
-
     def _apply(self, x):
         """Matrix-free G X for each matrix X of the stack."""
         return sum(g.adjoint(g.forward(x)) for g in self.groups) / self.n
@@ -332,23 +333,30 @@ class Precompute:
         x = self.pack.pack(x)
         return np.einsum("cp,cp->c", x, x @ self.G_sym) - x @ self._h_packed + self.c0
 
-    def solve(self, acc, eta, x0=None):
-        """The symmetric B of each cell, for the consensus target acc[c] and
-        step eta[c] (or one eta for every cell); the matrix-free path
-        warm-starts from x0[c]."""
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
-        shift = (self.p + 1) * eta
+    def solver(self):
+        """The ridge solve ``solve(acc, eta, x0=None)``: the symmetric B of
+        each cell of a stack with (2 G + (p+1) eta[c] I) B = h + eta[c]
+        sym(acc[c]) (one eta may serve every cell); the matrix-free path
+        warm-starts from x0[c].  On the dense path the solve holds the
+        eigendecomposition of G_sym, made by this call, and nothing else
+        does: it goes when the solve does."""
         if self.G_sym is not None:
-            g_eig, g_vec = self._g_eigh
-            y = (self._h_packed + eta[:, None] * self.pack.pack(acc)) @ g_vec
-            y /= 2.0 * g_eig + shift[:, None]
-            return self.pack.unpack(y @ g_vec.T)
+            g_eig, g_vec = np.linalg.eigh(self.G_sym)
 
-        rhs = _sym(self.h_sq + eta[:, None, None] * acc)
-        q = self.q_total   # at most 20 D steps, D = Q(Q+1)/2
-        return np.stack([_sym(_conjugate_gradient(
-            lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
-            None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
+        def solve(acc, eta, x0=None):
+            eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
+            shift = (self.p + 1) * eta
+            if self.G_sym is not None:
+                y = (self._h_packed + eta[:, None] * self.pack.pack(acc)) @ g_vec
+                y /= 2.0 * g_eig + shift[:, None]
+                return self.pack.unpack(y @ g_vec.T)
+
+            rhs = _sym(self.h_sq + eta[:, None, None] * acc)
+            q = self.q_total   # at most 20 D steps, D = Q(Q+1)/2
+            return np.stack([_sym(_conjugate_gradient(
+                lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
+                None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
+        return solve
 
 
 def _layout(grams, data, cross):
@@ -412,8 +420,11 @@ def _packed_g(groups, pk):
 
 
 def precompute(data, cross, grams, folds=None):
-    """Assemble the count groups, the packed G, h, c0 (and packed per-fold G
-    pieces) for the quadratic loss."""
+    """Assemble the count groups, the packed G, h, c0 (and, with ``folds``,
+    the packed per-fold G pieces) for the quadratic loss."""
+    if folds is not None and len(folds.assignment) != data.n:
+        raise ValueError(f"the fold assignment covers {len(folds.assignment)} subjects "
+                         f"but the dataset has {data.n}")
     rows, groups = _layout(grams, data, cross)
     dims = tuple(gf.retained_rank for gf in grams)
     q = int(np.prod(dims))
@@ -435,7 +446,7 @@ def precompute(data, cross, grams, folds=None):
     return Precompute(
         grams=list(grams), dims=dims, L=np.split(rows, np.cumsum(data.counts)[:-1]),
         groups=groups, h=h.ravel(), c0=c0, pack=pk,
-        G_sym=g_sym, G_fold=g_fold,
+        G_sym=g_sym, G_fold=g_fold, folds=folds,
     )
 
 
@@ -607,9 +618,39 @@ def _conjugate_gradient(matvec, rhs, x0, max_iters):
                        f"in {max_iters} iterations")
 
 
+def _admm_map(solve, dims, b, d_hat, v_hat, lam, beta, eta):
+    """One ADMM step for each cell of a stack, from the extrapolated blocks
+    d_hat and v_hat, each (c, p + 1, Q, Q).
+
+    ``solve`` is a loss system's ridge solve (``Precompute.solver``), which
+    the matrix-free path warm-starts from ``b``, the previous B (None at the
+    first step); cell c penalizes with (lam[c], beta[c]) and steps with
+    eta[c].  Returns (B, D, V, the thresholded eigenvalues of D_0) and
+    writes to none of its inputs.
+    """
+    p, q = len(dims), d_hat.shape[-1]
+    acc = d_hat[:, 0] - v_hat[:, 0]
+    for k in range(1, p + 1):
+        acc = acc + d_hat[:, k] - v_hat[:, k]
+    b = solve(acc, eta, x0=b)
+
+    # each prox overwrites its block of B + V_hat; the one-way blocks of
+    # beta=1 cells skip the Gram eigendecomposition and keep it
+    d = b[:, None] + v_hat
+    d[:, 0], eigs = _prox_psd(d[:, 0], lam * beta / eta)
+    thr_one = lam * (1.0 - beta) / (p * eta)
+    rows = np.flatnonzero(thr_one != 0.0)
+    if rows.size:
+        for k in range(1, p + 1):
+            ak = d[rows, k].reshape((-1,) + dims + dims)
+            d[rows, k] = _prox_one_way(ak, k - 1, thr_one[rows]).reshape(-1, q, q)
+    return b, d, v_hat + b[:, None] - d, eigs
+
+
 def _iterate(pre, base, lam, beta, eta):
     """Run the accelerated ADMM for a stack of cells on the loss system
-    ``pre`` (a ``Precompute``).
+    ``pre`` (a ``Precompute``): momentum, restarts and the stopping test
+    around ``_admm_map``.
 
     Cell c penalizes with (lam[c], beta[c]), steps with eta[c] and starts
     from zero; tol and max_iters come from the FitConfig ``base``.  Returns
@@ -650,29 +691,16 @@ def _iterate(pre, base, lam, beta, eta):
     # Iterate arrays, never written in place, hold one row per active cell;
     # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
+    if not cell.size:
+        return results
+    solve = pre.solver()
     d = v = d_hat = v_hat = np.zeros((cell.size, p + 1, q, q))
     alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
     b = None
 
-    for t in range(base.max_iters if cell.size else 0):
-        acc = d_hat[:, 0] - v_hat[:, 0]
-        for k in range(1, p + 1):
-            acc = acc + d_hat[:, k] - v_hat[:, k]
-        b = pre.solve(acc, eta[cell], x0=b)
-
-        # each prox overwrites its block of B + V_hat; the one-way blocks of
-        # beta=1 cells skip the Gram eigendecomposition and keep it
-        d_new = b[:, None] + v_hat
-        d_new[:, 0], eigs = _prox_psd(d_new[:, 0], lam[cell] * beta[cell] / eta[cell])
-        thr_one = lam[cell] * (1.0 - beta[cell]) / (p * eta[cell])
-        one_rows = np.flatnonzero(thr_one != 0.0)
-        if one_rows.size:
-            for k in range(1, p + 1):
-                ak = d_new[one_rows, k].reshape((-1,) + dims2)
-                dk = _prox_one_way(ak, k - 1, thr_one[one_rows])
-                d_new[one_rows, k] = dk.reshape(-1, q, q)
-        v_new = v_hat + b[:, None] - d_new
-
+    for t in range(base.max_iters):
+        b, d_new, v_new, eigs = _admm_map(solve, pre.dims, b, d_hat, v_hat,
+                                          lam[cell], beta[cell], eta[cell])
         obj = _penalized(pre.quad(d_new[:, 0]), d_new[:, 0], eigs,
                          lam[cell], beta[cell], pre.dims)
         bad = np.flatnonzero(~np.isfinite(obj))
@@ -802,7 +830,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     n_iters = np.zeros(scores.shape, dtype=int)
     unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
-        system = pre.training(folds, f)
+        system = pre.training(f)
         for start in range(0, len(cells), size):
             stack = slice(start, start + size)
             outs = _iterate(system, base, cell_lam[stack], cell_beta[stack],

@@ -348,7 +348,7 @@ class TestScaledEta:
         proto, data, grams = replication_data
         folds = make_folds(data, proto.n_folds, 0)
         pre = solver.precompute(data, cross_products(data), grams, folds=folds)
-        system = pre.training(folds, 0)
+        system = pre.training(0)
         step = dict(zip(proto.lambda_grid, proto.eta_grid))
         cells = [(lam, beta) for lam in (proto.lambda_grid[0], proto.lambda_grid[-1])
                  for beta in (0.0, 0.5, 1.0)]

@@ -223,6 +223,21 @@ def subject_rows(data, grams, i):
     return np.array(rows)
 
 
+def arrays(x):
+    """Every array that x holds, through containers and attributes."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from arrays(y)
+    elif is_dataclass(x):
+        for f in fields(x):
+            yield from arrays(getattr(x, f.name))
+    elif hasattr(x, "__dict__"):
+        for y in vars(x).values():
+            yield from arrays(y)
+
+
 def assert_rel(got, want, rel=1e-13):
     assert np.abs(np.asarray(got) - want).max() <= rel * np.abs(want).max()
 
@@ -264,20 +279,6 @@ class TestBatchedG:
         data, grams, folds = unequal_counts_problem(2, 3, 49)
         pre = precompute(data, cross_products(data), grams, folds=folds)
         assert pre.G.shape == (81, 81)
-
-        def arrays(x):
-            if isinstance(x, np.ndarray):
-                yield x
-            elif isinstance(x, (list, tuple)):
-                for y in x:
-                    yield from arrays(y)
-            elif is_dataclass(x):
-                for f in fields(x):
-                    yield from arrays(getattr(x, f.name))
-            elif hasattr(x, "__dict__"):
-                for y in vars(x).values():
-                    yield from arrays(y)
-
         shapes = [a.shape for f in fields(pre) for a in arrays(getattr(pre, f.name))]
         assert (45, 45) in shapes
         assert (81, 81) not in shapes
@@ -318,7 +319,7 @@ class TestBatchedG:
                 want.append(total / valid.size)
             assert_rel(pre.loss_direct(stack, valid), np.array(want))
             # the training system's packed operator and its matrix-free G x
-            system = pre.training(folds, f)
+            system = pre.training(f)
             g_train = g_oracle(pre, data, train) / train.size
             assert_rel(system.G_sym, pack_operator(pre.pack, g_train))
             want_gx = []
@@ -342,7 +343,7 @@ class TestBatchedG:
         rng = np.random.default_rng(90 + p)
         stack = rng.standard_normal((4, q, q))
         stack = stack + np.swapaxes(stack, 1, 2)
-        subsets = [(None, pre)] + [(folds.train_subjects(f), pre.training(folds, f))
+        subsets = [(None, pre)] + [(folds.train_subjects(f), pre.training(f))
                                    for f in range(folds.n_folds)]
         for subjects, system in subsets:
             free = replace(system, G_sym=None).quad(stack)
@@ -378,7 +379,7 @@ class TestLossSystem:
             idx = np.concatenate([np.arange(slices[i].start, slices[i].stop)
                                   for i in train])
             want = precompute(alone, cross_products(alone), with_rows(grams, idx))
-            got = pre.training(folds, f)
+            got = pre.training(f)
             assert got.n == train.size
             if dense:
                 assert_rel(got.G_sym, want.G_sym, rel=1e-12)
@@ -388,6 +389,59 @@ class TestLossSystem:
             assert_rel(got.h, want.h)
             assert got.c0 == pytest.approx(want.c0, rel=1e-13)
             np.testing.assert_allclose(got._zero_bounds, want._zero_bounds, rtol=1e-12)
+
+    def test_training_needs_the_fold_assignment(self):
+        data, grams, folds = unequal_counts_problem(2, 2, 120)
+        cross = cross_products(data)
+        with pytest.raises(ValueError, match="built with a fold assignment"):
+            precompute(data, cross, grams).training(0)
+        # a training system carries no folds of its own
+        system = precompute(data, cross, grams, folds=folds).training(0)
+        assert system.folds is None
+        with pytest.raises(ValueError, match="built with a fold assignment"):
+            system.training(0)
+
+    @pytest.mark.parametrize("n_assigned", [10, 30])
+    def test_a_fold_assignment_of_other_subjects_is_refused(self, n_assigned):
+        # with fewer labels than subjects CV would score only the first
+        # subjects; with more it would index past the data
+        data, cross, grams, _ = make_problem(p=1, n=20, m=4, q=2, seed=122)
+        foreign = FoldAssignment(5, 0, np.arange(n_assigned) % 5)
+        message = f"covers {n_assigned} subjects but the dataset has 20"
+        with pytest.raises(ValueError, match=message):
+            precompute(data, cross, grams, folds=foreign)
+        with pytest.raises(ValueError, match=message):
+            cv_select(data, grams, [0.1], [0.5], folds=foreign)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_a_fit_keeps_no_decomposition_on_its_precompute(self, dense, monkeypatch):
+        # the ridge solve's eigendecomposition of G_sym lives for one run: a
+        # fit caches on its precompute only quantities of h, none larger
+        # than Q x Q; a second fit adds nothing and repeats the first bit
+        # for bit
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        data, cross, grams, _ = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        pre = precompute(data, cross, grams)
+        fresh = set(vars(pre))
+        cfg = FitConfig(lam=0.05, beta=0.5)
+        first = admm_fit(data, cross, grams, cfg, pre=pre)
+        assert first.n_iters > 0
+        added = [vars(pre)[k] for k in set(vars(pre)) - fresh]
+        assert set(vars(pre)) - fresh <= {"h_sq", "h_norm", "_zero_bounds", "_h_packed"}
+        assert all(a.size <= pre.q_total ** 2 for a in arrays(added))
+
+        before = dict(vars(pre))
+        held = {id(a) for a in arrays(pre)}
+        second = admm_fit(data, cross, grams, cfg, pre=pre)
+        assert vars(pre).keys() == before.keys()
+        assert all(vars(pre)[k] is v for k, v in before.items())
+        assert {id(a) for a in arrays(pre)} == held
+        for name in ("coeffs", "primal_residuals"):
+            assert np.array_equal(getattr(second, name), getattr(first, name))
+        assert (second.n_iters, second.objective_value) == (first.n_iters,
+                                                            first.objective_value)
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_a_fit_computes_the_linear_term_once(self, dense, monkeypatch):
@@ -796,6 +850,36 @@ class TestAdmmFit:
         assert RunConfig.from_dict(written).fit_config() == config
 
 
+class TestAdmmMap:
+    def test_plain_iteration_reaches_the_fit(self):
+        # on acceptance test_04's toy problem: the map alone, with no
+        # momentum, from zero until D stops moving, lands on the objective
+        # of the accelerated fit; one more step from there moves D by at
+        # most tol, and writes to none of its inputs
+        data, cross, grams, pre = make_problem(
+            p=1, n=5, m=4, q=3, seed=12, model_scale=1.5, noise=0.3)
+        cfg = FitConfig(lam=0.1, beta=0.5, eta=1.0)
+        fit = admm_fit(data, cross, grams, cfg, pre=pre)
+        cell = [np.array([x]) for x in (cfg.lam, cfg.beta, cfg.eta)]
+        solve = pre.solver()
+        b, d, v = None, *np.zeros((2, 1, pre.p + 1, pre.q_total, pre.q_total))
+        for _ in range(10000):
+            b, d_next, v, _ = solver._admm_map(solve, pre.dims, b, d, v, *cell)
+            moved = frob(d_next - d).max()
+            d = d_next
+            if moved <= 1e-12 * frob(d).max():
+                break
+        assert moved <= 1e-12 * frob(d).max()
+        assert abs(objective(d[0, 0], pre, cfg) - fit.objective_value) < 1e-4
+
+        state = [x.copy() for x in (b, d, v)]
+        out = solver._admm_map(solve, pre.dims, b, d, v, *cell)
+        assert frob(out[1] - d).max() <= cfg.tol * frob(d).max()
+        assert all(np.array_equal(x, y) for x, y in zip((b, d, v), state))
+        again = solver._admm_map(solve, pre.dims, b, d, v, *cell)
+        assert all(np.array_equal(x, y) for x, y in zip(out, again))
+
+
 def ridge_problem(dense, monkeypatch):
     """A loss system on the dense or the matrix-free path (Q = 4), and the
     dense packed G of its data."""
@@ -831,8 +915,9 @@ class TestRidgeSolve:
         pre, g_sym = ridge_problem(dense, monkeypatch)
         q, pk = pre.q_total, pre.pack
         acc = np.random.default_rng(24).standard_normal((3, q, q))
+        solve = pre.solver()
         for eta in (1e-3, 0.1, 1.0, 10.0):
-            b = pre.solve(acc, eta)
+            b = solve(acc, eta)
             assert np.array_equal(b, np.swapaxes(b, 1, 2))
             rhs = pk.pack(pre.h.reshape(q, q) + eta * acc)   # packing symmetrizes
             x = pk.pack(b)
@@ -850,13 +935,14 @@ class TestRidgeSolve:
         acc *= np.array([1.0, 1e3, 1e-3, 30.0])[:, None, None]
         x0 = symmetric_stack(rng, 4, pre.q_total)
         mixed = np.array([0.1, 1e-3, 10.0, 1.0])   # one eta per row
+        solve = pre.solver()
         for eta, start in ((0.1, None), (1e-3, None), (1e-3, x0), (mixed, None),
                            (mixed, x0)):
-            stacked = pre.solve(acc, eta, x0=start)
+            stacked = solve(acc, eta, x0=start)
             row_eta = np.broadcast_to(eta, (len(acc),))
             ones = np.concatenate([
-                pre.solve(acc[c:c + 1], row_eta[c],
-                             x0=None if start is None else start[c:c + 1])
+                solve(acc[c:c + 1], row_eta[c],
+                      x0=None if start is None else start[c:c + 1])
                 for c in range(len(acc))])
             if dense:
                 # a one-row product takes numpy's gemv, which sums in
