@@ -32,12 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, cross_products, gram_factors,
-                   load_csv, make_folds)
-from .kernel import DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options
+from .data import DEFAULT_FOLD_SEED, cross_products, gram_factors, load_csv, make_folds
+from .kernel import KernelSpec, check_gram_options
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_table
-from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, CovarianceFit,
-                     FitConfig, admm_fit, cv_select, rank_report)
+from .solver import CovarianceFit, FitConfig, admm_fit, cv_select, rank_report
 from .spectral import l2_eigensystem, marginal_basis
 
 __all__ = [
@@ -266,26 +264,15 @@ def _has_type(value, kind):
 
 def _defaults(command):
     """Defaults of the command's options, taken from the library objects
-    themselves; the paths have none."""
-    out = {**asdict(KernelSpec()), "n_folds": DEFAULT_N_FOLDS,
-           "fold_seed": DEFAULT_FOLD_SEED, "eigen_grid": 21, "components": 8}
-    if command == "simulate":
-        proto, setting = FitProtocol(), SimSetting()
-        base = proto.base
-        out.update(
-            gram_tol=proto.gram_tol, gram_cap=proto.gram_cap,
-            lambda_grid=list(proto.lambda_grid), beta_grid=list(proto.beta_grid),
-            n_folds=proto.n_folds, aise_grid=proto.aise_grid, reps=20, threads=1,
-            **{name: getattr(setting, name) for name in _SIM},
-        )
-    else:
-        base = FitConfig()
-        out.update(
-            gram_tol=DEFAULT_GRAM_TOL, gram_cap=DEFAULT_GRAM_CAP,
-            lambda_grid=[float(x) for x in DEFAULT_LAMBDA_GRID],
-            beta_grid=[float(x) for x in DEFAULT_BETA_GRID],
-        )
-    out.update(asdict(base))
+    themselves (one set for every command); the paths have none."""
+    proto, setting = FitProtocol(), SimSetting()
+    out = {**asdict(proto.kernel), **asdict(proto.base),
+           **{name: getattr(setting, name) for name in _SIM},
+           "gram_tol": proto.gram_tol, "gram_cap": proto.gram_cap,
+           "lambda_grid": list(proto.lambda_grid), "beta_grid": list(proto.beta_grid),
+           "n_folds": proto.n_folds, "fold_seed": DEFAULT_FOLD_SEED,
+           "aise_grid": proto.aise_grid, "reps": 20, "threads": 1,
+           "eigen_grid": 21, "components": 8}
     return {name: out[name] for name in _FLAGS[command] if name in out}
 
 

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 # gram factorization defaults: the keep tolerance and the rank cap
-DEFAULT_GRAM_TOL, DEFAULT_GRAM_CAP = 1e-10, 12
+DEFAULT_GRAM_TOL, DEFAULT_GRAM_CAP = 1e-10, 5
 
 
 @dataclass(frozen=True)

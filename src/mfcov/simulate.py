@@ -20,9 +20,9 @@ from numpy.random import SeedSequence, default_rng  # at import, not in the firs
 
 from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_products,
                    gram_factors)
-from .kernel import (DEFAULT_GRAM_TOL, KernelSpec, check_gram_options, check_point,
-                     check_unit_interval)
-from .solver import (DEFAULT_BETA_GRID, FitConfig, admm_fit, cv_select,
+from .kernel import (DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options,
+                     check_point, check_unit_interval)
+from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, FitConfig, admm_fit, cv_select,
                      rank_report)
 from .spectral import evaluate_on_grid
 
@@ -186,17 +186,16 @@ def aise(fit, spec, setting, grid_per_axis=21):
                            optimize=True))
 
 
-#: Tuning grid defaults for the simulation benchmark.  The kernel here has
-#: K(0,0) = 1/45, so coefficients live at a much larger scale than for an
-#: O(1) kernel and useful penalties are correspondingly smaller than the
-#: generic solver grid: per-replication optimal lambdas land in
-#: [1e-6, 1e-4], which this grid spans.  eta likewise steps down to the
-#: loss curvature of that scale (the optimum does not depend on eta, the
+#: The tuning protocol's fit defaults, which every CLI command shares: the
+#: library's, with eta stepped down to the loss curvature of the default
+#: kernel on unit-scale data (the optimum does not depend on eta, the
 #: iteration path does).  It is the step at the grid's median lambda, 1e-5;
-#: the CV scales it with lambda (``FitProtocol.eta_grid``), so every cell
-#: runs at the prox thresholds of the cell at 1e-5.
-BENCHMARK_LAMBDA_GRID = tuple(np.logspace(-6.0, -4.0, 5))
+#: ``cv_select`` scales it with lambda.  ``FitConfig`` keeps eta = 1, the
+#: step of an O(1) loss, until the step is taken from the loss curvature:
+#: at 1e-9 a fit on O(1) data stops on a false plateau at zero.
 BENCHMARK_BASE = FitConfig(eta=1e-9)
+# the library grid, under the name perfbench imports
+BENCHMARK_LAMBDA_GRID = DEFAULT_LAMBDA_GRID
 
 
 @dataclass(frozen=True)
@@ -205,14 +204,14 @@ class FitProtocol:
 
     Single-cell grids (one lambda and one beta) mean a fixed configuration:
     cross-validation is skipped and the values are used directly.
-    ``base.eta`` is the ADMM step at the median positive lambda of the grid;
-    the cross-validation steps each lambda with ``eta_grid``.
+    ``base.eta`` is the ADMM step at the median positive lambda of the grid
+    (see ``cv_select``).
     """
 
-    lambda_grid: tuple = BENCHMARK_LAMBDA_GRID
+    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     beta_grid: tuple = DEFAULT_BETA_GRID
     n_folds: int = DEFAULT_N_FOLDS
-    gram_cap: int = 5
+    gram_cap: int = DEFAULT_GRAM_CAP
     gram_tol: float = DEFAULT_GRAM_TOL
     kernel: KernelSpec = KernelSpec()
     base: FitConfig = BENCHMARK_BASE
@@ -232,19 +231,6 @@ class FitProtocol:
     @property
     def is_fixed(self):
         return len(self.lambda_grid) == 1 and len(self.beta_grid) == 1
-
-    @property
-    def eta_grid(self):
-        """One ADMM step per lambda: base.eta * lambda / lambda_ref, with
-        lambda_ref the median positive lambda of the grid, so every cell
-        runs at the prox thresholds lambda beta / eta of the reference
-        cell.  A lambda = 0 cell keeps base.eta."""
-        positive = sorted(lam for lam in self.lambda_grid if lam > 0.0)
-        k = len(positive)
-        # the median; np.median and statistics would add imports to every run
-        ref = (positive[(k - 1) // 2] + positive[k // 2]) / 2.0 if k else None
-        return tuple(self.base.eta * (lam / ref) if lam > 0.0 else self.base.eta
-                     for lam in self.lambda_grid)
 
     def to_dict(self):
         # every replication takes lambda and beta from the grids, never the base
@@ -279,8 +265,7 @@ def run_replication(setting, protocol=None):
     else:
         chosen, _, _ = cv_select(data, grams, protocol.lambda_grid,
                                  protocol.beta_grid, base=protocol.base,
-                                 n_folds=protocol.n_folds,
-                                 eta_grid=protocol.eta_grid)
+                                 n_folds=protocol.n_folds)
     fit = admm_fit(data, cross_products(data), grams, chosen)
     ranks = rank_report(fit)
     return {

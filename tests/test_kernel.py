@@ -352,10 +352,10 @@ class TestSmallerGram:
         monkeypatch.setattr(np.linalg, "eigh", recording)
         spec = KernelSpec(truncation_order=6_000)
         coords = np.random.default_rng(12).uniform(size=72)
-        gf = factor_kernel(spec, coords)
+        gf = factor_kernel(spec, coords, cap=12)
         assert shapes == [(72, 72)]
         assert gf.coef_map.shape == (12, 6_000)
-        assert_matches_svd(gf, spec, coords)
+        assert_matches_svd(gf, spec, coords, cap=12)
 
     @pytest.mark.parametrize("tol", [-1.0, 1.0, 2.0, math.nan])
     def test_tolerance_outside_unit_interval_refused(self, tol):

@@ -320,40 +320,63 @@ class TestProtocol:
                              "rank_threshold": 1e-4}
 
 
-class TestScaledEta:
-    """The protocol steps each lambda of its CV grid with eta proportional to
-    lambda, anchored at the grid's median lambda."""
+def cv_steps(*args, **kwargs):
+    """cv_select's return value, and the step it gave each lambda."""
+    steps, iterate = {}, solver._iterate
 
-    def test_eta_grid_scales_with_lambda(self):
-        proto = FitProtocol()
-        lam = np.array(proto.lambda_grid)
-        np.testing.assert_allclose(proto.eta_grid, 1e-9 * lam / 1e-5, rtol=1e-15)
-        assert proto.eta_grid[2] == 1e-9 == proto.base.eta
-        assert FitProtocol(lambda_grid=(3e-6,)).eta_grid == (1e-9,)
-        assert FitProtocol(lambda_grid=(3e-6,), base=FitConfig(eta=0.7)).eta_grid == (0.7,)
-        mixed = FitProtocol(lambda_grid=(0.0, 1e-6, 1e-5, 1e-4))
-        assert mixed.eta_grid[0] == 1e-9   # lambda = 0 keeps base.eta
-        np.testing.assert_allclose(mixed.eta_grid[1:], [1e-10, 1e-9, 1e-8], rtol=1e-15)
-        assert FitProtocol(lambda_grid=(0.0,)).eta_grid == (1e-9,)
+    def spy(pre, base, lam, beta, eta):
+        steps.update(zip(lam.tolist(), eta.tolist()))
+        return iterate(pre, base, lam, beta, eta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_iterate", spy)
+        return cv_select(*args, **kwargs), steps
+
+
+class TestScaledEta:
+    """Cross-validation steps each lambda of its grid with eta proportional
+    to lambda, anchored at the grid's median positive lambda."""
 
     @pytest.fixture(scope="class")
-    def replication_data(self):
-        """Key (1, 0), m = 10: the data and gram factors of one replication."""
+    def replication_cv(self):
+        """Key (1, 0), m = 10: one replication's data, gram factors and CV."""
         proto = FitProtocol()
         data = generate(SimSetting(setting=1, n=100, m=10, sigma=0.1, spawn_key=(1, 0)))
         grams = gram_factors(data, proto.kernel, tol=proto.gram_tol, cap=proto.gram_cap)
-        return proto, data, grams
+        cv = cv_steps(data, grams, proto.lambda_grid, proto.beta_grid, base=proto.base,
+                      n_folds=proto.n_folds)
+        return proto, data, grams, cv
 
-    def test_scaled_fits_sit_no_further_above_the_optimum(self, replication_data):
-        proto, data, grams = replication_data
+    def test_eta_grid_scales_with_lambda(self, replication_cv):
+        proto, _, _, ((chosen, _, _), steps) = replication_cv
+        lam = np.array(proto.lambda_grid)
+        median = float(np.median(lam))
+        np.testing.assert_allclose([steps[x] for x in lam], 1e-9 * lam / 1e-5, rtol=1e-15)
+        assert steps[median] == 1e-9 == proto.base.eta
+        assert chosen.eta == proto.base.eta * (chosen.lam / median)
+
+    @pytest.mark.parametrize("grid, etas", [
+        ((3e-6,), (0.7,)),
+        ((0.0,), (0.7,)),
+        ((0.0, 1e-6, 1e-5, 1e-4), (0.7, 0.07, 0.7, 7.0)),   # lambda = 0 keeps base.eta
+    ])
+    def test_steps_of_small_grids(self, grid, etas):
+        data = generate(SimSetting(setting=1, n=10, m=4))
+        grams = gram_factors(data, KernelSpec(), cap=2)
+        (chosen, _, _), steps = cv_steps(data, grams, grid, (0.5,), n_folds=2,
+                                         base=FitConfig(eta=0.7, max_iters=2))
+        np.testing.assert_allclose([steps[x] for x in grid], etas, rtol=1e-15)
+        assert chosen.eta == steps[chosen.lam]
+
+    def test_scaled_fits_sit_no_further_above_the_optimum(self, replication_cv):
+        proto, data, grams, (_, steps) = replication_cv
         folds = make_folds(data, proto.n_folds, 0)
         pre = solver.precompute(data, cross_products(data), grams, folds=folds)
         system = pre.training(0)
-        step = dict(zip(proto.lambda_grid, proto.eta_grid))
         cells = [(lam, beta) for lam in (proto.lambda_grid[0], proto.lambda_grid[-1])
                  for beta in (0.0, 0.5, 1.0)]
         lam, beta = (np.array(x) for x in zip(*cells))
-        eta = np.array([step[x] for x in lam])
+        eta = np.array([steps[x] for x in lam])
         long = replace(proto.base, tol=1e-14, max_iters=20000)
         ref = [out["objective_value"] for out in solver._iterate(system, long, lam, beta, eta)]
 
@@ -367,12 +390,9 @@ class TestScaledEta:
         assert excess(scaled) <= excess(fixed)
         assert all(out["converged"] for out in fixed + scaled)
 
-    def test_cv_iteration_budget(self, replication_data):
+    def test_cv_iteration_budget(self, replication_cv):
         # the fixed eta needs 4,121 cell-iterations here
-        proto, data, grams = replication_data
-        _, _, cells = cv_select(data, grams, proto.lambda_grid, proto.beta_grid,
-                                base=proto.base, n_folds=proto.n_folds,
-                                eta_grid=proto.eta_grid)
+        *_, ((_, _, cells), _) = replication_cv
         assert cells.n_iters.sum() <= 2600
 
 

@@ -413,6 +413,20 @@ class TestLossSystem:
         with pytest.raises(ValueError, match=message):
             cv_select(data, grams, [0.1], [0.5], folds=foreign)
 
+    @pytest.mark.parametrize("n_folds, modulus", [(5, 4), (3, 5)],
+                             ids=["empty fold", "label past the folds"])
+    def test_fold_labels_outside_the_folds_are_refused(self, n_folds, modulus):
+        # an empty fold has no subject to score; subjects labelled past
+        # n_folds would never be held out, and CV would score the rest only
+        data, cross, grams, _ = make_problem(p=1, n=20, m=4, q=2, seed=122)
+        folds = FoldAssignment(n_folds, 0, np.arange(20) % modulus)
+        message = (f"^the fold assignment must label each subject with a fold in "
+                   f"0..{n_folds - 1} and leave no fold empty$")
+        with pytest.raises(ValueError, match=message):
+            precompute(data, cross, grams, folds=folds)
+        with pytest.raises(ValueError, match=message):
+            cv_select(data, grams, [0.1], [0.5], folds=folds)
+
     @pytest.mark.parametrize("dense", [True, False])
     def test_a_fit_keeps_no_decomposition_on_its_precompute(self, dense, monkeypatch):
         # the ridge solve's eigendecomposition of G_sym lives for one run: a
@@ -454,7 +468,7 @@ class TestLossSystem:
         pieces = solver._data_pieces
         monkeypatch.setattr(solver, "_data_pieces",
                             lambda groups: calls.append(len(groups)) or pieces(groups))
-        fit = admm_fit(data, cross, grams, FitConfig(max_iters=5))
+        fit = admm_fit(data, cross, grams, FitConfig(lam=1e-3, max_iters=5))
         assert fit.n_iters == 5
         assert len(calls) == 1
 
@@ -1269,32 +1283,14 @@ class TestCvSelect:
         assert zero.n_iters[0, 0] == 0
         assert zero.unconverged_folds[0, 0] == 0
 
-    def test_one_eta_grid_is_the_fixed_eta_path(self):
-        data, cross, grams, _ = make_problem(
-            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
-        base = FitConfig(eta=0.5, max_iters=60)
-        grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
-        best, scores, cells = cv_select(data, grams, *grid, n_folds=3, base=base)
-        best_e, scores_e, cells_e = cv_select(data, grams, *grid, n_folds=3, base=base,
-                                              eta_grid=[base.eta] * 3)
-        assert best_e == best and best.eta == base.eta
-        assert np.array_equal(scores_e, scores)
-        assert np.array_equal(cells_e.n_iters, cells.n_iters)
-        assert np.array_equal(cells_e.unconverged_folds, cells.unconverged_folds)
-
     def test_winner_keeps_its_cells_eta(self):
         data, cross, grams, _ = make_problem(
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
-        etas = [0.2, 0.7, 3.0]
-        best, scores, _ = cv_select(data, grams, *grid, n_folds=3, eta_grid=etas)
-        assert best.eta == etas[grid[0].index(best.lam)]
-        _, scores_1, _ = cv_select(data, grams, *grid, n_folds=3)
-        assert not np.array_equal(scores, scores_1)   # the steps were used
-        with pytest.raises(ValueError, match="one eta per lambda"):
-            cv_select(data, grams, *grid, n_folds=3, eta_grid=etas[:2])
-        with pytest.raises(ValueError, match="eta"):
-            cv_select(data, grams, *grid, n_folds=3, eta_grid=[0.2, 0.0, 1.0])
+        base = FitConfig(eta=0.7)
+        best, _, _ = cv_select(data, grams, *grid, n_folds=3, base=base)
+        assert best.lam != 1e-2   # the median lambda, whose cells step with base.eta
+        assert best.eta == base.eta * (best.lam / 1e-2)
 
     def test_empty_grid_rejected(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
