@@ -19,11 +19,11 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_products,
-                   gram_factors)
+                   gram_factors, make_folds)
 from .kernel import (DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options,
                      check_point, check_unit_interval)
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, FitConfig, admm_fit, cv_select,
-                     rank_report)
+                     precompute, rank_report)
 from .spectral import evaluate_on_grid
 
 __all__ = [
@@ -251,22 +251,26 @@ def run_replication(setting, protocol=None):
     """One seeded replication: generate, tune, fit, score.
 
     Fold assignment inside cross-validation uses a fixed seed, so the only
-    randomness across replications is the data itself.  Returns a plain
-    dict row; run_benchmark tags it with the replication index.
+    randomness across replications is the data itself.  The loss system is
+    built once: cross-validation and the final fit share it.  Returns a
+    plain dict row; run_benchmark tags it with the replication index.
     """
     if protocol is None:
         protocol = FitProtocol()
     data = generate(setting)
     grams = gram_factors(data, protocol.kernel, tol=protocol.gram_tol,
                          cap=protocol.gram_cap)
+    cross = cross_products(data)
     if protocol.is_fixed:
+        pre = precompute(data, cross, grams)
         chosen = replace(protocol.base, lam=protocol.lambda_grid[0],
                          beta=protocol.beta_grid[0])
     else:
+        pre = precompute(data, cross, grams, folds=make_folds(data, protocol.n_folds))
         chosen, _, _ = cv_select(data, grams, protocol.lambda_grid,
                                  protocol.beta_grid, base=protocol.base,
-                                 n_folds=protocol.n_folds)
-    fit = admm_fit(data, cross_products(data), grams, chosen)
+                                 n_folds=protocol.n_folds, pre=pre)
+    fit = admm_fit(data, cross, grams, chosen, pre=pre)
     ranks = rank_report(fit)
     return {
         "aise": aise(fit, protocol.kernel, setting, protocol.aise_grid),

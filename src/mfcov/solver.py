@@ -102,9 +102,14 @@ __all__ = [
 #: are correspondingly small.  Per-replication optimal lambdas of the
 #: simulation land in [1e-6, 1e-4], which the lambda grid spans.  Its median,
 #: 1e-5, is the default single-fit lambda; the step calibrated there is the
-#: tuning protocol's (``simulate.BENCHMARK_BASE``).
+#: tuning protocol's (``simulate.BENCHMARK_BASE``).  The beta grid keeps the
+#: two ends and the middle: in a selection study over settings 1-3 and
+#: m in {10, 20} (20 seeded replications each), dropping beta = 0.25 and
+#: 0.75 changed no mean AISE by more than 2 standard errors of the paired
+#: difference, and those two are the costliest cells, where both proxes
+#: threshold.
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, -4.0, 5))
-DEFAULT_BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+DEFAULT_BETA_GRID = (0.0, 0.5, 1.0)
 
 # G is materialized densely while (prod q_k)^2 stays below this; beyond it
 # the solver switches to matrix-free conjugate-gradient B-updates.
@@ -539,12 +544,14 @@ def _one_way_singular_values(b_sq, dims):
 def _penalized(loss, b_sq, eigs, lam, beta, dims):
     """The objective loss + lam (beta ||B||_* + (1 - beta) / p sum_k
     ||B_(k)||_*) of each cell of a stack, for PSD b_sq[c] with eigenvalues
-    eigs[c]; ``lam`` and ``beta`` are scalars or one value per cell."""
+    eigs[c]; ``lam`` and ``beta`` are scalars or one value per cell.  Only
+    the cells with a non-zero one-way weight compute one-way spectra."""
     value = loss + lam * beta * eigs.sum(axis=-1)
-    w_one = lam * (1.0 - beta) / len(dims)
-    if np.any(w_one):
-        value = value + w_one * sum(s.sum(axis=-1)
-                                    for s in _one_way_singular_values(b_sq, dims))
+    w_one = np.broadcast_to(lam * (1.0 - beta) / len(dims), value.shape)
+    rows = np.flatnonzero(w_one)
+    if rows.size:
+        value[rows] += w_one[rows] * sum(
+            s.sum(axis=-1) for s in _one_way_singular_values(b_sq[rows], dims))
     return value
 
 
@@ -799,12 +806,15 @@ class CvDiagnostics:
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
               beta_grid=DEFAULT_BETA_GRID, folds=None, base=None,
-              n_folds=DEFAULT_N_FOLDS, fold_seed=DEFAULT_FOLD_SEED):
+              n_folds=DEFAULT_N_FOLDS, fold_seed=DEFAULT_FOLD_SEED, pre=None):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
     For every fold, the fit uses the training subjects' loss pieces (derived
     from the shared full-data precomputation by subtraction) and is scored by
-    the held-out squared-error loss on the validation subjects.  On the dense
+    the held-out squared-error loss on the validation subjects.  ``pre`` may
+    carry that precomputation, built from ``data`` and ``grams`` with a fold
+    assignment of ``n_folds`` folds, which are then the folds; the caller
+    can hand the same ``pre`` to the final ``admm_fit``.  On the dense
     path a fold's whole grid runs as one stack of cells; on the matrix-free
     path the cells run one at a time, which bounds the iterate memory.  The
     cells of a lambda step with base.eta * lambda / lambda_ref, lambda_ref
@@ -827,10 +837,19 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     # the median; np.median would add imports to every run
     ref = (positive[(k - 1) // 2] + positive[k // 2]) / 2.0 if k else None
     eta_grid = [base.eta * (lam / ref) if lam > 0.0 else base.eta for lam in lambda_grid]
-    if folds is None:
-        folds = make_folds(data, n_folds, fold_seed)
-    cross = cross_products(data)
-    pre = precompute(data, cross, grams, folds=folds)
+    if pre is None:
+        if folds is None:
+            folds = make_folds(data, n_folds, fold_seed)
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+    elif pre.folds is None:
+        raise ValueError("cv_select needs a precompute built with a fold assignment")
+    elif folds is not None and folds is not pre.folds:
+        raise ValueError("pass the fold assignment through the precompute or "
+                         "through folds, not both")
+    elif folds is None and pre.folds.n_folds != n_folds:
+        raise ValueError(f"the precompute has {pre.folds.n_folds} folds "
+                         f"but {n_folds} were asked for")
+    folds = pre.folds
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
     cell_lam, cell_beta, cell_eta = (np.array(x) for x in zip(

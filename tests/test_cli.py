@@ -752,6 +752,15 @@ class TestCv:
         assert rows[0] == ["lambda", "beta", "score", "n_iters", "unconverged_folds"]
         assert len(rows) == 2
 
+    def test_defaults_score_fifteen_cells(self, dataset_csv, tmp_path):
+        out = tmp_path / "cv"
+        assert run("cv", "--data", dataset_csv, "--out", out) in (0, 2)
+        with open(out / "cv_scores.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 15
+        assert sorted({float(r[1]) for r in rows}) == [0.0, 0.5, 1.0]
+        assert sorted({float(r[0]) for r in rows}) == list(solver.DEFAULT_LAMBDA_GRID)
+
     def test_matches_library_and_feeds_fit(self, dataset_csv, tmp_path):
         out = tmp_path / "cv"
         grid_flags = ["--lambda-grid", "3e-6", "1e-5",

@@ -291,7 +291,7 @@ class TestProtocol:
     def test_defaults(self):
         proto = FitProtocol()
         assert proto.lambda_grid == tuple(np.logspace(-6.0, -4.0, 5))
-        assert proto.beta_grid == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert proto.beta_grid == (0.0, 0.5, 1.0)
         assert proto.base.eta == 1e-9
         assert not proto.is_fixed
         assert FAST.is_fixed
@@ -391,9 +391,9 @@ class TestScaledEta:
         assert all(out["converged"] for out in fixed + scaled)
 
     def test_cv_iteration_budget(self, replication_cv):
-        # the fixed eta needs 4,121 cell-iterations here
+        # the fixed eta needs 2,560 cell-iterations here, the scaled one 1,433
         *_, ((_, _, cells), _) = replication_cv
-        assert cells.n_iters.sum() <= 2600
+        assert cells.n_iters.sum() <= 1650
 
 
 class TestBenchmark:
@@ -477,6 +477,27 @@ class TestBenchmark:
         row = res.rows[0]
         assert row["lambda"] in proto.lambda_grid
         assert row["beta"] in proto.beta_grid
+
+    @pytest.mark.parametrize("grids", [((1e-3,), (0.5,)), ((1e-3, 1e-1), (0.0, 1.0))])
+    def test_a_replication_builds_one_loss_system(self, monkeypatch, grids):
+        built, fitted = [], []
+        make, fit = simulate.precompute, simulate.admm_fit
+
+        def spy_make(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+
+        def spy_fit(*args, pre=None, **kwargs):
+            fitted.append(pre)
+            return fit(*args, pre=pre, **kwargs)
+
+        monkeypatch.setattr(simulate, "precompute", spy_make)
+        monkeypatch.setattr(simulate, "admm_fit", spy_fit)
+        monkeypatch.setattr(solver, "precompute", None)   # cv_select builds none
+        proto = replace(FAST, lambda_grid=grids[0], beta_grid=grids[1], n_folds=2)
+        run_replication(self.SETTING, proto)
+        assert len(built) == 1 and fitted == built
+        assert (built[0].folds is None) == proto.is_fixed
 
     def test_serialization(self, tmp_path):
         res = run_benchmark(self.SETTING, 2, FAST)

@@ -696,6 +696,21 @@ class TestObjective:
                                        + (1 - cfg.beta) / 2 * sum(nucs))
             assert objective(b, pre, cfg) == pytest.approx(expect, rel=1e-10)
 
+    def test_mixed_beta_stack_matches_stacks_of_one(self):
+        # beta = 1 rows skip the one-way spectra; every row keeps its value
+        dims = (2, 3)
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((4, 6, 6))
+        b_sq = m @ np.swapaxes(m, -1, -2)
+        eigs = np.linalg.eigvalsh(b_sq)
+        loss = rng.uniform(size=4)
+        lam, beta = np.array([0.3, 0.2, 0.0, 0.1]), np.array([1.0, 0.5, 0.5, 0.0])
+        stacked = solver._penalized(loss, b_sq, eigs, lam, beta, dims)
+        alone = [solver._penalized(loss[c:c + 1], b_sq[c:c + 1], eigs[c:c + 1],
+                                   lam[c], beta[c], dims)[0] for c in range(4)]
+        np.testing.assert_array_equal(stacked, alone)
+        assert stacked[2] == loss[2]
+
 
 def reference_unaccelerated(pre, lam, beta, eta, iters):
     """Plain ADMM (no extrapolation), dense solve, run for a fixed count."""
@@ -1296,6 +1311,30 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
         with pytest.raises(ValueError):
             cv_select(data, grams, [], [0.5])
+
+    def test_a_handed_precompute_is_the_one_it_builds(self, monkeypatch):
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        grid = ([1e-3, 1e-2], [0.0, 0.5, 1.0])
+        built = cv_select(data, grams, *grid, n_folds=3)
+        pre = precompute(data, cross, grams, folds=make_folds(data, 3))
+        monkeypatch.setattr(solver, "precompute", None)   # cv_select must not build one
+        handed = cv_select(data, grams, *grid, n_folds=3, pre=pre)
+        assert handed[0] == built[0]
+        np.testing.assert_array_equal(handed[1], built[1])
+        np.testing.assert_array_equal(handed[2].n_iters, built[2].n_iters)
+
+    def test_a_precompute_without_its_folds_is_refused(self):
+        data, cross, grams, pre = make_problem(p=1, n=6, m=4, q=2, seed=29)
+        with pytest.raises(ValueError) as err:
+            cv_select(data, grams, [0.1], [0.5], n_folds=3, pre=pre)
+        assert str(err.value) == "cv_select needs a precompute built with a fold assignment"
+        folded = precompute(data, cross, grams, folds=make_folds(data, 3))
+        with pytest.raises(ValueError) as err:
+            cv_select(data, grams, [0.1], [0.5], n_folds=2, pre=folded)
+        assert str(err.value) == "the precompute has 3 folds but 2 were asked for"
+        with pytest.raises(ValueError, match="not both"):
+            cv_select(data, grams, [0.1], [0.5], folds=make_folds(data, 3), pre=folded)
 
 
 def relation_problem(dense, monkeypatch):
