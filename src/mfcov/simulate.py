@@ -22,8 +22,8 @@ from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_p
                    gram_factors, make_folds)
 from .kernel import (DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options,
                      check_point, check_unit_interval)
-from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, FitConfig, admm_fit, cv_select,
-                     precompute, rank_report)
+from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, TUNING_BASE, FitConfig, admm_fit,
+                     cv_select, precompute, rank_report)
 from .spectral import evaluate_on_grid
 
 __all__ = [
@@ -186,14 +186,8 @@ def aise(fit, spec, setting, grid_per_axis=21):
                            optimize=True))
 
 
-#: The tuning protocol's fit defaults, which every CLI command shares: the
-#: library's, with eta stepped down to the loss curvature of the default
-#: kernel on unit-scale data (the optimum does not depend on eta, the
-#: iteration path does).  It is the step at the grid's median lambda, 1e-5;
-#: ``cv_select`` scales it with lambda.  ``FitConfig`` keeps eta = 1, the
-#: step of an O(1) loss, until the step is taken from the loss curvature:
-#: at 1e-9 a fit on O(1) data stops on a false plateau at zero.
-BENCHMARK_BASE = FitConfig(eta=1e-9)
+# the solver's tuning defaults, under the name tests/test_acceptance.py imports
+BENCHMARK_BASE = TUNING_BASE
 # the library grid, under the name perfbench imports
 BENCHMARK_LAMBDA_GRID = DEFAULT_LAMBDA_GRID
 
@@ -204,8 +198,7 @@ class FitProtocol:
 
     Single-cell grids (one lambda and one beta) mean a fixed configuration:
     cross-validation is skipped and the values are used directly.
-    ``base.eta`` is the ADMM step at the median positive lambda of the grid
-    (see ``cv_select``).
+    ``base.eta`` is the step at the grid's median lambda (see ``cv_select``).
     """
 
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
@@ -214,7 +207,7 @@ class FitProtocol:
     gram_cap: int = DEFAULT_GRAM_CAP
     gram_tol: float = DEFAULT_GRAM_TOL
     kernel: KernelSpec = KernelSpec()
-    base: FitConfig = BENCHMARK_BASE
+    base: FitConfig = TUNING_BASE
     aise_grid: int = 21
 
     def __post_init__(self):

@@ -76,8 +76,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (CROSS_OVERFLOW, DEFAULT_FOLD_SEED, DEFAULT_N_FOLDS, FoldAssignment,
-                   cross_products, make_folds)
+from .data import (CROSS_OVERFLOW, DEFAULT_N_FOLDS, FoldAssignment, cross_products,
+                   make_folds)
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -94,20 +94,19 @@ __all__ = [
     "cv_select",
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_BETA_GRID",
+    "TUNING_BASE",
 ]
 
 #: Default cross-validation grids.  They suit the default kernel, whose
 #: K(0,0) = 1/45, on unit-scale data, and are not scale-free: coefficients
 #: live at a much larger scale than for an O(1) kernel, so useful penalties
 #: are correspondingly small.  Per-replication optimal lambdas of the
-#: simulation land in [1e-6, 1e-4], which the lambda grid spans.  Its median,
-#: 1e-5, is the default single-fit lambda; the step calibrated there is the
-#: tuning protocol's (``simulate.BENCHMARK_BASE``).  The beta grid keeps the
-#: two ends and the middle: in a selection study over settings 1-3 and
-#: m in {10, 20} (20 seeded replications each), dropping beta = 0.25 and
-#: 0.75 changed no mean AISE by more than 2 standard errors of the paired
-#: difference, and those two are the costliest cells, where both proxes
-#: threshold.
+#: simulation land in [1e-6, 1e-4], which the lambda grid spans; its median,
+#: 1e-5, is the default single-fit lambda, where ``TUNING_BASE``'s step is
+#: calibrated.  The beta grid keeps the two ends and the middle: in a study
+#: over settings 1-3 and m in {10, 20} (20 seeded replications each),
+#: dropping beta = 0.25 and 0.75, the costliest cells (both proxes
+#: threshold), changed no mean AISE by over 2 se of the paired difference.
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, -4.0, 5))
 DEFAULT_BETA_GRID = (0.0, 0.5, 1.0)
 
@@ -142,6 +141,15 @@ class FitConfig:
                              f"got {self.rank_threshold}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+#: The tuning defaults of ``cv_select``, the simulation and every CLI command:
+#: ``FitConfig``'s, with eta stepped down to the loss curvature of the default
+#: kernel on unit-scale data at the grid's median lambda, 1e-5 (``cv_select``
+#: scales it with lambda; the optimum does not depend on eta, the path does).
+#: ``FitConfig`` keeps eta = 1, the step of an O(1) loss, until the step comes
+#: from the loss: at 1e-9 a fit on O(1) data stops on a false plateau at zero.
+TUNING_BASE = FitConfig(eta=1e-9)
 
 
 def _sym(x):
@@ -805,28 +813,25 @@ class CvDiagnostics:
 
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
-              beta_grid=DEFAULT_BETA_GRID, folds=None, base=None,
-              n_folds=DEFAULT_N_FOLDS, fold_seed=DEFAULT_FOLD_SEED, pre=None):
+              beta_grid=DEFAULT_BETA_GRID, folds=None, base=TUNING_BASE,
+              n_folds=DEFAULT_N_FOLDS, pre=None):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
     For every fold, the fit uses the training subjects' loss pieces (derived
     from the shared full-data precomputation by subtraction) and is scored by
-    the held-out squared-error loss on the validation subjects.  ``pre`` may
-    carry that precomputation, built from ``data`` and ``grams`` with a fold
-    assignment of ``n_folds`` folds, which are then the folds; the caller
-    can hand the same ``pre`` to the final ``admm_fit``.  On the dense
-    path a fold's whole grid runs as one stack of cells; on the matrix-free
-    path the cells run one at a time, which bounds the iterate memory.  The
-    cells of a lambda step with base.eta * lambda / lambda_ref, lambda_ref
-    the median positive lambda of the grid, so every cell runs at the prox
-    thresholds lambda beta / eta of a cell at lambda_ref; a lambda = 0 cell
-    keeps ``base.eta``.  Ties are broken toward larger lambda, then larger
-    beta.  Returns the winning FitConfig (with its cell's eta), the
-    (len(lambda_grid), len(beta_grid)) score table and the cells'
-    CvDiagnostics.
+    the held-out squared-error loss on the validation subjects.  The folds
+    are ``folds``, else ``make_folds(data, n_folds)``; or ``pre`` carries
+    the precomputation, built from ``data`` and ``grams`` with ``n_folds``
+    folds, and the caller can hand it to the final ``admm_fit``.  On the
+    dense path a fold's whole grid runs as one stack of cells; on the
+    matrix-free path the cells run one at a time.  ``base`` (by default
+    ``TUNING_BASE``; ``FitConfig()`` for an O(1) loss) steps the cells of a
+    lambda with base.eta * lambda / lambda_ref, lambda_ref the grid's median
+    positive lambda, so every cell runs at the prox thresholds of a cell at
+    lambda_ref (cells at lambda = 0 keep ``base.eta``).  Ties break toward
+    larger lambda, then larger beta.  Returns the winning FitConfig (with its
+    cell's eta), the score table and the cells' CvDiagnostics.
     """
-    if base is None:
-        base = FitConfig()
     # a FitConfig per grid value validates the grids
     lambda_grid = [replace(base, lam=float(x)).lam for x in lambda_grid]
     beta_grid = [replace(base, beta=float(x)).beta for x in beta_grid]
@@ -839,7 +844,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     eta_grid = [base.eta * (lam / ref) if lam > 0.0 else base.eta for lam in lambda_grid]
     if pre is None:
         if folds is None:
-            folds = make_folds(data, n_folds, fold_seed)
+            folds = make_folds(data, n_folds)
         pre = precompute(data, cross_products(data), grams, folds=folds)
     elif pre.folds is None:
         raise ValueError("cv_select needs a precompute built with a fold assignment")

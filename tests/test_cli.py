@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -315,6 +316,19 @@ class TestRunConfig:
         assert (code, err) == refusal("--no-such-flag")
         assert code == 2 and "unrecognized arguments: FLAG 0.5" in err
         assert not (tmp_path / "o").exists()
+
+    def test_one_owner_of_the_tuning_defaults(self):
+        # the library, the simulation protocol and every fitting command
+        # tune with the solver's one base
+        base = solver.TUNING_BASE
+        assert simulate.BENCHMARK_BASE is base
+        assert simulate.FitProtocol().base is base
+        assert inspect.signature(cv_select).parameters["base"].default is base
+        for command in ("fit", "cv", "simulate"):
+            cfg = RunConfig(command=command).resolved()
+            for name in ("eta", "tol", "max_iters", "rank_threshold"):
+                assert getattr(cfg, name) == getattr(base, name)
+            assert cfg.fit_config() == base
 
     @pytest.mark.parametrize("command", list(cli._FLAGS))
     def test_resolved_sets_every_flag_but_the_paths(self, command):
@@ -855,6 +869,25 @@ class TestCv:
                    "--out", tmp_path / "o")
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+
+def test_readme_library_example_tunes_like_the_cli(tmp_path):
+    # the README's library path with its defaults gives a non-trivial fit on
+    # the simulation's data and selects what `mfcov cv` does with its defaults
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.search(r"## Library usage\n\n```python\n(.*?)```", readme, re.S).group(1)
+    setting = SimSetting(setting=1, n=100, m=10, spawn_key=(1, 0))
+    path = tmp_path / "observations.csv"
+    save_csv(generate(setting), path)
+    assert code.count('"observations.csv"') == 1
+    scope = {}
+    exec(code.replace('"observations.csv"', repr(str(path))), scope)
+    assert simulate.aise(scope["fit"], scope["spec"], setting) < 0.5
+    assert run("cv", "--data", path, "--out", tmp_path / "cv") == 0
+    selected = json.loads((tmp_path / "cv" / "selected_config.json").read_text())
+    config = scope["config"]
+    assert ((config.lam, config.beta, config.eta)
+            == (selected["lambda"], selected["beta"], selected["eta"]))
 
 
 @pytest.fixture(scope="module")

@@ -411,7 +411,7 @@ class TestLossSystem:
         with pytest.raises(ValueError, match=message):
             precompute(data, cross, grams, folds=foreign)
         with pytest.raises(ValueError, match=message):
-            cv_select(data, grams, [0.1], [0.5], folds=foreign)
+            cv_select(data, grams, [0.1], [0.5], folds=foreign, base=FitConfig())
 
     @pytest.mark.parametrize("n_folds, modulus", [(5, 4), (3, 5)],
                              ids=["empty fold", "label past the folds"])
@@ -425,7 +425,7 @@ class TestLossSystem:
         with pytest.raises(ValueError, match=message):
             precompute(data, cross, grams, folds=folds)
         with pytest.raises(ValueError, match=message):
-            cv_select(data, grams, [0.1], [0.5], folds=folds)
+            cv_select(data, grams, [0.1], [0.5], folds=folds, base=FitConfig())
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_a_fit_keeps_no_decomposition_on_its_precompute(self, dense, monkeypatch):
@@ -1221,29 +1221,31 @@ class TestRankReport:
 class TestCvSelect:
     def test_single_point_grid(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=25)
-        best, scores, _ = cv_select(data, grams, [0.1], [0.5], n_folds=3)
+        best, scores, _ = cv_select(data, grams, [0.1], [0.5], n_folds=3, base=FitConfig())
         assert best.lam == 0.1 and best.beta == 0.5
         assert scores.shape == (1, 1)
         assert np.isfinite(scores).all()
 
     def test_duplicate_lambda_scores_identical(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=26)
-        _, scores, _ = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75], n_folds=3)
+        _, scores, _ = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75], n_folds=3,
+                                 base=FitConfig())
         np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_ties_break_toward_larger_lambda_then_beta(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=27)
         # both lambdas annihilate the fit, so all scores tie exactly
         best, scores, _ = cv_select(data, grams, [1e9, 1e12], [0.25, 0.75],
-                                    n_folds=3)
+                                    n_folds=3, base=FitConfig())
         assert best.lam == 1e12
         assert best.beta == 0.75
         assert np.ptp(scores) == 0.0
 
     def test_deterministic_across_calls(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=28)
-        b1, s1, _ = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
-        b2, s2, _ = cv_select(data, grams, [1e-3, 1e-2], [0.0, 1.0], n_folds=3)
+        grid = ([1e-3, 1e-2], [0.0, 1.0])
+        b1, s1, _ = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
+        b2, s2, _ = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
         assert b1 == b2
         np.testing.assert_array_equal(s1, s2)
 
@@ -1251,9 +1253,9 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
-        best_d, scores_d, cells_d = cv_select(data, grams, *grid, n_folds=3)
+        best_d, scores_d, cells_d = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
         monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-        best_m, scores_m, cells_m = cv_select(data, grams, *grid, n_folds=3)
+        best_m, scores_m, cells_m = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
         assert best_m == best_d
         np.testing.assert_allclose(scores_m, scores_d, rtol=1e-8)
         assert np.ptp(scores_d) > 1e-3 * scores_d.max()
@@ -1275,7 +1277,8 @@ class TestCvSelect:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        _, _, cells = cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5], n_folds=3)
+        _, _, cells = cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5], n_folds=3,
+                                base=FitConfig())
         assert (cells.n_iters > 0).all()   # every cell ran the one-way prox
         assert calls == []
 
@@ -1310,16 +1313,16 @@ class TestCvSelect:
     def test_empty_grid_rejected(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=29)
         with pytest.raises(ValueError):
-            cv_select(data, grams, [], [0.5])
+            cv_select(data, grams, [], [0.5], base=FitConfig())
 
     def test_a_handed_precompute_is_the_one_it_builds(self, monkeypatch):
         data, cross, grams, _ = make_problem(
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2], [0.0, 0.5, 1.0])
-        built = cv_select(data, grams, *grid, n_folds=3)
+        built = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
         pre = precompute(data, cross, grams, folds=make_folds(data, 3))
         monkeypatch.setattr(solver, "precompute", None)   # cv_select must not build one
-        handed = cv_select(data, grams, *grid, n_folds=3, pre=pre)
+        handed = cv_select(data, grams, *grid, n_folds=3, pre=pre, base=FitConfig())
         assert handed[0] == built[0]
         np.testing.assert_array_equal(handed[1], built[1])
         np.testing.assert_array_equal(handed[2].n_iters, built[2].n_iters)
@@ -1327,14 +1330,15 @@ class TestCvSelect:
     def test_a_precompute_without_its_folds_is_refused(self):
         data, cross, grams, pre = make_problem(p=1, n=6, m=4, q=2, seed=29)
         with pytest.raises(ValueError) as err:
-            cv_select(data, grams, [0.1], [0.5], n_folds=3, pre=pre)
+            cv_select(data, grams, [0.1], [0.5], n_folds=3, pre=pre, base=FitConfig())
         assert str(err.value) == "cv_select needs a precompute built with a fold assignment"
         folded = precompute(data, cross, grams, folds=make_folds(data, 3))
         with pytest.raises(ValueError) as err:
-            cv_select(data, grams, [0.1], [0.5], n_folds=2, pre=folded)
+            cv_select(data, grams, [0.1], [0.5], n_folds=2, pre=folded, base=FitConfig())
         assert str(err.value) == "the precompute has 3 folds but 2 were asked for"
         with pytest.raises(ValueError, match="not both"):
-            cv_select(data, grams, [0.1], [0.5], folds=make_folds(data, 3), pre=folded)
+            cv_select(data, grams, [0.1], [0.5], folds=make_folds(data, 3), pre=folded,
+                      base=FitConfig())
 
 
 def relation_problem(dense, monkeypatch):
