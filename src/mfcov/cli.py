@@ -298,6 +298,13 @@ def _write_json(path, payload):
         fh.write(text + "\n")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _persist_config(cfg, outdir):
     _write_json(outdir / "run_config.json", cfg.to_dict())
 
@@ -380,15 +387,12 @@ def cmd_cv(cfg):
     chosen, scores, cells = cv_select(data, grams, cfg.lambda_grid, cfg.beta_grid,
                                       folds=folds, base=cfg.fit_config())
     outdir = _outdir(cfg)
-    with open(outdir / "cv_scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "beta", "score", "n_iters", "unconverged_folds"])
-        for li, lam in enumerate(cfg.lambda_grid):
-            for bj, beta in enumerate(cfg.beta_grid):
-                writer.writerow([repr(float(lam)), repr(float(beta)),
-                                 repr(float(scores[li, bj])),
-                                 int(cells.n_iters[li, bj]),
-                                 int(cells.unconverged_folds[li, bj])])
+    _write_csv(outdir / "cv_scores.csv",
+               ["lambda", "beta", "score", "n_iters", "unconverged_folds"],
+               ([repr(float(lam)), repr(float(beta)), repr(float(scores[li, bj])),
+                 int(cells.n_iters[li, bj]), int(cells.unconverged_folds[li, bj])]
+                for li, lam in enumerate(cfg.lambda_grid)
+                for bj, beta in enumerate(cfg.beta_grid)))
     # a fit config without a path to write to: fit --config needs its own --out
     selected = replace(cfg, command="fit", **asdict(chosen)).to_dict()
     del selected["out"]
@@ -472,23 +476,17 @@ def cmd_eigen(cfg):
             "dimension": k + 1,
             "singular_values": [float(s) for s in mb.singular_values],
         })
-        with open(outdir / f"marginal_{k + 1}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"f{j + 1}" for j in range(len(mb))])
-            vals = mb.basis_grid(ax)
-            for row, t in enumerate(ax):
-                writer.writerow([repr(float(t))]
-                                + [repr(float(v)) for v in vals[row]])
+        _write_csv(outdir / f"marginal_{k + 1}.csv",
+                   ["t"] + [f"f{j + 1}" for j in range(len(mb))],
+                   ([repr(float(t))] + [repr(float(v)) for v in row]
+                    for t, row in zip(ax, mb.basis_grid(ax))))
 
     for l in range(n_exported):
         grid = eig.eigenfunction_grid(l, [ax] * p)
-        with open(outdir / f"eigenfunction_{l + 1:02d}.csv", "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"t{k + 1}" for k in range(p)] + ["value"])
-            for idx in np.ndindex(grid.shape):
-                writer.writerow([repr(float(ax[i])) for i in idx]
-                                + [repr(float(grid[idx]))])
+        _write_csv(outdir / f"eigenfunction_{l + 1:02d}.csv",
+                   [f"t{k + 1}" for k in range(p)] + ["value"],
+                   ([repr(float(ax[i])) for i in idx] + [repr(float(grid[idx]))]
+                    for idx in np.ndindex(grid.shape)))
 
     _write_json(outdir / "eigen.json", {
         "eigenvalues": [float(v) for v in eig.eigenvalues],

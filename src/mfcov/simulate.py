@@ -23,7 +23,7 @@ from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_p
 from .kernel import (DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options,
                      check_point, check_unit_interval)
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, TUNING_BASE, FitConfig, admm_fit,
-                     cv_select, precompute, rank_report)
+                     check_tuning_grids, cv_select, precompute, rank_report)
 from .spectral import evaluate_on_grid
 
 __all__ = [
@@ -199,6 +199,7 @@ class FitProtocol:
     Single-cell grids (one lambda and one beta) mean a fixed configuration:
     cross-validation is skipped and the values are used directly.
     ``base.eta`` is the step at the grid's median lambda (see ``cv_select``).
+    Its grids pass ``check_tuning_grids``, the rule of ``cv_select``, when built.
     """
 
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
@@ -211,12 +212,9 @@ class FitProtocol:
     aise_grid: int = 21
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid",
-                           tuple(float(x) for x in self.lambda_grid))
-        object.__setattr__(self, "beta_grid",
-                           tuple(float(x) for x in self.beta_grid))
-        if not self.lambda_grid or not self.beta_grid:
-            raise ValueError("empty tuning grid")
+        lambda_grid, beta_grid = check_tuning_grids(self.lambda_grid, self.beta_grid)
+        object.__setattr__(self, "lambda_grid", lambda_grid)
+        object.__setattr__(self, "beta_grid", beta_grid)
         check_fold_count(self.n_folds)
         check_gram_options(self.gram_tol, self.gram_cap)
         _simpson_weights(int(self.aise_grid))
@@ -259,10 +257,10 @@ def run_replication(setting, protocol=None):
         chosen = replace(protocol.base, lam=protocol.lambda_grid[0],
                          beta=protocol.beta_grid[0])
     else:
-        pre = precompute(data, cross, grams, folds=make_folds(data, protocol.n_folds))
-        chosen, _, _ = cv_select(data, grams, protocol.lambda_grid,
-                                 protocol.beta_grid, base=protocol.base,
-                                 n_folds=protocol.n_folds, pre=pre)
+        folds = make_folds(data, protocol.n_folds)
+        pre = precompute(data, cross, grams, folds=folds)
+        chosen, _, _ = cv_select(data, grams, protocol.lambda_grid, protocol.beta_grid,
+                                 folds=folds, base=protocol.base, pre=pre)
     fit = admm_fit(data, cross, grams, chosen, pre=pre)
     ranks = rank_report(fit)
     return {

@@ -76,8 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (CROSS_OVERFLOW, DEFAULT_N_FOLDS, FoldAssignment, cross_products,
-                   make_folds)
+from .data import CROSS_OVERFLOW, FoldAssignment, cross_products, make_folds
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -95,6 +94,7 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_BETA_GRID",
     "TUNING_BASE",
+    "check_tuning_grids",
 ]
 
 #: Default cross-validation grids.  They suit the default kernel, whose
@@ -150,6 +150,17 @@ class FitConfig:
 #: ``FitConfig`` keeps eta = 1, the step of an O(1) loss, until the step comes
 #: from the loss: at 1e-9 a fit on O(1) data stops on a false plateau at zero.
 TUNING_BASE = FitConfig(eta=1e-9)
+
+
+def check_tuning_grids(lambda_grid, beta_grid):
+    """The (lambda, beta) grids as tuples of floats.  A ValueError unless
+    every value is a valid ``FitConfig`` lambda or beta and neither grid is
+    empty."""
+    lambda_grid = tuple(FitConfig(lam=float(x)).lam for x in lambda_grid)
+    beta_grid = tuple(FitConfig(beta=float(x)).beta for x in beta_grid)
+    if not lambda_grid or not beta_grid:
+        raise ValueError("empty tuning grid")
+    return lambda_grid, beta_grid
 
 
 def _sym(x):
@@ -784,18 +795,15 @@ def admm_fit(data, cross, grams, config, pre=None):
     return CovarianceFit(config=config, grams=pre.grams, **out)
 
 
-def rank_report(fit, threshold=None):
+def rank_report(fit):
     """(two-way rank, one-way ranks...) of the fitted coefficients.
 
     Counts eigenvalues of the square unfolding and singular values of each
-    one-way unfolding above ``threshold`` times the respective maximum.
+    one-way unfolding above the fit's ``rank_threshold`` times their maximum.
     """
-    if threshold is None:
-        threshold = fit.config.rank_threshold
-
     def rank(v):
         top = v.max() if v.size else 0.0
-        return 0 if top <= 0.0 else int((v > threshold * top).sum())
+        return 0 if top <= 0.0 else int((v > fit.config.rank_threshold * top).sum())
 
     return (rank(np.linalg.eigvalsh(_sym(fit.coeff_square()))),
             *(rank(np.linalg.svd(one_way_unfold(fit.coeffs, k), compute_uv=False))
@@ -813,47 +821,39 @@ class CvDiagnostics:
 
 
 def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
-              beta_grid=DEFAULT_BETA_GRID, folds=None, base=TUNING_BASE,
-              n_folds=DEFAULT_N_FOLDS, pre=None):
+              beta_grid=DEFAULT_BETA_GRID, folds=None, base=TUNING_BASE, pre=None):
     """Grid search (lambda, beta) by k-fold held-out loss.
 
     For every fold, the fit uses the training subjects' loss pieces (derived
     from the shared full-data precomputation by subtraction) and is scored by
     the held-out squared-error loss on the validation subjects.  The folds
-    are ``folds``, else ``make_folds(data, n_folds)``; or ``pre`` carries
-    the precomputation, built from ``data`` and ``grams`` with ``n_folds``
-    folds, and the caller can hand it to the final ``admm_fit``.  On the
-    dense path a fold's whole grid runs as one stack of cells; on the
-    matrix-free path the cells run one at a time.  ``base`` (by default
-    ``TUNING_BASE``; ``FitConfig()`` for an O(1) loss) steps the cells of a
-    lambda with base.eta * lambda / lambda_ref, lambda_ref the grid's median
-    positive lambda, so every cell runs at the prox thresholds of a cell at
-    lambda_ref (cells at lambda = 0 keep ``base.eta``).  Ties break toward
-    larger lambda, then larger beta.  Returns the winning FitConfig (with its
-    cell's eta), the score table and the cells' CvDiagnostics.
+    are ``folds`` (a ``FoldAssignment``), else those of ``pre``, else
+    ``make_folds(data)``; ``pre``, built from ``data`` and ``grams`` with
+    its folds, can go on to the final ``admm_fit``.  ``check_tuning_grids``
+    validates the grids.  On the dense path a fold's whole grid runs as one
+    stack of cells; on the matrix-free path the cells run one at a time.
+    ``base`` (by default ``TUNING_BASE``; ``FitConfig()`` for an O(1) loss)
+    steps the cells of a lambda with base.eta * lambda / lambda_ref,
+    lambda_ref the grid's median positive lambda, so every cell runs at the
+    prox thresholds of a cell at lambda_ref (cells at lambda = 0 keep
+    ``base.eta``).  Ties break toward larger lambda, then larger beta.
+    Returns the winning FitConfig (with its cell's eta), the score table and
+    the cells' CvDiagnostics.
     """
-    # a FitConfig per grid value validates the grids
-    lambda_grid = [replace(base, lam=float(x)).lam for x in lambda_grid]
-    beta_grid = [replace(base, beta=float(x)).beta for x in beta_grid]
-    if not lambda_grid or not beta_grid:
-        raise ValueError("empty tuning grid")
+    lambda_grid, beta_grid = check_tuning_grids(lambda_grid, beta_grid)
     positive = sorted(lam for lam in lambda_grid if lam > 0.0)
     k = len(positive)
     # the median; np.median would add imports to every run
     ref = (positive[(k - 1) // 2] + positive[k // 2]) / 2.0 if k else None
     eta_grid = [base.eta * (lam / ref) if lam > 0.0 else base.eta for lam in lambda_grid]
     if pre is None:
-        if folds is None:
-            folds = make_folds(data, n_folds)
+        folds = make_folds(data) if folds is None else folds
         pre = precompute(data, cross_products(data), grams, folds=folds)
     elif pre.folds is None:
         raise ValueError("cv_select needs a precompute built with a fold assignment")
     elif folds is not None and folds is not pre.folds:
         raise ValueError("pass the fold assignment through the precompute or "
                          "through folds, not both")
-    elif folds is None and pre.folds.n_folds != n_folds:
-        raise ValueError(f"the precompute has {pre.folds.n_folds} folds "
-                         f"but {n_folds} were asked for")
     folds = pre.folds
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]

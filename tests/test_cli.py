@@ -668,6 +668,9 @@ class TestSimulate:
     @pytest.mark.parametrize("flags, message", [
         (["--sigma", "inf"], "sigma must be finite and nonnegative, got inf"),
         (["--n", "3", "--reps", "3"], "cannot split 3 subjects into 5 folds"),
+        # the grids are refused as cv refuses them
+        (["--lambda-grid", "-1", "1e-5"], "lam must be finite and nonnegative, got -1.0"),
+        (["--beta-grid", "2"], "beta must lie in [0, 1]"),
     ])
     def test_configuration_that_cannot_run_exits_one(self, tmp_path, flags, message):
         # refused before any replication starts: the default protocol
@@ -676,7 +679,7 @@ class TestSimulate:
         code, err = run_captured("simulate", "--out", out, "--n", "6", "--m", "4",
                                  "--reps", "2", "--gram-cap", "3", *flags)
         assert (code, err) == (1, [f"mfcov simulate: {message}"])
-        assert not (out / "benchmark.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "1", "2", "nan"])
     def test_gram_tolerance_outside_unit_interval_exits_one(self, tmp_path, monkeypatch,

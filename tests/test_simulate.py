@@ -309,6 +309,20 @@ class TestProtocol:
         with pytest.raises(ValueError, match="odd"):
             FitProtocol(aise_grid=8)
 
+    @pytest.mark.parametrize("grids, message", [
+        (((-1.0,), (0.5,)), "lam must be finite and nonnegative, got -1.0"),
+        (((math.nan,), (0.5,)), "lam must be finite and nonnegative, got nan"),
+        (((1e-5,), (2.0,)), "beta must lie in [0, 1]"),
+    ])
+    def test_grids_are_refused_as_cv_select_refuses_them(self, grids, message):
+        data = generate(SimSetting(setting=1, n=10, m=4))
+        grams = gram_factors(data, KernelSpec(), cap=2)
+        with pytest.raises(ValueError) as cv_err:
+            cv_select(data, grams, *grids)
+        with pytest.raises(ValueError) as err:
+            FitProtocol(lambda_grid=grids[0], beta_grid=grids[1])
+        assert str(err.value) == str(cv_err.value) == message
+
     def test_dict_round_trip(self):
         proto = FitProtocol(lambda_grid=(0.1, 0.2), beta_grid=(0.5,),
                             gram_cap=4, kernel=KernelSpec(truncation_order=9),
@@ -344,7 +358,7 @@ class TestScaledEta:
         data = generate(SimSetting(setting=1, n=100, m=10, sigma=0.1, spawn_key=(1, 0)))
         grams = gram_factors(data, proto.kernel, tol=proto.gram_tol, cap=proto.gram_cap)
         cv = cv_steps(data, grams, proto.lambda_grid, proto.beta_grid, base=proto.base,
-                      n_folds=proto.n_folds)
+                      folds=make_folds(data, proto.n_folds))
         return proto, data, grams, cv
 
     def test_eta_grid_scales_with_lambda(self, replication_cv):
@@ -363,7 +377,7 @@ class TestScaledEta:
     def test_steps_of_small_grids(self, grid, etas):
         data = generate(SimSetting(setting=1, n=10, m=4))
         grams = gram_factors(data, KernelSpec(), cap=2)
-        (chosen, _, _), steps = cv_steps(data, grams, grid, (0.5,), n_folds=2,
+        (chosen, _, _), steps = cv_steps(data, grams, grid, (0.5,), folds=make_folds(data, 2),
                                          base=FitConfig(eta=0.7, max_iters=2))
         np.testing.assert_allclose([steps[x] for x in grid], etas, rtol=1e-15)
         assert chosen.eta == steps[chosen.lam]

@@ -1209,34 +1209,37 @@ class TestRankReport:
         u = np.kron(u1, u2)
         b_sq = u @ c_psd @ u.T
         fit = synthetic_fit(square_fold(b_sq, (5, 6, 5, 6)))
-        assert rank_report(fit, threshold=1e-8) == (4, 2, 3)
+        fit = replace(fit, config=replace(fit.config, rank_threshold=1e-8))
+        assert rank_report(fit) == (4, 2, 3)
 
     def test_threshold_one_keeps_at_most_top(self):
         rng = np.random.default_rng(24)
         m = rng.standard_normal((6, 6))
         fit = synthetic_fit(square_fold(m @ m.T, (2, 3, 2, 3)))
-        assert max(rank_report(fit, threshold=1.0)) <= 1
+        fit = replace(fit, config=replace(fit.config, rank_threshold=1.0))
+        assert max(rank_report(fit)) <= 1
 
 
 class TestCvSelect:
     def test_single_point_grid(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=25)
-        best, scores, _ = cv_select(data, grams, [0.1], [0.5], n_folds=3, base=FitConfig())
+        best, scores, _ = cv_select(data, grams, [0.1], [0.5], folds=make_folds(data, 3),
+                                    base=FitConfig())
         assert best.lam == 0.1 and best.beta == 0.5
         assert scores.shape == (1, 1)
         assert np.isfinite(scores).all()
 
     def test_duplicate_lambda_scores_identical(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=26)
-        _, scores, _ = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75], n_folds=3,
-                                 base=FitConfig())
+        _, scores, _ = cv_select(data, grams, [0.1, 0.1], [0.25, 0.75],
+                                 folds=make_folds(data, 3), base=FitConfig())
         np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_ties_break_toward_larger_lambda_then_beta(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=27)
         # both lambdas annihilate the fit, so all scores tie exactly
         best, scores, _ = cv_select(data, grams, [1e9, 1e12], [0.25, 0.75],
-                                    n_folds=3, base=FitConfig())
+                                    folds=make_folds(data, 3), base=FitConfig())
         assert best.lam == 1e12
         assert best.beta == 0.75
         assert np.ptp(scores) == 0.0
@@ -1244,8 +1247,8 @@ class TestCvSelect:
     def test_deterministic_across_calls(self):
         data, cross, grams, _ = make_problem(p=1, n=6, m=4, q=2, seed=28)
         grid = ([1e-3, 1e-2], [0.0, 1.0])
-        b1, s1, _ = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
-        b2, s2, _ = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
+        b1, s1, _ = cv_select(data, grams, *grid, folds=make_folds(data, 3), base=FitConfig())
+        b2, s2, _ = cv_select(data, grams, *grid, folds=make_folds(data, 3), base=FitConfig())
         assert b1 == b2
         np.testing.assert_array_equal(s1, s2)
 
@@ -1253,9 +1256,11 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
-        best_d, scores_d, cells_d = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
+        best_d, scores_d, cells_d = cv_select(data, grams, *grid, folds=make_folds(data, 3),
+                                              base=FitConfig())
         monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-        best_m, scores_m, cells_m = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
+        best_m, scores_m, cells_m = cv_select(data, grams, *grid, folds=make_folds(data, 3),
+                                              base=FitConfig())
         assert best_m == best_d
         np.testing.assert_allclose(scores_m, scores_d, rtol=1e-8)
         assert np.ptp(scores_d) > 1e-3 * scores_d.max()
@@ -1277,8 +1282,8 @@ class TestCvSelect:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        _, _, cells = cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5], n_folds=3,
-                                base=FitConfig())
+        _, _, cells = cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5],
+                                folds=make_folds(data, 3), base=FitConfig())
         assert (cells.n_iters > 0).all()   # every cell ran the one-way prox
         assert calls == []
 
@@ -1286,17 +1291,17 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(
             p=1, n=6, m=4, q=2, seed=31, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-1], [0.0, 1.0])   # no cell is certified zero
-        _, _, capped = cv_select(data, grams, *grid, n_folds=3,
+        _, _, capped = cv_select(data, grams, *grid, folds=make_folds(data, 3),
                                  base=FitConfig(max_iters=4, tol=1e-12))
         assert capped.n_iters.shape == (2, 2)
         assert (capped.n_iters == 12).all()
         assert (capped.unconverged_folds == 3).all()
-        _, _, free = cv_select(data, grams, *grid, n_folds=3,
+        _, _, free = cv_select(data, grams, *grid, folds=make_folds(data, 3),
                                base=FitConfig(tol=1e-12))
         assert (free.n_iters > 12).all()
         assert (free.unconverged_folds == 0).all()
         # a cell far above lambda_max is certified zero in every fold
-        _, _, zero = cv_select(data, grams, [1e9], [0.5], n_folds=3,
+        _, _, zero = cv_select(data, grams, [1e9], [0.5], folds=make_folds(data, 3),
                                base=FitConfig(max_iters=4, tol=1e-12))
         assert zero.n_iters[0, 0] == 0
         assert zero.unconverged_folds[0, 0] == 0
@@ -1306,7 +1311,7 @@ class TestCvSelect:
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2, 3e-2], [0.0, 0.5, 1.0])
         base = FitConfig(eta=0.7)
-        best, _, _ = cv_select(data, grams, *grid, n_folds=3, base=base)
+        best, _, _ = cv_select(data, grams, *grid, folds=make_folds(data, 3), base=base)
         assert best.lam != 1e-2   # the median lambda, whose cells step with base.eta
         assert best.eta == base.eta * (best.lam / 1e-2)
 
@@ -1319,10 +1324,10 @@ class TestCvSelect:
         data, cross, grams, _ = make_problem(
             p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
         grid = ([1e-3, 1e-2], [0.0, 0.5, 1.0])
-        built = cv_select(data, grams, *grid, n_folds=3, base=FitConfig())
+        built = cv_select(data, grams, *grid, folds=make_folds(data, 3), base=FitConfig())
         pre = precompute(data, cross, grams, folds=make_folds(data, 3))
         monkeypatch.setattr(solver, "precompute", None)   # cv_select must not build one
-        handed = cv_select(data, grams, *grid, n_folds=3, pre=pre, base=FitConfig())
+        handed = cv_select(data, grams, *grid, pre=pre, base=FitConfig())
         assert handed[0] == built[0]
         np.testing.assert_array_equal(handed[1], built[1])
         np.testing.assert_array_equal(handed[2].n_iters, built[2].n_iters)
@@ -1330,12 +1335,9 @@ class TestCvSelect:
     def test_a_precompute_without_its_folds_is_refused(self):
         data, cross, grams, pre = make_problem(p=1, n=6, m=4, q=2, seed=29)
         with pytest.raises(ValueError) as err:
-            cv_select(data, grams, [0.1], [0.5], n_folds=3, pre=pre, base=FitConfig())
+            cv_select(data, grams, [0.1], [0.5], pre=pre, base=FitConfig())
         assert str(err.value) == "cv_select needs a precompute built with a fold assignment"
         folded = precompute(data, cross, grams, folds=make_folds(data, 3))
-        with pytest.raises(ValueError) as err:
-            cv_select(data, grams, [0.1], [0.5], n_folds=2, pre=folded, base=FitConfig())
-        assert str(err.value) == "the precompute has 3 folds but 2 were asked for"
         with pytest.raises(ValueError, match="not both"):
             cv_select(data, grams, [0.1], [0.5], folds=make_folds(data, 3), pre=folded,
                       base=FitConfig())
@@ -1350,7 +1352,7 @@ def relation_problem(dense, monkeypatch):
     grams = gram_factors(data, KernelSpec(), cap=4)
     assert [gf.retained_rank for gf in grams] == [4, 4]
     tuning = dict(lambda_grid=BENCHMARK_LAMBDA_GRID[::2], beta_grid=(0.0, 0.5, 1.0),
-                  base=FitConfig(eta=1e-9, max_iters=30), n_folds=3)
+                  base=FitConfig(eta=1e-9, max_iters=30), folds=make_folds(data, 3))
     return data, grams, tuning
 
 
