@@ -21,7 +21,6 @@ refuses a container whose provenance does not match the dataset it is given.
 """
 
 import argparse
-import csv
 import json
 import math
 import struct
@@ -32,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_FOLD_SEED, cross_products, gram_factors, load_csv, make_folds
+from .data import (DEFAULT_FOLD_SEED, cross_products, gram_factors, load_csv, make_folds,
+                   write_csv)
 from .kernel import KernelSpec, check_gram_options
 from .simulate import FitProtocol, SimSetting, run_benchmark, save_table
 from .solver import CovarianceFit, FitConfig, admm_fit, cv_select, rank_report
@@ -113,10 +113,13 @@ def _key(name):
     return "lambda" if name == "lam" else name
 
 
-def _drop_adaptive_eta(d):
-    """``d`` without ``adaptive_eta``, which configs and container sidecars
-    written while adaptive eta existed hold as false."""
+def _drop_retired(d):
+    """``d`` without the keys of retired options that configs and container
+    sidecars written by earlier versions hold: the AISE quadrature's node
+    count whatever its value (AISE is exact and needs no grid), and
+    ``adaptive_eta``, which they hold as false."""
     d = dict(d)
+    d.pop("aise_grid", None)
     if d.pop("adaptive_eta", False) is not False:
         raise ValueError("adaptive_eta is no longer supported")
     return d
@@ -163,7 +166,6 @@ class RunConfig:
     sigma: float = None
     seed: int = None
     reps: int = None
-    aise_grid: int = None
     threads: int = None
     # spectral exports
     eigen_grid: int = None
@@ -180,7 +182,7 @@ class RunConfig:
         dict holding every field's key: that is the shape every earlier
         version wrote, whose other commands' keys those versions ignored, so
         they are dropped."""
-        d = _drop_adaptive_eta(d)
+        d = _drop_retired(d)
         kinds = {_key(f.name): f.type for f in fields(cls)}
         own = {_key(name): name for name in ("command",) + _FLAGS[d["command"]]}
         if kinds.keys() <= d.keys():
@@ -220,7 +222,7 @@ class RunConfig:
             beta_grid=tuple(self.beta_grid),
             n_folds=self.n_folds, gram_cap=self.gram_cap,
             gram_tol=self.gram_tol, kernel=self.kernel_spec(),
-            base=self.fit_config(), aise_grid=self.aise_grid,
+            base=self.fit_config(),
         )
 
     def sim_setting(self):
@@ -238,7 +240,7 @@ _GRIDS = ("lambda_grid", "beta_grid", "n_folds")
 #: Each subcommand's options, in flag order, by RunConfig field name.
 _FLAGS = {
     "fit": ("out", "data") + _MODEL,
-    "simulate": ("out",) + _TUNED + _GRIDS + _SIM + ("reps", "aise_grid", "threads"),
+    "simulate": ("out",) + _TUNED + _GRIDS + _SIM + ("reps", "threads"),
     "eigen": ("out", "container", "data", "eigen_grid", "components"),
     "cv": ("out", "data") + _TUNED + _GRIDS + ("fold_seed",),
 }
@@ -271,7 +273,7 @@ def _defaults(command):
            "gram_tol": proto.gram_tol, "gram_cap": proto.gram_cap,
            "lambda_grid": list(proto.lambda_grid), "beta_grid": list(proto.beta_grid),
            "n_folds": proto.n_folds, "fold_seed": DEFAULT_FOLD_SEED,
-           "aise_grid": proto.aise_grid, "reps": 20, "threads": 1,
+           "reps": 20, "threads": 1,
            "eigen_grid": 21, "components": 8}
     return {name: out[name] for name in _FLAGS[command] if name in out}
 
@@ -296,13 +298,6 @@ def _write_json(path, payload):
     text = json.dumps(payload, indent=2, allow_nan=False)  # fails before the file opens
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _persist_config(cfg, outdir):
@@ -387,12 +382,12 @@ def cmd_cv(cfg):
     chosen, scores, cells = cv_select(data, grams, cfg.lambda_grid, cfg.beta_grid,
                                       folds=folds, base=cfg.fit_config())
     outdir = _outdir(cfg)
-    _write_csv(outdir / "cv_scores.csv",
-               ["lambda", "beta", "score", "n_iters", "unconverged_folds"],
-               ([repr(float(lam)), repr(float(beta)), repr(float(scores[li, bj])),
-                 int(cells.n_iters[li, bj]), int(cells.unconverged_folds[li, bj])]
-                for li, lam in enumerate(cfg.lambda_grid)
-                for bj, beta in enumerate(cfg.beta_grid)))
+    write_csv(outdir / "cv_scores.csv",
+              ["lambda", "beta", "score", "n_iters", "unconverged_folds"],
+              ([repr(float(lam)), repr(float(beta)), repr(float(scores[li, bj])),
+                int(cells.n_iters[li, bj]), int(cells.unconverged_folds[li, bj])]
+               for li, lam in enumerate(cfg.lambda_grid)
+               for bj, beta in enumerate(cfg.beta_grid)))
     # a fit config without a path to write to: fit --config needs its own --out
     selected = replace(cfg, command="fit", **asdict(chosen)).to_dict()
     del selected["out"]
@@ -413,7 +408,7 @@ def _sidecar_parts(container, sidecar):
         tol, cap = float(gram["tol"]), int(gram["cap"])
         hashes = gram["locations_sha256"]
         check_gram_options(tol, cap)
-        config = _drop_adaptive_eta(fit["config"])
+        config = _drop_retired(fit["config"])
         if "lambda" in config:
             config["lam"] = config.pop("lambda")
         record = {
@@ -476,17 +471,17 @@ def cmd_eigen(cfg):
             "dimension": k + 1,
             "singular_values": [float(s) for s in mb.singular_values],
         })
-        _write_csv(outdir / f"marginal_{k + 1}.csv",
-                   ["t"] + [f"f{j + 1}" for j in range(len(mb))],
-                   ([repr(float(t))] + [repr(float(v)) for v in row]
-                    for t, row in zip(ax, mb.basis_grid(ax))))
+        write_csv(outdir / f"marginal_{k + 1}.csv",
+                  ["t"] + [f"f{j + 1}" for j in range(len(mb))],
+                  ([repr(float(t))] + [repr(float(v)) for v in row]
+                   for t, row in zip(ax, mb.basis_grid(ax))))
 
     for l in range(n_exported):
         grid = eig.eigenfunction_grid(l, [ax] * p)
-        _write_csv(outdir / f"eigenfunction_{l + 1:02d}.csv",
-                   [f"t{k + 1}" for k in range(p)] + ["value"],
-                   ([repr(float(ax[i])) for i in idx] + [repr(float(grid[idx]))]
-                    for idx in np.ndindex(grid.shape)))
+        write_csv(outdir / f"eigenfunction_{l + 1:02d}.csv",
+                  [f"t{k + 1}" for k in range(p)] + ["value"],
+                  ([repr(float(ax[i])) for i in idx] + [repr(float(grid[idx]))]
+                   for idx in np.ndindex(grid.shape)))
 
     _write_json(outdir / "eigen.json", {
         "eigenvalues": [float(v) for v in eig.eigenvalues],

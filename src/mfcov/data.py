@@ -21,6 +21,7 @@ __all__ = [
     "CrossProducts",
     "FoldAssignment",
     "load_csv",
+    "write_csv",
     "save_csv",
     "cross_products",
     "check_fold_count",
@@ -141,14 +142,20 @@ def load_csv(path):
     return FunctionalDataset(locations, values)
 
 
-def save_csv(data, path):
-    """Write a dataset in the ``load_csv`` format (full float precision)."""
+def write_csv(path, header, rows):
+    """One CSV file: the header row, then ``rows`` (any iterable of rows)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject"] + [f"t{k}" for k in range(1, data.p + 1)] + ["y"])
-        for i, (locs, vals) in enumerate(zip(data.locations, data.values)):
-            for t, y in zip(locs, vals):
-                writer.writerow([i] + [repr(float(c)) for c in t] + [repr(float(y))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(data, path):
+    """Write a dataset in the ``load_csv`` format (full float precision)."""
+    write_csv(path, ["subject"] + [f"t{k}" for k in range(1, data.p + 1)] + ["y"],
+              ([i] + [repr(float(c)) for c in t] + [repr(float(y))]
+               for i, (locs, vals) in enumerate(zip(data.locations, data.values))
+               for t, y in zip(locs, vals)))
 
 
 @dataclass

@@ -8,10 +8,11 @@ replications of generate -> tune -> fit -> integrated squared error and
 aggregates the rows.  Each replication draws from a generator derived by a
 spawn key, so rows are statistically independent, any one of them can be
 reproduced in isolation, and the loop is a pure map over replication
-indices (sequential by default, over a process pool on request).
+indices (sequential by default, over a process pool on request).  The
+integrated squared error is exact, with no quadrature: the truth lies in
+the kernel's cosine system, where ``spectral`` writes the fit too.
 """
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -19,12 +20,13 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # at import, not in the first draw
 
 from .data import (DEFAULT_N_FOLDS, FunctionalDataset, check_fold_count, cross_products,
-                   gram_factors, make_folds)
+                   gram_factors, make_folds, write_csv)
 from .kernel import (DEFAULT_GRAM_CAP, DEFAULT_GRAM_TOL, KernelSpec, check_gram_options,
                      check_point, check_unit_interval)
 from .solver import (DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, TUNING_BASE, FitConfig, admm_fit,
                      check_tuning_grids, cv_select, precompute, rank_report)
-from .spectral import evaluate_on_grid
+from .spectral import l2_transform
+from .tensor import khatri_rao, square_unfold
 
 __all__ = [
     "COMPONENTS",
@@ -158,32 +160,29 @@ def generate(setting):
     return FunctionalDataset(locations, values)
 
 
-def _simpson_weights(g):
-    """Composite Simpson weights on [0, 1] for g (odd, >= 5) nodes."""
-    if g < 5:
-        raise ValueError("need at least 5 quadrature nodes per axis")
-    if g % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count per axis")
-    w = np.ones(g)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * (g - 1))
-
-
-def aise(fit, spec, setting, grid_per_axis=21):
+def aise(fit, spec, setting, grid=None):
     """Integrated squared error of a fit against the setting's covariance.
 
-    Tensor-grid composite Simpson quadrature of (fitted - true)^2 over
-    [0,1]^4; the benchmark averages this across replications.  ``spec``
-    must be the kernel the fit's gram factors were built from.
+    Exact: in the L2 coordinates of ``l2_transform`` the fit is B, and true
+    component r (eigenvalue lambda_r) is u_r = (x)_k A_k[:, i_rk], zero past
+    the kernel's truncation, so the error is
+    ||B||_F^2 - 2 sum_r lambda_r u_r'B u_r + sum_r lambda_r^2.
+    ``spec`` must be the kernel the fit's gram factors were built from.
     """
-    g = int(grid_per_axis)
-    w = _simpson_weights(g)
-    ax = np.linspace(0.0, 1.0, g)
-    diff = (evaluate_on_grid(fit, spec, [ax, ax])
-            - true_covariance_grid(setting, [ax, ax]))
-    return float(np.einsum("abcd,a,b,c,d->", diff * diff, w, w, w, w,
-                           optimize=True))
+    if grid is not None:  # the fourth argument perfbench passes; ROADMAP item 1
+        raise ValueError(f"aise is exact and takes no quadrature grid, got {grid}")
+    b, maps = l2_transform(fit)
+    width = spec.truncation_order + spec.include_constant
+    if any(a.shape[1] != width for a in maps):
+        raise ValueError(f"the kernel has {width} basis functions per dimension but the "
+                         f"fit's coefficient maps have {[a.shape[1] for a in maps]}")
+    # each component's cosine columns; past the truncation, a zero column
+    cols = np.minimum(np.array(setting.components) - 1 + spec.include_constant, width)
+    padded = [np.hstack([a, np.zeros((a.shape[0], 1))]) for a in maps]
+    u = khatri_rao(*(a[:, c] for a, c in zip(padded, cols.T, strict=True)))
+    bl, lam = square_unfold(b), setting.eigenvalues
+    return float(np.sum(bl * bl) - 2.0 * lam @ np.einsum("ar,ab,br->r", u, bl, u)
+                 + lam @ lam)
 
 
 # the solver's tuning defaults, under the name tests/test_acceptance.py imports
@@ -209,7 +208,8 @@ class FitProtocol:
     gram_tol: float = DEFAULT_GRAM_TOL
     kernel: KernelSpec = KernelSpec()
     base: FitConfig = TUNING_BASE
-    aise_grid: int = 21
+    # not a field: the name perfbench passes on to aise; ROADMAP item 1
+    aise_grid = None
 
     def __post_init__(self):
         lambda_grid, beta_grid = check_tuning_grids(self.lambda_grid, self.beta_grid)
@@ -217,7 +217,6 @@ class FitProtocol:
         object.__setattr__(self, "beta_grid", beta_grid)
         check_fold_count(self.n_folds)
         check_gram_options(self.gram_tol, self.gram_cap)
-        _simpson_weights(int(self.aise_grid))
 
     @property
     def is_fixed(self):
@@ -234,7 +233,6 @@ class FitProtocol:
             "gram_tol": self.gram_tol,
             "kernel": asdict(self.kernel),
             "base": base,
-            "aise_grid": self.aise_grid,
         }
 
 
@@ -264,7 +262,7 @@ def run_replication(setting, protocol=None):
     fit = admm_fit(data, cross, grams, chosen, pre=pre)
     ranks = rank_report(fit)
     return {
-        "aise": aise(fit, protocol.kernel, setting, protocol.aise_grid),
+        "aise": aise(fit, protocol.kernel, setting),
         "rank": ranks[0],
         "rank_1": ranks[1],
         "rank_2": ranks[2],
@@ -375,10 +373,7 @@ def save_table(result, path):
     else:
         aise_cell = f"{agg['aise_mean']:.4g} ({agg['aise_se']:.2e})"
     s = result.setting
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "n", "m", "sigma", "reps", "failures",
-                         "AISE (SE)", "R", "r1", "r2"])
-        writer.writerow([s.setting, s.n, s.m, s.sigma, agg["reps"],
-                         agg["failures"], aise_cell, rank_cell("rank_mean"),
-                         rank_cell("rank_1_mean"), rank_cell("rank_2_mean")])
+    write_csv(path, ["setting", "n", "m", "sigma", "reps", "failures",
+                     "AISE (SE)", "R", "r1", "r2"],
+              [[s.setting, s.n, s.m, s.sigma, agg["reps"], agg["failures"], aise_cell,
+                rank_cell("rank_mean"), rank_cell("rank_1_mean"), rank_cell("rank_2_mean")]])

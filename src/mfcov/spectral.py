@@ -35,6 +35,7 @@ __all__ = [
     "evaluate_cov",
     "evaluate_on_grid",
     "l2_eigensystem",
+    "l2_transform",
     "marginal_basis",
     "reconstruct_on_grid",
 ]
@@ -109,9 +110,9 @@ def evaluate_on_grid(fit, spec, axes):
                      _grid_values(_coef_maps(fit), spec, axes))
 
 
-def _l2_transform(fit):
-    """Shared setup: coefficient tensor in L2 coordinates plus the A_k maps,
-    from the thin QR C_k^T = Q_k R_k of each coefficient map."""
+def l2_transform(fit):
+    """The coefficient tensor in L2 coordinates plus the A_k maps, from the
+    thin QR C_k^T = Q_k R_k of each coefficient map."""
     factors = [np.linalg.qr(c.T) for c in _coef_maps(fit)]
     return (_contract(np.asarray(fit.coeffs, dtype=float), [r for _, r in factors]),
             [q.T for q, _ in factors])
@@ -187,7 +188,7 @@ def l2_eigensystem(fit, spec):
     transform preserves positive semidefiniteness, so nothing material is
     discarded.  Eigenvectors carry the module's sign rule.
     """
-    b, maps = _l2_transform(fit)
+    b, maps = l2_transform(fit)
     bl_sq = square_unfold(b)
     bl_sq = (bl_sq + bl_sq.T) / 2.0
     w, v = np.linalg.eigh(bl_sq)
@@ -220,7 +221,7 @@ def marginal_basis(fit, spec, k):
     p = len(fit.grams)
     if not 0 <= k < p:
         raise ValueError(f"dimension {k} out of range for p={p}")
-    b, maps = _l2_transform(fit)
+    b, maps = l2_transform(fit)
     u, s, _ = np.linalg.svd(one_way_unfold(b, k), full_matrices=False)
     s_max = float(s[0]) if s.size else 0.0
     kept = s > SPECTRUM_FLOOR * s_max if s_max > 0 else np.zeros_like(s, bool)

@@ -367,6 +367,28 @@ class TestRunConfig:
         assert err == ["mfcov fit: unknown config key 'a b'"]
 
 
+class TestRetiredAiseGrid:
+    """Configs written while AISE was a quadrature carry ``aise_grid``; it
+    is dropped whatever its value, and the replay scores the exact AISE."""
+
+    def test_parent_simulate_config_replays(self, fresh_runs, tmp_path):
+        _, out, config = fresh_runs["simulate"]
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps({**json.loads(config.read_text()), "aise_grid": 5}))
+        replay = tmp_path / "replay"
+        assert run_captured("simulate", "--config", path, "--out", replay) == (0, [])
+        assert ((replay / "benchmark.json").read_bytes()
+                == (out / "benchmark.json").read_bytes())
+        assert "aise_grid" not in json.loads((replay / "run_config.json").read_text())
+
+    @pytest.mark.parametrize("value", [21, 8, "21", None])
+    def test_full_field_fit_dict_loads(self, value):
+        every = {cli._key(f.name): None for f in fields(RunConfig)}
+        cfg = RunConfig.from_dict({**every, "command": "fit", "lambda": 1e-5,
+                                   "aise_grid": value})
+        assert cfg == RunConfig("fit", lam=1e-5)
+
+
 class TestRetiredAdaptiveEta:
     """Outputs written while adaptive eta existed carry ``adaptive_eta``
     false; they replay, and true is refused with one line."""
@@ -620,7 +642,7 @@ class TestFit:
 SIM_FLAGS = ["--setting", "3", "--n", "6", "--m", "4", "--sigma", "0.2",
              "--seed", "11", "--reps", "2", "--gram-cap", "3",
              "--lambda-grid", "1e-6", "--beta-grid", "0.5",
-             "--eta", "1e-9", "--aise-grid", "5"]
+             "--eta", "1e-9"]
 
 
 class TestSimulate:
@@ -1095,7 +1117,8 @@ class TestPersistedConfig:
     @pytest.mark.parametrize("name", [*cli._FLAGS, "selected_config"])
     def test_parent_shape_replays_byte_identically(self, fresh_runs, tmp_path, name):
         # earlier versions persisted every RunConfig key, the other commands'
-        # keys included (threads on fit, say), and maybe adaptive_eta false
+        # keys and the retired aise_grid included (threads on fit, say), and
+        # maybe adaptive_eta false
         if name == "selected_config":
             command, config = "fit", fresh_runs["cv"][1] / "selected_config.json"
         else:
@@ -1105,7 +1128,7 @@ class TestPersistedConfig:
             persisted = json.loads(path.read_text())
             every.update(persisted.get("run_config", persisted))
         fresh = json.loads(config.read_text())
-        old_config = {**every, "threads": 1, "lambda": 0.7, "beta": 0.1,
+        old_config = {**every, "threads": 1, "lambda": 0.7, "beta": 0.1, "aise_grid": 21,
                       **fresh.get("run_config", fresh), "adaptive_eta": False}
         old = {**fresh, "run_config": old_config} if "run_config" in fresh else old_config
         outputs = []

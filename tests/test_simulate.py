@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mfcov.solver import FitConfig, admm_fit, cv_select
 
 # small enough to keep the pipeline tests quick, still a real estimate
 FAST = FitProtocol(lambda_grid=(1e-3,), beta_grid=(0.5,), gram_cap=3,
-                   base=FitConfig(max_iters=150), aise_grid=5)
+                   base=FitConfig(max_iters=150))
 
 
 @pytest.fixture(scope="module")
@@ -222,41 +223,87 @@ class TestGenerate:
         assert abs(np.var(x) - target) < 3 * se
 
 
+def coefficient_fit(setting, spec, offset=0.0):
+    """The setting's covariance as a fit over the kernel's own cosine basis
+    (identity coefficient maps), plus ``offset`` times e_0 (x) e_0 when the
+    kernel has the constant e_0."""
+    width = spec.truncation_order + spec.include_constant
+    coeffs = np.zeros((width,) * 4)
+    for lam, (i, j) in zip(setting.eigenvalues, setting.components):
+        a, b = i - 1 + spec.include_constant, j - 1 + spec.include_constant
+        coeffs[a, b, a, b] = lam
+    coeffs[0, 0, 0, 0] += offset
+    return SimpleNamespace(coeffs=coeffs,
+                           grams=[SimpleNamespace(coef_map=np.eye(width))] * 2)
+
+
+def simpson_aise(fit, spec, setting, g=81):
+    """Composite Simpson quadrature of (fitted - true)^2 over a g^4 grid,
+    from the factors' cosine maps, in row blocks of the (g^2, g^2) surface."""
+    w = np.ones(g)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w /= 3.0 * (g - 1)
+    ax = np.linspace(0.0, 1.0, g)
+    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    weights = np.outer(w, w).ravel()
+    proj = [basis_matrix(spec, pts[:, k])[0] @ gf.coef_map.T
+            for k, gf in enumerate(fit.grams)]
+    rows = np.einsum("na,nb->nab", *proj).reshape(len(pts), -1)
+    b_sq = fit.coeffs.reshape(rows.shape[1], -1)
+    psi = component_functions(setting, pts)
+    total = 0.0
+    for block in np.array_split(np.arange(len(pts)), g):
+        diff = rows[block] @ b_sq @ rows.T - (psi[block] * setting.eigenvalues) @ psi.T
+        total += weights[block] @ (diff * diff) @ weights
+    return float(total)
+
+
 class TestAise:
-    def test_exact_fit_scores_zero(self, monkeypatch):
+    def test_exact_fit_scores_zero(self):
+        setting, spec = SimSetting(setting=1), KernelSpec(truncation_order=5)
+        assert abs(aise(coefficient_fit(setting, spec), spec, setting)) < 1e-15
+
+    def test_constant_offset(self):
         setting = SimSetting(setting=1)
-        grid = true_covariance_grid(setting, [np.linspace(0, 1, 21)] * 2)
-        monkeypatch.setattr(simulate, "evaluate_on_grid",
-                            lambda fit, spec, axes: grid)
-        assert aise(None, KernelSpec(), setting, 21) == 0.0
+        spec = KernelSpec(truncation_order=5, include_constant=True)
+        fit = coefficient_fit(setting, spec, offset=0.3)
+        assert aise(fit, spec, setting) == pytest.approx(0.09, rel=1e-12)
 
-    def test_constant_offset(self, monkeypatch):
-        setting = SimSetting(setting=1)
-        grid = true_covariance_grid(setting, [np.linspace(0, 1, 21)] * 2)
-        monkeypatch.setattr(simulate, "evaluate_on_grid",
-                            lambda fit, spec, axes: grid + 0.3)
-        assert aise(None, KernelSpec(), setting, 21) == pytest.approx(
-            0.09, rel=1e-12)
+    @pytest.mark.parametrize("setting, spec", [
+        (SimSetting(setting=1, n=20, m=8, seed=7), KernelSpec(include_constant=True)),
+        # setting 2's last components use e_4, past a truncation at 3
+        (SimSetting(setting=2, n=20, m=8, seed=7), KernelSpec(truncation_order=3)),
+    ], ids=["include-constant", "truncated-below-an-index"])
+    def test_equals_a_fine_simpson_rule(self, setting, spec):
+        data = generate(setting)
+        grams = gram_factors(data, spec, cap=5)
+        fit = admm_fit(data, cross_products(data), grams,
+                       replace(solver.TUNING_BASE, lam=1e-5, max_iters=100))
+        assert fit.coeffs.any()
+        exact = aise(fit, spec, setting)
+        assert exact == pytest.approx(simpson_aise(fit, spec, setting), rel=1e-10)
 
-    def test_grid_validation(self):
-        setting = SimSetting()
-        with pytest.raises(ValueError, match="at least 5"):
-            aise(None, KernelSpec(), setting, 4)
-        with pytest.raises(ValueError, match="odd"):
-            aise(None, KernelSpec(), setting, 6)
-
-    def test_grid_convergence(self, small_fit):
+    def test_a_kernel_unlike_the_fits_is_refused(self, small_fit):
         setting, spec, fit = small_fit
-        a21 = aise(fit, spec, setting, 21)
-        a41 = aise(fit, spec, setting, 41)
-        assert a21 > 0.0
-        assert abs(a41 - a21) < 1e-3
+        for other, width in ((replace(spec, truncation_order=49), 49),
+                             (replace(spec, include_constant=True), 51)):
+            with pytest.raises(ValueError) as err:
+                aise(fit, other, setting)
+            assert str(err.value) == (f"the kernel has {width} basis functions per "
+                                      "dimension but the fit's coefficient maps have "
+                                      "[50, 50]")
+
+    def test_takes_no_quadrature_grid(self, small_fit):
+        setting, spec, fit = small_fit
+        assert FitProtocol.aise_grid is None and "aise_grid" not in FAST.to_dict()
+        with pytest.raises(ValueError, match="exact and takes no quadrature grid, got 21"):
+            aise(fit, spec, setting, 21)
 
     def test_monte_carlo_oracle(self, small_fit):
         # brute-force integration of (fitted - true)^2 at random points,
         # evaluating the coefficient basis through the factors' cosine maps
         setting, spec, fit = small_fit
-        value = aise(fit, spec, setting, 21)
+        value = aise(fit, spec, setting)
         mats = [gf.coef_map.T for gf in fit.grams]
         b_sq = fit.coeff_square()
         lam = setting.eigenvalues
@@ -306,8 +353,6 @@ class TestProtocol:
         for tol in (-1.0, 1.0, 2.0, math.nan):
             with pytest.raises(ValueError, match=r"gram tol must be in \[0, 1\)"):
                 FitProtocol(gram_tol=tol)
-        with pytest.raises(ValueError, match="odd"):
-            FitProtocol(aise_grid=8)
 
     @pytest.mark.parametrize("grids, message", [
         (((-1.0,), (0.5,)), "lam must be finite and nonnegative, got -1.0"),
