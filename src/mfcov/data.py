@@ -51,7 +51,9 @@ class FunctionalDataset:
             raise ValueError("locations and values disagree on subject count")
         if not self.locations:
             raise ValueError("dataset has no subjects")
-        self.locations = [np.atleast_2d(np.asarray(t, dtype=float)) for t in self.locations]
+        locations = [np.asarray(t, dtype=float) for t in self.locations]
+        # a 1-D array holds a subject's m locations in one dimension
+        self.locations = [t[:, None] if t.ndim == 1 else np.atleast_2d(t) for t in locations]
         self.values = [np.atleast_1d(np.asarray(y, dtype=float)) for y in self.values]
         p = self.locations[0].shape[1]
         for i, (t, y) in enumerate(zip(self.locations, self.values)):
@@ -186,7 +188,6 @@ class FoldAssignment:
     """Balanced seeded partition of subjects into folds."""
 
     n_folds: int
-    seed: int
     assignment: np.ndarray  # (n,) fold index per subject
 
     def train_subjects(self, fold):
@@ -225,4 +226,4 @@ def make_folds(data, n_folds=DEFAULT_N_FOLDS, seed=DEFAULT_FOLD_SEED):
     perm = default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % n_folds
-    return FoldAssignment(n_folds=n_folds, seed=seed, assignment=assignment)
+    return FoldAssignment(n_folds=n_folds, assignment=assignment)

@@ -28,13 +28,13 @@ soft-thresholds and updates scaled duals; the loop (``_iterate``)
 extrapolates with a Nesterov momentum sequence (restarted whenever the
 objective increases) and decides when to stop.
 
-The iteration advances a stack of cells: (lambda, beta, eta) settings that
-share one loss system, tolerance and iteration cap.  Their proximal steps
-run as stacked eigh calls, while momentum, restarts and the stopping test
-stay per cell; a converged cell leaves the stack.  Each cell steps with its
-own eta (ridge shift, prox thresholds and consensus anchor): ``cv_select``
-scales eta with lambda, so every cell of a grid runs at the prox thresholds
-of the cell at the grid's median lambda.  Each cell's iterates are the ones
+The iteration advances a stack of cells, ``FitConfig``s that share one loss
+system, tolerance and iteration cap.  Their proximal steps run as stacked
+eigh calls, while momentum, restarts and the stopping test stay per cell; a
+converged cell leaves the stack.  Each cell steps with its own eta (ridge
+shift, prox thresholds and consensus anchor): ``cv_select`` scales eta with
+lambda, so every cell of a grid runs at the prox thresholds of the cell at
+the grid's median lambda.  Each cell's iterates are the ones
 it would have alone bit for bit on the matrix-free path, and up to rounding
 on the dense path, where numpy multiplies a stack of one by gemv and a
 larger stack by gemm, which sum in another order
@@ -77,6 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import CROSS_OVERFLOW, FoldAssignment, cross_products, make_folds
+from .spectral import l2_transform
 from .tensor import khatri_rao, matricize_axes, one_way_unfold, square_fold, square_unfold
 
 __all__ = [
@@ -531,8 +532,6 @@ def prox_trace_mode_k(a, mode, v):
         raise ValueError("threshold must be nonnegative")
     if a.ndim % 2 != 0 or not 0 <= mode < a.ndim // 2:
         raise ValueError(f"one-way mode {mode} invalid for an order-{a.ndim} tensor")
-    if v == 0.0:
-        return a.copy()
     return _prox_one_way(a[None], mode, np.array([v]))[0]
 
 
@@ -682,22 +681,23 @@ def _admm_map(solve, dims, b, d_hat, v_hat, lam, beta, eta):
     return b, d, v_hat + b[:, None] - d, eigs
 
 
-def _iterate(pre, base, lam, beta, eta):
+def _iterate(pre, configs):
     """Run the accelerated ADMM for a stack of cells on the loss system
     ``pre`` (a ``Precompute``): momentum, restarts and the stopping test
     around ``_admm_map``.
 
-    Cell c penalizes with (lam[c], beta[c]), steps with eta[c] and starts
-    from zero; tol and max_iters come from the FitConfig ``base``.  Returns
-    one result dict per cell; a cell the zero certificate covers returns the
-    zero fit at 0 iterations.
+    A cell is a ``FitConfig``: it penalizes with its lam and beta, steps
+    with its eta and starts from zero; the stack runs to the configs' one tol
+    and max_iters (a ValueError if they differ).  Returns one
+    ``CovarianceFit`` per cell, carrying its config; a cell the zero
+    certificate covers gets the zero fit at 0 iterations.
     """
-    p = pre.p
-    q = pre.q_total
-    dims2 = pre.dims + pre.dims
-    lam = np.asarray(lam, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    if len({(c.tol, c.max_iters) for c in configs}) != 1:
+        raise ValueError("the configs of a stack must share one tol and one max_iters")
+    tol, max_iters = configs[0].tol, configs[0].max_iters
+    p, q, dims2 = pre.p, pre.q_total, pre.dims + pre.dims
+    lam, beta, eta = (np.array(x, dtype=float) for x in zip(
+        *[(c.lam, c.beta, c.eta) for c in configs]))
 
     # at the zero start the loss is c0 and the penalties vanish; 0 * h is
     # NaN where h is not finite
@@ -707,16 +707,13 @@ def _iterate(pre, base, lam, beta, eta):
             f"non-finite objective ({obj_init}) at initialization; "
             "check the data for NaN or infinite values"
         )
-    results = [None] * lam.size
+    fits = [None] * len(configs)
 
     def finish(c, b, d, converged, n_iters, obj):
-        results[c] = {
-            "coeffs": d[0].reshape(dims2).copy(),
-            "converged": bool(converged),
-            "n_iters": n_iters,
-            "objective_value": float(obj),
-            "primal_residuals": _frob(b - d),
-        }
+        fits[c] = CovarianceFit(
+            coeffs=d[0].reshape(dims2).copy(), config=configs[c], grams=pre.grams,
+            converged=bool(converged), n_iters=n_iters, objective_value=float(obj),
+            primal_residuals=_frob(b - d))
 
     # certified cells return the zero fit and never enter the stack
     zero = pre.zero_certified(lam, beta)
@@ -727,13 +724,13 @@ def _iterate(pre, base, lam, beta, eta):
     # ``cell`` maps rows to cells and indexes the per-cell penalties above.
     cell = np.flatnonzero(~zero)
     if not cell.size:
-        return results
+        return fits
     solve = pre.solver()
     d = v = d_hat = v_hat = np.zeros((cell.size, p + 1, q, q))
     alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
     b = None
 
-    for t in range(base.max_iters):
+    for t in range(max_iters):
         b, d_new, v_new, eigs = _admm_map(solve, pre.dims, b, d_hat, v_hat,
                                           lam[cell], beta[cell], eta[cell])
         obj = _penalized(pre.quad(d_new[:, 0]), d_new[:, 0], eigs,
@@ -756,7 +753,7 @@ def _iterate(pre, base, lam, beta, eta):
 
         rel = np.abs(obj - obj_prev) / np.maximum(np.abs(obj_prev), 1e-300)
         obj_prev = obj
-        conv = rel < base.tol
+        conv = rel < tol
         if conv.any():
             # Guard against false plateaus: from a cold start the objective
             # at D_0 can sit exactly at its initial value for several
@@ -767,9 +764,9 @@ def _iterate(pre, base, lam, beta, eta):
             r_cons = _frob(b[:, None] - d).max(axis=1)
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
                                 pre.h_norm / ((p + 1) * eta[cell]))
-            conv &= r_cons <= np.sqrt(base.tol) * np.maximum(anchor, 1e-300)
+            conv &= r_cons <= np.sqrt(tol) * np.maximum(anchor, 1e-300)
 
-        done = conv | (t + 1 >= base.max_iters)
+        done = conv | (t + 1 >= max_iters)
         if not done.any():
             continue
         for row in np.flatnonzero(done):
@@ -780,7 +777,7 @@ def _iterate(pre, base, lam, beta, eta):
         cell, b = cell[keep], b[keep]
         d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
         alpha, obj_prev = alpha[keep], obj_prev[keep]
-    return results
+    return fits
 
 
 def admm_fit(data, cross, grams, config, pre=None):
@@ -791,23 +788,27 @@ def admm_fit(data, cross, grams, config, pre=None):
     """
     if pre is None:
         pre = precompute(data, cross, grams)
-    (out,) = _iterate(pre, config, [config.lam], [config.beta], [config.eta])
-    return CovarianceFit(config=config, grams=pre.grams, **out)
+    return _iterate(pre, [config])[0]
 
 
 def rank_report(fit):
-    """(two-way rank, one-way ranks...) of the fitted coefficients.
+    """(two-way rank, one-way ranks...) of the fitted covariance operator.
 
-    Counts eigenvalues of the square unfolding and singular values of each
-    one-way unfolding above the fit's ``rank_threshold`` times their maximum.
+    Counts the eigenvalues of the square unfolding and the singular values of
+    each one-way unfolding of the coefficients in the L2 coordinates of
+    ``spectral.l2_transform`` (those of AISE and ``l2_eigensystem``) above
+    the fit's ``rank_threshold`` times their maximum.  A ValueError if a gram
+    factor carries no coefficient map.
     """
+    b, _ = l2_transform(fit)
+
     def rank(v):
         top = v.max() if v.size else 0.0
         return 0 if top <= 0.0 else int((v > fit.config.rank_threshold * top).sum())
 
-    return (rank(np.linalg.eigvalsh(_sym(fit.coeff_square()))),
-            *(rank(np.linalg.svd(one_way_unfold(fit.coeffs, k), compute_uv=False))
-              for k in range(fit.coeffs.ndim // 2)))
+    return (rank(np.linalg.eigvalsh(_sym(square_unfold(b)))),
+            *(rank(np.linalg.svd(one_way_unfold(b, k), compute_uv=False))
+              for k in range(b.ndim // 2)))
 
 
 @dataclass(frozen=True)
@@ -857,8 +858,8 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     folds = pre.folds
 
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
-    cell_lam, cell_beta, cell_eta = (np.array(x) for x in zip(
-        *[(lambda_grid[li], beta_grid[bj], eta_grid[li]) for li, bj in cells]))
+    configs = {(li, bj): replace(base, lam=lambda_grid[li], beta=beta_grid[bj],
+                                 eta=eta_grid[li]) for li, bj in cells}
     size = 1 if pre.G_sym is None else len(cells)
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
@@ -866,18 +867,16 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     for f in range(folds.n_folds):
         system = pre.training(f)
         for start in range(0, len(cells), size):
-            stack = slice(start, start + size)
-            outs = _iterate(system, base, cell_lam[stack], cell_beta[stack],
-                            cell_eta[stack])
-            b_sq = np.stack([square_unfold(out["coeffs"]) for out in outs])
-            held_out = pre.loss_direct(b_sq, folds.valid_subjects(f))
-            for (li, bj), out, score in zip(cells[stack], outs, held_out):
-                scores[li, bj] += score
-                n_iters[li, bj] += out["n_iters"]
-                unconverged[li, bj] += not out["converged"]
+            stack = cells[start:start + size]
+            fits = _iterate(system, [configs[c] for c in stack])
+            held_out = pre.loss_direct(np.stack([fit.coeff_square() for fit in fits]),
+                                       folds.valid_subjects(f))
+            for c, fit, score in zip(stack, fits, held_out):
+                scores[c] += score
+                n_iters[c] += fit.n_iters
+                unconverged[c] += not fit.converged
     scores /= folds.n_folds
 
-    li, bj = min(np.ndindex(scores.shape), key=lambda c: (
-        scores[c], -lambda_grid[c[0]], -beta_grid[c[1]]))
-    chosen = replace(base, lam=lambda_grid[li], beta=beta_grid[bj], eta=eta_grid[li])
+    chosen = configs[min(np.ndindex(scores.shape), key=lambda c: (
+        scores[c], -lambda_grid[c[0]], -beta_grid[c[1]]))]
     return chosen, scores, CvDiagnostics(n_iters=n_iters, unconverged_folds=unconverged)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfcov.data import (FunctionalDataset, check_fold_count, cross_products, load_csv,
-                        make_folds, save_csv)
+from mfcov.data import (FunctionalDataset, check_fold_count, cross_products, gram_factors,
+                        load_csv, make_folds, save_csv)
+from mfcov.kernel import KernelSpec
+from mfcov.solver import TUNING_BASE, admm_fit
 
 # Text shaped like the CSV format, so examples get past the header check.
 CSV_LIKE = st.text(alphabet="ab,.0123456789e-+\"\n\r inf", max_size=300).map(
@@ -40,6 +42,23 @@ class TestDataset:
             FunctionalDataset(
                 [np.zeros((2, 2)), np.zeros((2, 3))], [np.zeros(2), np.zeros(2)]
             )  # mixed dimension
+
+    def test_one_dimensional_locations_fit_like_a_column(self):
+        # a subject's (m,) locations are m points on the line, not one point
+        rng = np.random.default_rng(1)
+        locs = [rng.uniform(size=m) for m in (3, 5, 4, 6)]
+        vals = [rng.standard_normal(m) for m in (3, 5, 4, 6)]
+        flat = FunctionalDataset(locs, vals)
+        column = FunctionalDataset([t[:, None] for t in locs], vals)
+        assert flat.p == 1 and list(flat.counts) == [3, 5, 4, 6]
+        for a, b in zip(flat.locations, column.locations):
+            assert np.array_equal(a, b)
+        fits = [admm_fit(d, cross_products(d), gram_factors(d, KernelSpec()), TUNING_BASE)
+                for d in (flat, column)]
+        assert fits[0].n_iters == fits[1].n_iters > 0
+        assert np.array_equal(fits[0].coeffs, fits[1].coeffs)
+        assert FunctionalDataset([np.array([0.1, 0.5, 0.9])],
+                                 [np.array([1.0, 2.0, 3.0])]).counts.tolist() == [3]
 
 
 class TestCsvRoundTrip:

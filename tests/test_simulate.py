@@ -383,9 +383,9 @@ def cv_steps(*args, **kwargs):
     """cv_select's return value, and the step it gave each lambda."""
     steps, iterate = {}, solver._iterate
 
-    def spy(pre, base, lam, beta, eta):
-        steps.update(zip(lam.tolist(), eta.tolist()))
-        return iterate(pre, base, lam, beta, eta)
+    def spy(pre, configs):
+        steps.update((c.lam, c.eta) for c in configs)
+        return iterate(pre, configs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_iterate", spy)
@@ -434,20 +434,23 @@ class TestScaledEta:
         system = pre.training(0)
         cells = [(lam, beta) for lam in (proto.lambda_grid[0], proto.lambda_grid[-1])
                  for beta in (0.0, 0.5, 1.0)]
-        lam, beta = (np.array(x) for x in zip(*cells))
-        eta = np.array([steps[x] for x in lam])
+        eta = [steps[lam] for lam, _ in cells]
+
+        def stack(base, etas):
+            return [replace(base, lam=lam, beta=beta, eta=e)
+                    for (lam, beta), e in zip(cells, etas)]
+
         long = replace(proto.base, tol=1e-14, max_iters=20000)
-        ref = [out["objective_value"] for out in solver._iterate(system, long, lam, beta, eta)]
+        ref = [out.objective_value for out in solver._iterate(system, stack(long, eta))]
 
         def excess(outs):
-            return np.median([(out["objective_value"] - r) / abs(r)
+            return np.median([(out.objective_value - r) / abs(r)
                               for out, r in zip(outs, ref)])
 
-        fixed = solver._iterate(system, proto.base, lam, beta,
-                                np.full(lam.shape, proto.base.eta))
-        scaled = solver._iterate(system, proto.base, lam, beta, eta)
+        fixed = solver._iterate(system, stack(proto.base, [proto.base.eta] * len(cells)))
+        scaled = solver._iterate(system, stack(proto.base, eta))
         assert excess(scaled) <= excess(fixed)
-        assert all(out["converged"] for out in fixed + scaled)
+        assert all(out.converged for out in fixed + scaled)
 
     def test_cv_iteration_budget(self, replication_cv):
         # the fixed eta needs 2,560 cell-iterations here, the scaled one 1,433

@@ -25,6 +25,7 @@ from mfcov.solver import (
     prox_trace_mode_k,
     rank_report,
 )
+from mfcov.spectral import l2_eigensystem, marginal_basis
 from mfcov.tensor import one_way_fold, one_way_unfold, square_fold, square_unfold
 
 def synthetic_grams(rng, rows, dims):
@@ -406,7 +407,7 @@ class TestLossSystem:
         # with fewer labels than subjects CV would score only the first
         # subjects; with more it would index past the data
         data, cross, grams, _ = make_problem(p=1, n=20, m=4, q=2, seed=122)
-        foreign = FoldAssignment(5, 0, np.arange(n_assigned) % 5)
+        foreign = FoldAssignment(5, np.arange(n_assigned) % 5)
         message = f"covers {n_assigned} subjects but the dataset has 20"
         with pytest.raises(ValueError, match=message):
             precompute(data, cross, grams, folds=foreign)
@@ -419,7 +420,7 @@ class TestLossSystem:
         # an empty fold has no subject to score; subjects labelled past
         # n_folds would never be held out, and CV would score the rest only
         data, cross, grams, _ = make_problem(p=1, n=20, m=4, q=2, seed=122)
-        folds = FoldAssignment(n_folds, 0, np.arange(20) % modulus)
+        folds = FoldAssignment(n_folds, np.arange(20) % modulus)
         message = (f"^the fold assignment must label each subject with a fold in "
                    f"0..{n_folds - 1} and leave no fold empty$")
         with pytest.raises(ValueError, match=message):
@@ -532,7 +533,7 @@ class TestLossInvariances:
         idx = np.concatenate([starts[i] + np.arange(data.counts[i]) for i in perm])
         moved = FunctionalDataset([data.locations[i] for i in perm],
                                   [data.values[i] for i in perm])
-        moved_folds = FoldAssignment(folds.n_folds, folds.seed, folds.assignment[perm])
+        moved_folds = FoldAssignment(folds.n_folds, folds.assignment[perm])
         tuning = dict(lambda_grid=(1e-3, 1e-2, 1e-1), beta_grid=(0.0, 0.5, 1.0),
                       base=FitConfig(max_iters=30))
         _, scores, cells = cv_select(data, grams, folds=folds, **tuning)
@@ -989,9 +990,9 @@ class TestRidgeSolve:
         for dense in (True, False):
             calls.clear()
             pre, _ = ridge_problem(dense, monkeypatch)
-            outs = solver._iterate(pre, FitConfig(max_iters=20), STACK_LAM, STACK_BETA,
-                                   STACK_ETA)
-            assert sum(out["n_iters"] for out in outs) > 0
+            outs = solver._iterate(pre, cells(FitConfig(max_iters=20), STACK_LAM, STACK_BETA,
+                                              STACK_ETA))
+            assert sum(out.n_iters for out in outs) > 0
             # the counter sees the dense path pack
             assert (calls != []) == dense
 
@@ -1038,6 +1039,13 @@ STACK_BETA = [0.0, 0.5, 1.0, 0.5, 1.0]
 STACK_ETA = [FitConfig().eta] * len(STACK_LAM)
 
 
+def cells(base, lam, beta, eta=None):
+    """One FitConfig per cell: ``base`` at each cell's lam, beta and eta
+    (base.eta for every cell when ``eta`` is None)."""
+    eta = [base.eta] * len(lam) if eta is None else eta
+    return [replace(base, lam=lm, beta=bt, eta=et) for lm, bt, et in zip(lam, beta, eta)]
+
+
 class TestStackedAdmm:
     @pytest.mark.parametrize("dense", [True, False])
     def test_cells_match_single_cell_runs(self, dense, monkeypatch):
@@ -1049,21 +1057,20 @@ class TestStackedAdmm:
         free = FitConfig(eta=10.0, tol=1e-9, max_iters=2000)
         capped = FitConfig(max_iters=3)
         for base in (free, capped):
-            stacked = solver._iterate(pre, base, STACK_LAM, STACK_BETA,
-                                      [base.eta] * len(STACK_LAM))
+            stacked = solver._iterate(pre, cells(base, STACK_LAM, STACK_BETA))
             for lam, beta, out in zip(STACK_LAM, STACK_BETA, stacked):
                 single = admm_fit(data, cross, grams, replace(base, lam=lam, beta=beta),
                                   pre=pre)
-                assert out["n_iters"] == single.n_iters
-                assert out["converged"] == single.converged
+                assert out.n_iters == single.n_iters
+                assert out.converged == single.converged
                 ref = np.linalg.norm(single.coeffs)
-                assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-12 * ref
-            n_iters = [out["n_iters"] for out in stacked]
-            assert np.linalg.norm(stacked[3]["coeffs"]) == 0.0
-            assert n_iters[3] == 0 and stacked[3]["converged"]
+                assert np.linalg.norm(out.coeffs - single.coeffs) <= 1e-12 * ref
+            n_iters = [out.n_iters for out in stacked]
+            assert np.linalg.norm(stacked[3].coeffs) == 0.0
+            assert n_iters[3] == 0 and stacked[3].converged
             if base is capped:
                 assert n_iters == [3, 3, 3, 0, 3]
-                assert not any(stacked[c]["converged"] for c in (0, 1, 2, 4))
+                assert not any(stacked[c].converged for c in (0, 1, 2, 4))
             else:
                 assert min(n_iters[:3]) > 10 and len(set(n_iters)) == 5
 
@@ -1077,20 +1084,38 @@ class TestStackedAdmm:
         pre = precompute(data, cross, grams)
         base = FitConfig(tol=1e-9, max_iters=2000)
         etas = [10.0, 1.0, 0.3, 5.0, 30.0]
-        stacked = solver._iterate(pre, base, STACK_LAM, STACK_BETA, etas)
+        stacked = solver._iterate(pre, cells(base, STACK_LAM, STACK_BETA, etas))
         for lam, beta, eta, out in zip(STACK_LAM, STACK_BETA, etas, stacked):
             single = admm_fit(data, cross, grams,
                               replace(base, lam=lam, beta=beta, eta=eta), pre=pre)
-            assert out["n_iters"] == single.n_iters
-            assert out["converged"] == single.converged
+            assert out.n_iters == single.n_iters
+            assert out.converged == single.converged
             if dense:
                 ref = np.linalg.norm(single.coeffs)
-                assert np.linalg.norm(out["coeffs"] - single.coeffs) <= 1e-14 * ref
+                assert np.linalg.norm(out.coeffs - single.coeffs) <= 1e-14 * ref
             else:
-                assert np.array_equal(out["coeffs"], single.coeffs)
+                assert np.array_equal(out.coeffs, single.coeffs)
         # the steps were used: at one eta for every cell the fits stop elsewhere
-        at_one_eta = solver._iterate(pre, base, STACK_LAM, STACK_BETA, STACK_ETA)
-        assert [o["n_iters"] for o in at_one_eta] != [o["n_iters"] for o in stacked]
+        at_one_eta = solver._iterate(pre, cells(base, STACK_LAM, STACK_BETA, STACK_ETA))
+        assert [o.n_iters for o in at_one_eta] != [o.n_iters for o in stacked]
+
+    def test_each_fit_carries_its_cell_config(self):
+        data, cross, grams, pre = make_problem(
+            p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        configs = cells(FitConfig(max_iters=7), STACK_LAM, STACK_BETA)
+        fits = solver._iterate(pre, configs)
+        assert len(fits) == len(configs)
+        assert all(fit.config is config for fit, config in zip(fits, configs))
+        assert all(fit.grams is pre.grams for fit in fits)
+        assert admm_fit(data, cross, grams, configs[1], pre=pre).config is configs[1]
+
+    @pytest.mark.parametrize("change", [dict(tol=1e-5), dict(max_iters=8)])
+    def test_a_stack_of_mixed_stopping_rules_is_refused(self, change):
+        *_, pre = make_problem(p=2, n=6, m=5, q=2, seed=13, model_scale=1.5, noise=0.2)
+        configs = cells(FitConfig(max_iters=7), STACK_LAM, STACK_BETA)
+        configs[2] = replace(configs[2], **change)
+        with pytest.raises(ValueError, match="share one tol and one max_iters"):
+            solver._iterate(pre, configs)
 
 
 def linear_term_bounds(pre):
@@ -1175,22 +1200,26 @@ class TestZeroCertificate:
         zero = [(1e6, 0.5), (1.0, 1.0)]
         mixed_cells = [zero[0], iterating[0], zero[1], iterating[1], iterating[2]]
         for base in (FitConfig(), FitConfig(max_iters=7)):   # free, and capped
-            alone = solver._iterate(pre, base, *zip(*iterating), [base.eta] * 3)
-            mixed = solver._iterate(pre, base, *zip(*mixed_cells), [base.eta] * 5)
+            alone = solver._iterate(pre, cells(base, *zip(*iterating)))
+            mixed = solver._iterate(pre, cells(base, *zip(*mixed_cells)))
             for ref, out in zip(alone, [mixed[1], mixed[3], mixed[4]]):
-                assert ref["n_iters"] == out["n_iters"] > 0
-                assert ref["converged"] == out["converged"]
+                assert ref.n_iters == out.n_iters > 0
+                assert ref.converged == out.converged
                 for key in ("coeffs", "objective_value", "primal_residuals"):
-                    assert np.array_equal(ref[key], out[key])
+                    assert np.array_equal(getattr(ref, key), getattr(out, key))
             for out in (mixed[0], mixed[2]):
-                assert not out["coeffs"].any()
-                assert out["converged"] and out["n_iters"] == 0
-                assert out["objective_value"] == pre.c0
+                assert not out.coeffs.any()
+                assert out.converged and out.n_iters == 0
+                assert out.objective_value == pre.c0
 
 
 def synthetic_fit(coeffs, threshold=1e-8):
+    """A fit of ``coeffs`` over factors with identity coefficient maps, whose
+    L2 coordinates are the coefficients themselves."""
+    dims = coeffs.shape[:coeffs.ndim // 2]
+    grams = [GramFactor(factor=np.eye(q), retained_rank=q, coef_map=np.eye(q)) for q in dims]
     return CovarianceFit(
-        coeffs=coeffs, config=FitConfig(rank_threshold=threshold), grams=[],
+        coeffs=coeffs, config=FitConfig(rank_threshold=threshold), grams=grams,
         converged=True, n_iters=1, objective_value=0.0,
         primal_residuals=np.zeros(1))
 
@@ -1211,6 +1240,29 @@ class TestRankReport:
         fit = synthetic_fit(square_fold(b_sq, (5, 6, 5, 6)))
         fit = replace(fit, config=replace(fit.config, rank_threshold=1e-8))
         assert rank_report(fit) == (4, 2, 3)
+
+    @pytest.mark.parametrize("m, beta", [(10, 0.0), (10, 1.0), (20, 0.5)])
+    def test_ranks_count_the_l2_spectrum(self, m, beta):
+        # the ranks of the fitted operator: its L2 eigenvalues and the
+        # singular values of its L2 marginal bases above the threshold
+        data = generate(SimSetting(setting=1, n=40, m=m, spawn_key=(3, 0)))
+        spec = KernelSpec()
+        grams = gram_factors(data, spec)
+        fit = admm_fit(data, cross_products(data), grams, replace(solver.TUNING_BASE, beta=beta))
+
+        def count(v):
+            return int((v > fit.config.rank_threshold * v.max()).sum())
+
+        ranks = (count(l2_eigensystem(fit, spec).eigenvalues),
+                 *(count(marginal_basis(fit, spec, k).singular_values) for k in range(data.p)))
+        assert min(ranks) > 0
+        assert rank_report(fit) == ranks
+
+    def test_factors_without_coefficient_maps_are_refused(self):
+        fit = synthetic_fit(np.eye(4).reshape(2, 2, 2, 2))
+        fit.grams[1] = replace(fit.grams[1], coef_map=None)
+        with pytest.raises(ValueError, match="gram factor 1 carries no coefficient map"):
+            rank_report(fit)
 
     def test_threshold_one_keeps_at_most_top(self):
         rng = np.random.default_rng(24)
