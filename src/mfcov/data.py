@@ -172,14 +172,19 @@ class CrossProducts:
 
 
 def cross_products(data):
-    """Outer products Z_ijj' = Y_ij Y_ij' of each subject's (centered) values."""
-    zs = []
-    for vals in data.values:
+    """Outer products Z_ijj' = Y_ij Y_ij' of each subject's (centered) values,
+    one broadcast product per observation count; each ``z[i]`` is a view."""
+    counts = data.counts
+    zs = [None] * data.n
+    for m in sorted(set(counts.tolist())):
+        subjects = np.flatnonzero(counts == m)
+        vals = np.stack([data.values[i] for i in subjects])
         with np.errstate(over="ignore"):
-            z = np.outer(vals, vals)
-        if np.isfinite(vals).all() and not np.isfinite(z).all():
+            z = vals[:, :, None] * vals[:, None, :]
+        if (np.isfinite(vals).all(axis=1) & ~np.isfinite(z).all(axis=(1, 2))).any():
             raise ValueError(CROSS_OVERFLOW)
-        zs.append(z)
+        for i, zi in zip(subjects.tolist(), z):
+            zs[i] = zi
     return CrossProducts(z=zs)
 
 

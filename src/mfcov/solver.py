@@ -12,12 +12,15 @@ symmetric, so this coincides with the row-major ravel used by the code, and
 the quadratic-form consistency test pins the convention.
 
 The data term has one layout: subjects grouped by observation count into
-dense batches (``CountGroup``), so unequal counts need no padding.  The
-forward map B -> offdiag(L_i B L_i^T) and its adjoint
-Y -> sum_i u_i L_i^T Y_i L_i, batched over subjects and stacks of cells,
-give h, the held-out loss and the matrix-free G x.  The dense path builds G
-in packed symmetric coordinates only, from two Grams of packed rows, the
-triu(L_i^T L_i) and the packed l l^T of each row l (``_packed_g``).
+dense batches (``CountGroup``), so unequal counts need no padding.  A group
+lists its subjects in the byte order of their data, so no sum depends on
+how the subjects are numbered.  The forward map B -> offdiag(L_i B L_i^T)
+and its adjoint Y -> sum_i u_i L_i^T Y_i L_i, batched over subjects and
+stacks of cells, give h, the held-out loss and the matrix-free G x.  The
+dense path builds G in packed symmetric coordinates only, from the
+per-dimension structure of the Khatri-Rao rows (``_PackedG``): the Gram of
+the subjects' pair-product sums and the Gram of the rows' per-dimension
+fourth moments.
 
 The objective, loss(B) + lambda (beta ||B_sq||_* + (1 - beta) / p sum_k
 ||B_(k)||_*), is minimized over PSD B_sq at every (lambda, beta); one
@@ -72,7 +75,7 @@ sum_k ||B_(k)||_*, so with G PSD, F(B) - F(0) = <B, G B> - <h, B> + penalty
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -114,6 +117,10 @@ DEFAULT_BETA_GRID = (0.0, 0.5, 1.0)
 # G is materialized densely while (prod q_k)^2 stays below this; beyond it
 # the solver switches to matrix-free conjugate-gradient B-updates.
 DENSE_LIMIT = 2500
+
+# Rows times columns of a block of the dense G's moment Gram, which keeps a
+# block's arrays within the cache (at p = 1 a block holds at least D rows).
+MOMENT_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -212,8 +219,9 @@ class SymPacking:
 class CountGroup:
     """The subjects sharing one observation count m, as dense batches."""
 
-    subjects: np.ndarray    # (n_g,) subject indices, ascending
+    subjects: np.ndarray    # (n_g,) subject indices, in a canonical order of their data
     rows: np.ndarray        # (n_g, m, Q) factor rows L_i
+    factors: tuple          # per dimension k, the (n_g, m, q_k) gram-factor rows
     z: np.ndarray           # (n_g, m, m) cross-products, diagonal zeroed
     u: float                # subject weight 1/(m (m - 1))
 
@@ -239,7 +247,7 @@ def _select(groups, subjects):
     if subjects is None:
         return groups
     keep = [np.isin(g.subjects, subjects) for g in groups]
-    return [CountGroup(g.subjects[k], g.rows[k], g.z[k], g.u)
+    return [CountGroup(g.subjects[k], g.rows[k], tuple(f[k] for f in g.factors), g.z[k], g.u)
             for g, k in zip(groups, keep) if k.any()]
 
 
@@ -272,7 +280,7 @@ class Precompute:
 
     grams: list
     dims: tuple
-    L: list                  # per-subject views of the pooled factor rows
+    L: list                  # per-subject views of the groups' factor rows
     groups: list             # CountGroup batches covering every subject
     h: np.ndarray            # (Q^2,)
     c0: float
@@ -390,9 +398,13 @@ class Precompute:
 
 
 def _layout(grams, data, cross):
-    """The Khatri-Rao factor rows of every pooled observation, and the count
-    groups gathered from them and the cross-products; validates the row
-    partition."""
+    """The count groups of the subjects, gathered from the gram factors and
+    the cross-products, with their Khatri-Rao factor rows, and each subject's
+    rows L_i as a view into its group's; validates the row partition.
+
+    A group lists its subjects in the order of their data (cross-products,
+    then gram-factor rows, compared as bytes), so every sum over subjects
+    runs in one order however the subjects are numbered."""
     counts = data.counts
     for k, gf in enumerate(grams):
         if gf.factor.shape[0] != counts.sum():
@@ -402,51 +414,137 @@ def _layout(grams, data, cross):
             )
     if len(grams) != data.p:
         raise ValueError(f"need {data.p} gram factors, got {len(grams)}")
-    rows = grams[0].factor
-    for gf in grams[1:]:
-        rows = khatri_rao(rows.T, gf.factor.T).T
     starts = np.cumsum(counts) - counts
-    z_pooled = np.concatenate(cross.z, axis=None)
-    z_starts = np.cumsum(counts * counts) - counts * counts
-    groups = []
+    groups, rows_of = [], [None] * data.n
     for m in sorted(set(counts.tolist())):   # np.unique would load numpy.ma
         subjects = np.flatnonzero(counts == m)
-        z = z_pooled[z_starts[subjects, None] + np.arange(m * m)].reshape(-1, m, m)
+        z = np.stack([cross.z[i] for i in subjects])
         z[:, np.arange(m), np.arange(m)] = 0.0
-        groups.append(CountGroup(subjects=subjects,
-                                 rows=rows[starts[subjects, None] + np.arange(m)],
-                                 z=z, u=1.0 / (m * (m - 1.0))))
-    return rows, groups
+        factors = [gf.factor[starts[subjects, None] + np.arange(m)] for gf in grams]
+        key = np.concatenate([x.reshape(subjects.size, -1) for x in (z, *factors)], axis=1)
+        order = np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
+        subjects, factors = subjects[order], tuple(f[order] for f in factors)
+        rows = factors[0]
+        for f in factors[1:]:
+            rows = (rows[..., :, None] * f[..., None, :]).reshape(rows.shape[:-1] + (-1,))
+        for i, r in zip(subjects.tolist(), rows):
+            rows_of[i] = r
+        groups.append(CountGroup(subjects=subjects, rows=rows, factors=factors,
+                                 z=z[order], u=1.0 / (m * (m - 1.0))))
+    return rows_of, groups
 
 
-def _packed_g(groups, pk):
-    """S^T (sum_i u_i (kron(C_i, C_i) - W_i^T W_i)) S over the groups' subjects
-    as a packed (D, D) matrix; C_i = L_i^T L_i, W_i stacks vec(l l^T) over the
-    rows l of L_i, and s is sqrt(2) off the diagonal and 1 on it.
-
-    Both parts are Grams of rows weighted by sqrt(u_i).  With K the Gram of
-    the rows triu(C_i), the Kronecker part at packed (a, b), (c, d) is
-    (K[ac, bd] + K[ad, bc]) s_ab s_cd / 2.  The correction subtracts the Gram
-    of the packed rows S^T vec(l l^T) = s * (l_a l_b), D rows at a time.
-    """
-    q, dim = pk.q, pk.dim
+def _pairs(q):
+    """The upper-triangle entries (a, b), a <= b, of a q x q matrix in packed
+    order, and the (q, q) table of each entry's packed index."""
     a, b = np.triu_indices(q)
-    tri = np.empty((q, q), dtype=np.intp)   # packed index of entry (i, j)
-    tri[a, b] = tri[b, a] = np.arange(dim)
-    t = np.concatenate([(np.swapaxes(g.rows, -1, -2) @ g.rows)[:, a, b] * math.sqrt(g.u)
-                        for g in groups])
-    k = t.T @ t
-    s = pk.scale
-    out = (k[tri[a[:, None], a], tri[b[:, None], b]]
-           + k[tri[a[:, None], b], tri[b[:, None], a]]) * (np.outer(s, s) / 2.0)
-    for g in groups:
-        rows = g.rows.reshape(-1, q)
-        for start in range(0, rows.shape[0], dim):
-            blk = rows[start:start + dim]
-            w = blk[:, a] * blk[:, b]
-            w *= s * math.sqrt(g.u)
-            out -= w.T @ w
-    return out
+    tri = np.empty((q, q), dtype=np.int32)
+    tri[a, b] = tri[b, a] = np.arange(a.size)
+    return a, b, tri
+
+
+def _quartics(q, a, b, tri):
+    """The degree-4 monomials x_i x_j x_k x_l (i <= j <= k <= l) of q
+    variables, from ``_pairs(q)``: the (D_q, D_q) table of the monomial that
+    the pair products of packed pairs (a, b) and (c, d) multiply to, and for
+    each monomial the packed pairs (i, j) and (k, l)."""
+    quad = np.sort(np.stack(np.broadcast_arrays(a[:, None], b[:, None], a, b), axis=-1))
+    code = ((quad[..., 0] * q + quad[..., 1]) * q + quad[..., 2]) * q + quad[..., 3]
+    seen = np.zeros(q ** 4, dtype=bool)
+    seen[code] = True
+    i, j, k, l = np.unravel_index(np.flatnonzero(seen), (q,) * 4)
+    return (np.cumsum(seen) - 1)[code], tri[i, j], tri[k, l]
+
+
+class _PackedG:
+    """The packed G_sym = S^T (sum_i u_i (kron(C_i, C_i) - W_i^T W_i)) S of a
+    subject set, as a (D, D) matrix; C_i = L_i^T L_i, W_i stacks vec(l l^T)
+    over the rows l of L_i, and s is sqrt(2) off the diagonal and 1 on it.
+    ``precompute`` builds the gather tables once and assembles every fold
+    with them.
+
+    A row l = f_1 (x) ... (x) f_p multiplies out per dimension: a pair
+    product l_a l_b is the product of the pair products f_k[a_k] f_k[b_k],
+    one packed pair per dimension (a point of the pair space, of size
+    prod_k D_k).  Let w_r be the pair-space row of row r, V_i the sum of w_r
+    over L_i's rows (it holds C_i), K = sum_i u_i V_i V_i^T and M = sum_r u_r
+    w_r w_r^T.  The entry at packed (a, b), (c, d) is (X[ac, bd] + X[ad, bc])
+    s_ab s_cd / 2 with X = K - M: an entry of M is a fourth moment, symmetric
+    in a, b, c, d, so the correction splits evenly between the two Kronecker
+    terms.  It depends on each dimension's degree-4 monomial only, so M is
+    one Gram between the monomials of dimensions 1..p-1 (their Kronecker
+    product) and those of dimension p, spread over the pair space.  At p = 1
+    a row has no product structure, and M is the Gram of the pair products,
+    at least D rows at a time.
+    """
+
+    def __init__(self, dims, pk):
+        pairs = [_pairs(q) for q in dims]
+        sizes = [a.size for a, _, _ in pairs]
+        space = math.prod(sizes)
+        self.pairs, self.space = [(a, b) for a, b, _ in pairs], space
+        # eps[x, y]: the pair-space index of flat coefficient indices (x, y);
+        # the flat int32 indices into the (space, space) X below stay under
+        # 2^31 for every G that fits in memory
+        eps = 0
+        for (_, _, tri), size, ix in zip(pairs, sizes, np.unravel_index(np.arange(pk.q), dims)):
+            eps = eps * size + tri[ix[:, None], ix]
+        # Packed row (a, b) gathers X at eps(a, c) space + eps(b, d) and at
+        # eps(a, d) space + eps(b, c) over the packed columns (c, d); the rows
+        # with a = r are starts[r]:starts[r + 1], with b = r..Q-1.
+        c, d = np.divmod(pk.col_upper, pk.q)
+        self.kron = ((eps * space)[:, c], eps[:, d], (eps * space)[:, d], eps[:, c])
+        self.starts = np.concatenate(([0], np.cumsum(np.arange(pk.q, 0, -1))))
+        self.half_scale = pk.scale / 2.0
+        if len(dims) == 1:
+            self.moments = (pk.dim, pk.dim)
+            self.block = max(pk.dim, MOMENT_BLOCK // pk.dim)
+        else:
+            quartics = [_quartics(q, *pair) for q, pair in zip(dims, pairs)]
+            self.monomials = [(i, j) for _, i, j in quartics]
+            self.n_mono = tuple(i.size for i, _ in self.monomials)
+            p = len(dims)
+            self.spread = tuple(
+                table.reshape([size if axis % p == k else 1 for axis in range(2 * p)])
+                for k, ((table, _, _), size) in enumerate(zip(quartics, sizes)))
+            self.moments = (math.prod(self.n_mono[:-1]), self.n_mono[-1])
+            self.block = max(1, MOMENT_BLOCK // self.moments[0])
+
+    def __call__(self, groups):
+        p = len(self.pairs)
+        v_all = np.empty((_size(groups), self.space))   # sqrt(u_i) V_i per subject
+        mom, done = np.zeros(self.moments), 0
+        for g in groups:
+            n_g, m = g.z.shape[:2]
+            step = max(1, self.block // m)
+            for s in range(0, n_g, step):
+                # pair products of the block's rows, one (D_k, rows) array per dimension
+                prods = [f[a] * f[b] for f, (a, b) in zip(
+                    (f[s:s + step].reshape(-1, f.shape[-1]).T for f in g.factors), self.pairs)]
+                n_b = prods[0].shape[1] // m
+                if p == 1:
+                    v = prods[0].reshape(-1, n_b, m).sum(axis=2).T
+                    left = right = prods[0]
+                else:
+                    v = (reduce(khatri_rao, prods[:-1]).reshape(-1, n_b, m)
+                         .transpose(1, 0, 2) @ prods[-1].reshape(-1, n_b, m).transpose(1, 2, 0))
+                    mono = [x[i] * x[j] for x, (i, j) in zip(prods, self.monomials)]
+                    left, right = reduce(khatri_rao, mono[:-1]), mono[-1]
+                np.multiply(v.reshape(n_b, -1), math.sqrt(g.u), out=v_all[done:done + n_b])
+                done += n_b
+                mom += g.u * (left @ right.T)
+        k = v_all.T @ v_all
+        k -= mom if p == 1 else mom.reshape(self.n_mono)[self.spread].reshape(k.shape)
+        x = k.ravel()
+        out = np.empty((self.half_scale.size,) * 2)
+        cs, d, ds, c = self.kron
+        for r, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            rows = out[lo:hi]
+            x.take(cs[r] + d[r:], out=rows, mode="clip")   # in range; clip skips a buffer
+            rows += x.take(ds[r] + c[r:])
+            rows *= self.half_scale       # s_cd / 2, and s_ab = sqrt(2) off row (r, r)
+            rows[1:] *= math.sqrt(2.0)
+        return out
 
 
 def precompute(data, cross, grams, folds=None):
@@ -459,7 +557,7 @@ def precompute(data, cross, grams, folds=None):
         if set(np.asarray(folds.assignment).tolist()) != set(range(folds.n_folds)):
             raise ValueError(f"the fold assignment must label each subject with a fold in "
                              f"0..{folds.n_folds - 1} and leave no fold empty")
-    rows, groups = _layout(grams, data, cross)
+    rows_of, groups = _layout(grams, data, cross)
     dims = tuple(gf.retained_rank for gf in grams)
     q = int(np.prod(dims))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,14 +569,16 @@ def precompute(data, cross, grams, folds=None):
 
     g_sym, g_fold = None, []
     if q * q <= DENSE_LIMIT:
+        packed_g = _PackedG(dims, pk)
         if folds is None:
-            g_sym = _packed_g(groups, pk) / data.n
+            g_sym = packed_g(groups)
+            g_sym /= data.n
         else:
-            g_fold = [_packed_g(_select(groups, folds.valid_subjects(f)), pk)
+            g_fold = [packed_g(_select(groups, folds.valid_subjects(f)))
                       for f in range(folds.n_folds)]
             g_sym = sum(g_fold) / data.n
     return Precompute(
-        grams=list(grams), dims=dims, L=np.split(rows, np.cumsum(data.counts)[:-1]),
+        grams=list(grams), dims=dims, L=rows_of,
         groups=groups, h=h.ravel(), c0=c0, pack=pk,
         G_sym=g_sym, G_fold=g_fold, folds=folds,
     )
@@ -765,6 +865,9 @@ def _iterate(pre, configs):
             anchor = np.maximum(np.maximum(_frob(b), _frob(d[:, 0])),
                                 pre.h_norm / ((p + 1) * eta[cell]))
             conv &= r_cons <= np.sqrt(tol) * np.maximum(anchor, 1e-300)
+            # nor at a standing start: a cell the zero certificate did not
+            # cover may not stop while D_0 is still exactly zero
+            conv &= _frob(d[:, 0]) > 0.0
 
         done = conv | (t + 1 >= max_iters)
         if not done.any():

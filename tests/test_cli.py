@@ -859,12 +859,10 @@ class TestCv:
         assert (capped[selected["lambda"]] > 0) == (code == 2)
         assert (sum(capped.values()) > 0) == (max_iters == "1")
 
-    @pytest.mark.xfail(strict=True, reason="a step far below the loss curvature passes "
-                       "the stop test at the zero start")
     def test_a_far_median_leaves_no_cell_falsely_converged(self, dataset_csv, tmp_path):
         # the median of (1e6, 1e-4) is 5e5, so at --eta 1e-9 the 1e-4 cell
-        # steps at 2e-19; one iteration cannot fit it, yet every fold of it
-        # reports convergence at the zero fit
+        # steps at 2e-19; one iteration cannot fit it, so its folds must
+        # report the cap rather than convergence at the zero start
         out = tmp_path / "cv"
         run("cv", "--data", dataset_csv, "--out", out, *CV_FLAGS, "--lambda-grid", "1e6",
             "1e-4", "--beta-grid", "0.5", "--max-iters", "1")

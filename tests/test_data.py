@@ -176,6 +176,26 @@ class TestCrossProducts:
             s = np.linalg.svd(z, compute_uv=False)
             assert s[1] < 1e-10 * max(s[0], 1e-300)
 
+    def test_subjects_sharing_a_count_keep_their_own_products(self):
+        # one broadcast product per count; each z is still exactly the
+        # outer product of its own subject's values
+        rng = np.random.default_rng(1)
+        counts = [3, 2, 3, 4, 2, 3]
+        data = FunctionalDataset([rng.uniform(size=(m, 1)) for m in counts],
+                                 [rng.standard_normal(m) for m in counts])
+        for z, vals in zip(cross_products(data).z, data.values):
+            assert np.array_equal(z, np.outer(vals, vals))
+
+    def test_overflow_is_judged_per_subject(self):
+        # a subject with a NaN value has NaN products and is no overflow; a
+        # subject of the same count with finite values that overflow is
+        locs = [np.full((2, 1), 0.5)] * 2
+        nan = FunctionalDataset(locs, [np.array([np.nan, 1.0]), np.array([1.0, 2.0])])
+        assert np.isnan(cross_products(nan).z[0]).any()
+        big = FunctionalDataset(locs, [np.array([np.nan, 1.0]), np.array([1e200, 1.0])])
+        with pytest.raises(ValueError, match="cross-products overflow float64"):
+            cross_products(big)
+
 
 class TestMakeFolds:
     def test_balanced_10_into_5(self):

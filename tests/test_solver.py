@@ -205,13 +205,14 @@ def g_oracle(pre, data, subjects):
 
 
 def unequal_counts_problem(p, q, seed):
-    """Eight subjects with counts 2..6 (five count groups) and 3 folds."""
+    """Eight subjects with counts 2..6 (five count groups) and 3 folds; q is
+    the rank of every dimension, or a tuple of one rank per dimension."""
     rng = np.random.default_rng(seed)
     counts = [2, 3, 6, 4, 2, 5, 3, 5]
     locs = [rng.uniform(size=(m, p)) for m in counts]
     vals = [rng.standard_normal(m) for m in counts]
     data = FunctionalDataset(locs, vals)
-    grams = synthetic_grams(rng, sum(counts), [q] * p)
+    grams = synthetic_grams(rng, sum(counts), [q] * p if np.isscalar(q) else q)
     return data, grams, make_folds(data, 3, 0)
 
 
@@ -244,12 +245,15 @@ def assert_rel(got, want, rel=1e-13):
 
 
 class TestBatchedG:
-    # the largest count group pools 10 rows, so the D-row correction blocks
-    # split it for (p, q) = (1, 2) and (1, 3) (D = 3, 6), not for (2, 2) and
-    # (2, 3) (D = 10, 45)
-    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    # the largest count group pools 10 rows: more than D for (p, q) = (1, 2)
+    # and (1, 3) (D = 3, 6), where the correction is the Gram of the rows'
+    # pair products, and fewer for the products of p >= 2 dimensions (D = 10
+    # to 45), where it comes from the per-dimension fourth moments, also at
+    # p = 3 and at unequal ranks
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, (2, 2, 2)),
+                                     (2, (3, 2))])
     def test_matches_per_subject_kron(self, p, q):
-        data, grams, folds = unequal_counts_problem(p, q, 40 + 3 * p + q)
+        data, grams, folds = unequal_counts_problem(p, q, 40 + 3 * p + int(np.prod(q)))
         pre = precompute(data, cross_products(data), grams, folds=folds)
         assert pre.G_sym is not None
         split = max(g.rows.shape[0] * g.rows.shape[1] for g in pre.groups) > pre.pack.dim
@@ -266,7 +270,7 @@ class TestBatchedG:
         assert_rel(plain.G_sym, oracle)
         # the (Q^2, Q^2) view: the oracle on symmetric matrices, zero on
         # antisymmetric ones
-        rng = np.random.default_rng(50 + 3 * p + q)
+        rng = np.random.default_rng(50 + 3 * p + int(np.prod(q)))
         g = pre.G
         for a in rng.standard_normal((5, pre.q_total, pre.q_total)):
             sym = (a + a.T).ravel()
@@ -523,6 +527,25 @@ class TestLossInvariances:
         idx = np.tile(np.arange(int(data.counts.sum())), 2)
         assert_same_loss(precompute(data, cross_products(data), grams),
                          precompute(twice, cross_products(twice), with_rows(grams, idx)))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_permuting_subjects_leaves_the_loss_system_bit_identical(self, p):
+        # a count group sums its subjects in the order of their data, so the
+        # packed G and its fold pieces, h and c0 do not depend on how the
+        # subjects are numbered, to the last bit
+        data, grams, folds = unequal_counts_problem(p, 2, 130 + p)
+        perm = np.random.default_rng(140 + p).permutation(data.n)
+        starts = np.cumsum(data.counts) - data.counts
+        idx = np.concatenate([starts[i] + np.arange(data.counts[i]) for i in perm])
+        moved = FunctionalDataset([data.locations[i] for i in perm],
+                                  [data.values[i] for i in perm])
+        pre = precompute(data, cross_products(data), grams, folds=folds)
+        pre_m = precompute(moved, cross_products(moved), with_rows(grams, idx),
+                           folds=FoldAssignment(folds.n_folds, folds.assignment[perm]))
+        assert np.array_equal(pre_m.G_sym, pre.G_sym)
+        assert all(np.array_equal(a, b) for a, b in zip(pre_m.G_fold, pre.G_fold))
+        assert np.array_equal(pre_m.h, pre.h)
+        assert pre_m.c0 == pre.c0
 
     @given(small_problems)
     def test_permuting_subjects_with_their_fold_labels(self, problem):
