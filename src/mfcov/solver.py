@@ -42,7 +42,8 @@ it would have alone bit for bit on the matrix-free path, and up to rounding
 on the dense path, where numpy multiplies a stack of one by gemv and a
 larger stack by gemm, which sum in another order
 (``test_stack_matches_stacks_of_one``).  A single fit is a stack of one, and
-cross-validation runs a fold's whole grid as one stack on the dense path.
+cross-validation runs a fold's whole grid as one stack, whichever solve the
+fold's loss system holds (``precompute`` chooses it).
 A one-way unfolding M is q_k x (Q^2 / q_k), so its singular-value
 soft-threshold comes from the eigendecomposition of the small Gram M M^T,
 not from an SVD of M; cells with beta = 1 skip it.
@@ -59,7 +60,7 @@ eta a diagonal scaling.  Beyond
 (``_conjugate_gradient``, numpy only, one system per call) with a
 symmetrized right-hand side and result, warm-started from the previous
 iterate, until the residual is finite and below 1e-12 relative to the
-right-hand side.  Cells then run one at a time.
+right-hand side.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
@@ -156,7 +157,8 @@ class FitConfig:
 #: kernel on unit-scale data at the grid's median lambda, 1e-5 (``cv_select``
 #: scales it with lambda; the optimum does not depend on eta, the path does).
 #: ``FitConfig`` keeps eta = 1, the step of an O(1) loss, until the step comes
-#: from the loss: at 1e-9 a fit on O(1) data stops on a false plateau at zero.
+#: from the loss: at 1e-9 a fit on O(1) data stalls, at zero to the iteration
+#: cap when beta > 0, and "converged" far above the optimum when beta = 0.
 TUNING_BASE = FitConfig(eta=1e-9)
 
 
@@ -934,8 +936,7 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     are ``folds`` (a ``FoldAssignment``), else those of ``pre``, else
     ``make_folds(data)``; ``pre``, built from ``data`` and ``grams`` with
     its folds, can go on to the final ``admm_fit``.  ``check_tuning_grids``
-    validates the grids.  On the dense path a fold's whole grid runs as one
-    stack of cells; on the matrix-free path the cells run one at a time.
+    validates the grids.  A fold's whole grid runs as one stack of cells.
     ``base`` (by default ``TUNING_BASE``; ``FitConfig()`` for an O(1) loss)
     steps the cells of a lambda with base.eta * lambda / lambda_ref,
     lambda_ref the grid's median positive lambda, so every cell runs at the
@@ -963,21 +964,17 @@ def cv_select(data, grams, lambda_grid=DEFAULT_LAMBDA_GRID,
     cells = [(li, bj) for bj in range(len(beta_grid)) for li in range(len(lambda_grid))]
     configs = {(li, bj): replace(base, lam=lambda_grid[li], beta=beta_grid[bj],
                                  eta=eta_grid[li]) for li, bj in cells}
-    size = 1 if pre.G_sym is None else len(cells)
     scores = np.zeros((len(lambda_grid), len(beta_grid)))
     n_iters = np.zeros(scores.shape, dtype=int)
     unconverged = np.zeros(scores.shape, dtype=int)
     for f in range(folds.n_folds):
-        system = pre.training(f)
-        for start in range(0, len(cells), size):
-            stack = cells[start:start + size]
-            fits = _iterate(system, [configs[c] for c in stack])
-            held_out = pre.loss_direct(np.stack([fit.coeff_square() for fit in fits]),
-                                       folds.valid_subjects(f))
-            for c, fit, score in zip(stack, fits, held_out):
-                scores[c] += score
-                n_iters[c] += fit.n_iters
-                unconverged[c] += not fit.converged
+        fits = _iterate(pre.training(f), [configs[c] for c in cells])
+        held_out = pre.loss_direct(np.stack([fit.coeff_square() for fit in fits]),
+                                   folds.valid_subjects(f))
+        for c, fit, score in zip(cells, fits, held_out):
+            scores[c] += score
+            n_iters[c] += fit.n_iters
+            unconverged[c] += not fit.converged
     scores /= folds.n_folds
 
     chosen = configs[min(np.ndindex(scores.shape), key=lambda c: (

@@ -562,7 +562,7 @@ class TestLossInvariances:
         _, scores, cells = cv_select(data, grams, folds=folds, **tuning)
         _, scores_m, cells_m = cv_select(moved, with_rows(grams, idx),
                                          folds=moved_folds, **tuning)
-        assert_rel(scores_m, scores, rel=1e-12)
+        assert np.array_equal(scores_m, scores)
         assert np.array_equal(cells_m.n_iters, cells.n_iters)
         assert np.array_equal(cells_m.unconverged_folds, cells.unconverged_folds)
 
@@ -1086,8 +1086,13 @@ class TestStackedAdmm:
                                   pre=pre)
                 assert out.n_iters == single.n_iters
                 assert out.converged == single.converged
-                ref = np.linalg.norm(single.coeffs)
-                assert np.linalg.norm(out.coeffs - single.coeffs) <= 1e-12 * ref
+                if dense:
+                    ref = np.linalg.norm(single.coeffs)
+                    assert np.linalg.norm(out.coeffs - single.coeffs) <= 1e-12 * ref
+                else:
+                    assert np.array_equal(out.coeffs, single.coeffs)
+                    assert out.objective_value == single.objective_value
+                    assert np.array_equal(out.primal_residuals, single.primal_residuals)
             n_iters = [out.n_iters for out in stacked]
             assert np.linalg.norm(stacked[3].coeffs) == 0.0
             assert n_iters[3] == 0 and stacked[3].converged
@@ -1341,6 +1346,50 @@ class TestCvSelect:
         assert np.ptp(scores_d) > 1e-3 * scores_d.max()
         np.testing.assert_array_equal(cells_m.unconverged_folds,
                                       cells_d.unconverged_folds)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_each_fold_runs_its_whole_grid_as_one_stack(self, dense, monkeypatch):
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        stacks = []
+        iterate = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", lambda pre, configs: (
+            stacks.append(len(configs)) or iterate(pre, configs)))
+        cv_select(data, grams, [1e-3, 1e-2], [0.0, 0.5, 1.0], folds=make_folds(data, 3),
+                  base=FitConfig())
+        assert stacks == [6, 6, 6]
+
+    def test_matrix_free_grid_matches_cells_run_one_at_a_time(self, monkeypatch):
+        # each cell of a matrix-free stack has the fit it has alone, to the
+        # last bit, so the whole-grid stack changes no score
+        data, cross, grams, _ = make_problem(
+            p=2, n=9, m=4, q=2, seed=30, model_scale=1.5, noise=0.2)
+        monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+        lambda_grid, beta_grid = [1e-3, 1e-2, 3e-2, 1e9], [0.0, 0.5, 1.0]
+        base, folds = FitConfig(max_iters=40), make_folds(data, 3)
+        _, scores, cells = cv_select(data, grams, lambda_grid, beta_grid, folds=folds,
+                                     base=base)
+        pre = precompute(data, cross, grams, folds=folds)
+        want = np.zeros((3,) + scores.shape)
+        for f in range(folds.n_folds):
+            system = pre.training(f)
+            for c in np.ndindex(scores.shape):
+                lam = lambda_grid[c[0]]
+                # the eta cv_select gives a lambda; 2e-2 is the median positive one
+                [fit] = solver._iterate(system, [replace(
+                    base, lam=lam, beta=beta_grid[c[1]], eta=base.eta * lam / 2e-2)])
+                want[(0,) + c] += pre.loss_direct(fit.coeff_square()[None],
+                                                  folds.valid_subjects(f))[0]
+                want[(1,) + c] += fit.n_iters
+                want[(2,) + c] += not fit.converged
+        assert np.array_equal(scores, want[0] / folds.n_folds)
+        assert np.array_equal(cells.n_iters, want[1])
+        assert np.array_equal(cells.unconverged_folds, want[2])
+        # some cells converge, some stop at the cap and one is certified zero
+        assert 0 < cells.unconverged_folds.sum() < 3 * (cells.n_iters > 0).sum()
+        assert (cells.n_iters[3] == 0).all()
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_iteration_makes_no_svd_call(self, dense, monkeypatch):
