@@ -16,11 +16,10 @@ dense batches (``CountGroup``), so unequal counts need no padding.  A group
 lists its subjects in the byte order of their data, so no sum depends on
 how the subjects are numbered.  The forward map B -> offdiag(L_i B L_i^T)
 and its adjoint Y -> sum_i u_i L_i^T Y_i L_i, batched over subjects and
-stacks of cells, give h, the held-out loss and the matrix-free G x.  The
-dense path builds G in packed symmetric coordinates only, from the
-per-dimension structure of the Khatri-Rao rows (``_PackedG``): the Gram of
-the subjects' pair-product sums and the Gram of the rows' per-dimension
-fourth moments.
+stacks of cells, give h and the held-out loss.  G is built in packed
+symmetric coordinates only, from the per-dimension structure of the
+Khatri-Rao rows (``_PackedG``): the Gram of the subjects' pair-product sums
+and the Gram of the rows' per-dimension fourth moments.
 
 The objective, loss(B) + lambda (beta ||B_sq||_* + (1 - beta) / p sum_k
 ||B_(k)||_*), is minimized over PSD B_sq at every (lambda, beta); one
@@ -37,30 +36,25 @@ eigh calls, while momentum, restarts and the stopping test stay per cell; a
 converged cell leaves the stack.  Each cell steps with its own eta (ridge
 shift, prox thresholds and consensus anchor): ``cv_select`` scales eta with
 lambda, so every cell of a grid runs at the prox thresholds of the cell at
-the grid's median lambda.  Each cell's iterates are the ones
-it would have alone bit for bit on the matrix-free path, and up to rounding
-on the dense path, where numpy multiplies a stack of one by gemv and a
-larger stack by gemm, which sum in another order
+the grid's median lambda.  Each cell's iterates are the ones it would have
+alone up to rounding: numpy multiplies a stack of one by gemv and a larger
+stack by gemm, which sum in another order
 (``test_stack_matches_stacks_of_one``).  A single fit is a stack of one, and
-cross-validation runs a fold's whole grid as one stack, whichever solve the
-fold's loss system holds (``precompute`` chooses it).
-A one-way unfolding M is q_k x (Q^2 / q_k), so its singular-value
-soft-threshold comes from the eigendecomposition of the small Gram M M^T,
-not from an SVD of M; cells with beta = 1 skip it.
+cross-validation runs a fold's whole grid as one stack.  A one-way unfolding
+M is q_k x (Q^2 / q_k), so its singular-value soft-threshold comes from the
+eigendecomposition of the small Gram M M^T, not from an SVD of M; cells with
+beta = 1 skip it.
 
 Every iterate's square unfolding is kept exactly symmetric by restricting
 the B-subproblem to the symmetric subspace (the ridge system maps that
 subspace to itself, so this is the subproblem's exact minimizer over
-symmetric B).  The dense path solves in packed symmetric coordinates
+symmetric B).  The ridge system is solved in packed symmetric coordinates
 (dimension Q(Q+1)/2, an isometry that roughly halves the linear algebra),
 where one eigendecomposition of the packed G per run of the iteration
 (``Precompute.solver``, freed when the run returns) makes the solve for any
-eta a diagonal scaling.  Beyond
-``DENSE_LIMIT`` it is conjugate gradients on the Q x Q matrix of each cell
-(``_conjugate_gradient``, numpy only, one system per call) with a
-symmetrized right-hand side and result, warm-started from the previous
-iterate, until the residual is finite and below 1e-12 relative to the
-right-hand side.
+eta a diagonal scaling.  That is the only solve: ``precompute`` refuses a
+problem with Q^2 above ``DENSE_LIMIT`` (Q <= 50, so a gram cap of at most 7
+at p = 2 and 3 at p = 3) before it builds anything.
 
 Before iterating, each loss system certifies the cells whose optimum is the
 zero covariance; they never enter the stack.  With h the square unfolding of
@@ -115,8 +109,9 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, -4.0, 5))
 DEFAULT_BETA_GRID = (0.0, 0.5, 1.0)
 
-# G is materialized densely while (prod q_k)^2 stays below this; beyond it
-# the solver switches to matrix-free conjugate-gradient B-updates.
+# The largest Q^2 (Q = prod q_k) whose loss system ``precompute`` builds: the
+# packed G is (D, D), D = Q(Q+1)/2, and each run of the iteration takes its
+# eigendecomposition.  Beyond it ``precompute`` raises a ValueError.
 DENSE_LIMIT = 2500
 
 # Rows times columns of a block of the dense G's moment Gram, which keeps a
@@ -269,14 +264,12 @@ def _data_pieces(groups):
 class Precompute:
     """The quadratic loss of one subject set, which the ADMM runs on.
 
-    ``groups`` batches the factor rows by observation count; h, c0 and, on
-    the dense path, the packed G_sym = S^T G S give the loss.  ``G_sym`` is
-    None in matrix-free mode (``precompute`` decides, by ``DENSE_LIMIT``).
-    ``folds`` is the fold assignment the precompute was built with, if any;
-    on the dense path ``G_fold[f]`` then holds the packed raw sum of u_i G_i
-    over fold f's subjects, from which ``training`` subtracts.  ``G``,
-    (Q^2, Q^2), is derived on access, never stored; only quantities of h
-    are cached.  The eigendecomposition of G_sym belongs to the ridge solve
+    ``groups`` batches the factor rows by observation count; h, c0 and the
+    packed G_sym = S^T G S give the loss.  ``folds`` is the fold assignment
+    the precompute was built with, if any; ``G_fold[f]`` then holds the
+    packed raw sum of u_i G_i over fold f's subjects, from which
+    ``training`` subtracts.  ``G``, (Q^2, Q^2), is derived on access, never
+    stored; only quantities of h are cached.  The eigendecomposition of G_sym belongs to the ridge solve
     that ``solver`` returns, one per run, and is never kept here.
     """
 
@@ -287,16 +280,14 @@ class Precompute:
     h: np.ndarray            # (Q^2,)
     c0: float
     pack: SymPacking
-    G_sym: np.ndarray | None  # packed (D, D), None in matrix-free mode
+    G_sym: np.ndarray        # packed (D, D)
     G_fold: list = field(default_factory=list)   # packed (D, D) raw fold sums
     folds: FoldAssignment | None = None
 
     @property
     def G(self):
-        """S G_sym S^T, (Q^2, Q^2) and None in matrix-free mode: G on symmetric
-        matrices, the only ones the loss sees, and zero on antisymmetric ones."""
-        if self.G_sym is None:
-            return None
+        """S G_sym S^T, (Q^2, Q^2): G on symmetric matrices, the only ones the
+        loss sees, and zero on antisymmetric ones."""
         qq = self.q_total ** 2
         half = self.pack.unpack(self.G_sym).reshape(-1, qq)    # G_sym S^T
         return self.pack.unpack(half.T).reshape(qq, qq)
@@ -329,8 +320,7 @@ class Precompute:
         train = self.folds.train_subjects(f)
         groups = _select(self.groups, train)
         h, c0 = _data_pieces(groups)
-        g_sym = None if self.G_sym is None else (
-            (self.G_sym * self.n - self.G_fold[f]) / train.size)
+        g_sym = (self.G_sym * self.n - self.G_fold[f]) / train.size
         return replace(self, L=[self.L[i] for i in train], groups=groups,
                        h=h.ravel(), c0=c0, G_sym=g_sym, G_fold=[], folds=None)
 
@@ -362,40 +352,24 @@ class Precompute:
     def _h_packed(self):
         return self.pack.pack(self.h_sq)
 
-    def _apply(self, x):
-        """Matrix-free G X for each matrix X of the stack."""
-        return sum(g.adjoint(g.forward(x)) for g in self.groups) / self.n
-
     def quad(self, x):
         """Data loss at each symmetric Q x Q matrix of the stack."""
-        if self.G_sym is None:
-            return self.loss_direct(x)
         x = self.pack.pack(x)
         return np.einsum("cp,cp->c", x, x @ self.G_sym) - x @ self._h_packed + self.c0
 
     def solver(self):
-        """The ridge solve ``solve(acc, eta, x0=None)``: the symmetric B of
-        each cell of a stack with (2 G + (p+1) eta[c] I) B = h + eta[c]
-        sym(acc[c]) (one eta may serve every cell); the matrix-free path
-        warm-starts from x0[c].  On the dense path the solve holds the
-        eigendecomposition of G_sym, made by this call, and nothing else
-        does: it goes when the solve does."""
-        if self.G_sym is not None:
-            g_eig, g_vec = np.linalg.eigh(self.G_sym)
+        """The ridge solve ``solve(acc, eta)``: the symmetric B of each cell
+        of a stack with (2 G + (p+1) eta[c] I) B = h + eta[c] sym(acc[c])
+        (one eta may serve every cell).  The solve holds the eigendecomposition
+        of G_sym, made by this call, and nothing else does: it goes when the
+        solve does."""
+        g_eig, g_vec = np.linalg.eigh(self.G_sym)
 
-        def solve(acc, eta, x0=None):
+        def solve(acc, eta):
             eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(acc),))
-            shift = (self.p + 1) * eta
-            if self.G_sym is not None:
-                y = (self._h_packed + eta[:, None] * self.pack.pack(acc)) @ g_vec
-                y /= 2.0 * g_eig + shift[:, None]
-                return self.pack.unpack(y @ g_vec.T)
-
-            rhs = _sym(self.h_sq + eta[:, None, None] * acc)
-            q = self.q_total   # at most 20 D steps, D = Q(Q+1)/2
-            return np.stack([_sym(_conjugate_gradient(
-                lambda x, c=c: 2.0 * self._apply(x) + shift[c] * x, rhs[c],
-                None if x0 is None else x0[c], 10 * q * (q + 1))) for c in range(len(rhs))])
+            y = (self._h_packed + eta[:, None] * self.pack.pack(acc)) @ g_vec
+            y /= 2.0 * g_eig + (self.p + 1) * eta[:, None]
+            return self.pack.unpack(y @ g_vec.T)
         return solve
 
 
@@ -551,7 +525,16 @@ class _PackedG:
 
 def precompute(data, cross, grams, folds=None):
     """Assemble the count groups, the packed G, h, c0 (and, with ``folds``,
-    the packed per-fold G pieces) for the quadratic loss."""
+    the packed per-fold G pieces) for the quadratic loss.  A ValueError,
+    before any of it is built, when Q^2 exceeds ``DENSE_LIMIT``."""
+    dims = tuple(gf.retained_rank for gf in grams)
+    q = math.prod(dims)
+    if q * q > DENSE_LIMIT:
+        p = len(dims)
+        cap = next(c for c in range(1, DENSE_LIMIT) if (c + 1) ** (2 * p) > DENSE_LIMIT)
+        raise ValueError(f"the retained ranks {dims} give Q = {q}, over the dense "
+                         f"solver's limit Q <= {math.isqrt(DENSE_LIMIT)}; use "
+                         f"--gram-cap {cap} or lower at p = {p}")
     if folds is not None:
         if len(folds.assignment) != data.n:
             raise ValueError(f"the fold assignment covers {len(folds.assignment)} subjects "
@@ -560,25 +543,20 @@ def precompute(data, cross, grams, folds=None):
             raise ValueError(f"the fold assignment must label each subject with a fold in "
                              f"0..{folds.n_folds - 1} and leave no fold empty")
     rows_of, groups = _layout(grams, data, cross)
-    dims = tuple(gf.retained_rank for gf in grams)
-    q = int(np.prod(dims))
     with np.errstate(over="ignore", invalid="ignore"):
         h, c0 = _data_pieces(groups)
     if (not (np.isfinite(h).all() and math.isfinite(c0))
             and all(np.isfinite(g.z).all() for g in groups)):
         raise ValueError(CROSS_OVERFLOW)
     pk = SymPacking(q)
-
-    g_sym, g_fold = None, []
-    if q * q <= DENSE_LIMIT:
-        packed_g = _PackedG(dims, pk)
-        if folds is None:
-            g_sym = packed_g(groups)
-            g_sym /= data.n
-        else:
-            g_fold = [packed_g(_select(groups, folds.valid_subjects(f)))
-                      for f in range(folds.n_folds)]
-            g_sym = sum(g_fold) / data.n
+    packed_g = _PackedG(dims, pk)
+    if folds is None:
+        g_sym, g_fold = packed_g(groups), []
+        g_sym /= data.n
+    else:
+        g_fold = [packed_g(_select(groups, folds.valid_subjects(f)))
+                  for f in range(folds.n_folds)]
+        g_sym = sum(g_fold) / data.n
     return Precompute(
         grams=list(grams), dims=dims, L=rows_of,
         groups=groups, h=h.ravel(), c0=c0, pack=pk,
@@ -715,60 +693,19 @@ class CovarianceFit:
         return square_unfold(self.coeffs)
 
 
-def _conjugate_gradient(matvec, rhs, x0, max_iters):
-    """Solve A X = rhs for one matrix by conjugate gradients (Frobenius inner
-    product) from x0, zero when ``x0`` is None.
-
-    ``matvec`` applies the symmetric positive-definite A.  The iteration
-    stops once the residual is finite with ||R|| < 1e-12 ||rhs||; a zero
-    right-hand side gives exactly zero.  A non-finite residual, or a residual
-    still above the bound after ``max_iters`` steps, raises RuntimeError.
-    """
-    bound = 1e-12 * _frob(rhs)
-    if bound == 0.0:
-        return np.zeros_like(rhs)
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs.copy() if x0 is None else rhs - matvec(x)
-    p = rho_prev = None
-    for step in range(max_iters + 1):
-        rho = _inner(r, r)
-        norm = np.sqrt(rho)
-        if not np.isfinite(norm):
-            raise RuntimeError("conjugate gradient failed to converge "
-                               f"(non-finite residual at step {step})")
-        if norm < bound:
-            return x
-        if step == max_iters:
-            break
-        if p is None:
-            p = r.copy()
-        else:
-            p *= rho / rho_prev
-            p += r
-        q = matvec(p)
-        alpha = rho / _inner(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-    raise RuntimeError("conjugate gradient failed to converge "
-                       f"in {max_iters} iterations")
-
-
-def _admm_map(solve, dims, b, d_hat, v_hat, lam, beta, eta):
+def _admm_map(solve, dims, d_hat, v_hat, lam, beta, eta):
     """One ADMM step for each cell of a stack, from the extrapolated blocks
     d_hat and v_hat, each (c, p + 1, Q, Q).
 
-    ``solve`` is a loss system's ridge solve (``Precompute.solver``), which
-    the matrix-free path warm-starts from ``b``, the previous B (None at the
-    first step); cell c penalizes with (lam[c], beta[c]) and steps with
-    eta[c].  Returns (B, D, V, the thresholded eigenvalues of D_0) and
-    writes to none of its inputs.
+    ``solve`` is a loss system's ridge solve (``Precompute.solver``); cell c
+    penalizes with (lam[c], beta[c]) and steps with eta[c].  Returns (B, D,
+    V, the thresholded eigenvalues of D_0) and writes to none of its inputs.
     """
     p, q = len(dims), d_hat.shape[-1]
     acc = d_hat[:, 0] - v_hat[:, 0]
     for k in range(1, p + 1):
         acc = acc + d_hat[:, k] - v_hat[:, k]
-    b = solve(acc, eta, x0=b)
+    b = solve(acc, eta)
 
     # each prox overwrites its block of B + V_hat; the one-way blocks of
     # beta=1 cells skip the Gram eigendecomposition and keep it
@@ -830,10 +767,9 @@ def _iterate(pre, configs):
     solve = pre.solver()
     d = v = d_hat = v_hat = np.zeros((cell.size, p + 1, q, q))
     alpha, obj_prev = np.ones(cell.size), np.full(cell.size, obj_init)
-    b = None
 
     for t in range(max_iters):
-        b, d_new, v_new, eigs = _admm_map(solve, pre.dims, b, d_hat, v_hat,
+        b, d_new, v_new, eigs = _admm_map(solve, pre.dims, d_hat, v_hat,
                                           lam[cell], beta[cell], eta[cell])
         obj = _penalized(pre.quad(d_new[:, 0]), d_new[:, 0], eigs,
                          lam[cell], beta[cell], pre.dims)
@@ -879,7 +815,7 @@ def _iterate(pre, configs):
         keep = ~done
         if not keep.any():
             break
-        cell, b = cell[keep], b[keep]
+        cell = cell[keep]
         d, v, d_hat, v_hat = d[keep], v[keep], d_hat[keep], v_hat[keep]
         alpha, obj_prev = alpha[keep], obj_prev[keep]
     return fits

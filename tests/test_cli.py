@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import mfcov
 from mfcov import cli, simulate, solver
 from mfcov.cli import MAGIC, RunConfig, main, read_container, write_container
-from mfcov.data import cross_products, gram_factors, load_csv, make_folds, save_csv
+from mfcov.data import (FunctionalDataset, cross_products, gram_factors, load_csv,
+                        make_folds, save_csv)
 from mfcov.kernel import KernelSpec
 from mfcov.simulate import SimSetting, generate
 from mfcov.solver import FitConfig, admm_fit, cv_select
@@ -523,17 +524,16 @@ class TestFit:
             "mfcov fit: cross-products overflow float64; rescale the values"]
 
     @pytest.mark.parametrize("command", ["fit", "cv", "eigen", "simulate"])
-    def test_matrix_free_fit_imports_numpy_alone(self, dataset_csv, fitted_container,
-                                                 tmp_path, command):
-        # no subcommand loads scipy; a gram cap of 12 gives q = 144, past
-        # DENSE_LIMIT, so fit's and cv's ridge solves run conjugate
-        # gradients, stopped here at the iteration cap (exit 2)
+    def test_commands_import_numpy_alone(self, dataset_csv, fitted_container, tmp_path,
+                                         command):
+        # no subcommand loads scipy; fit and cv stop here at the iteration
+        # cap (exit 2)
         out = tmp_path / "o"
-        matrix_free = ["--data", dataset_csv, "--gram-cap", "12", "--eta", "1.0",
-                       "--max-iters", "2"]
+        capped = ["--data", dataset_csv, "--gram-cap", "4", "--eta", "1.0",
+                  "--max-iters", "2"]
         argv = {
-            "fit": [*matrix_free, "--lambda", "1e-6"],
-            "cv": [*matrix_free, "--lambda-grid", "1e-6", "--beta-grid", "0.5"],
+            "fit": [*capped, "--lambda", "1e-6"],
+            "cv": [*capped, "--lambda-grid", "1e-6", "--beta-grid", "0.5"],
             "eigen": ["--container", fitted_container, "--data", dataset_csv],
             "simulate": [*SIM_FLAGS, "--reps", "1"],
         }[command]
@@ -548,7 +548,7 @@ class TestFit:
         assert done.stdout.splitlines() == [f"{code} []"], done.stderr
         if command == "fit":
             fit = json.loads((out / "fit.json").read_text())
-            assert math.prod(fit["dims"]) ** 2 > solver.DENSE_LIMIT
+            assert fit["dims"] == [4, 4]
             assert fit["n_iters"] == 2 and not fit["zero_solution"]
 
     @pytest.mark.parametrize("command", ["fit", "cv"])
@@ -643,6 +643,36 @@ SIM_FLAGS = ["--setting", "3", "--n", "6", "--m", "4", "--sigma", "0.2",
              "--seed", "11", "--reps", "2", "--gram-cap", "3",
              "--lambda-grid", "1e-6", "--beta-grid", "0.5",
              "--eta", "1e-9"]
+
+
+class TestDenseLimit:
+    """fit and cv refuse a gram cap whose retained ranks give Q = prod q_k
+    above 50 with one stderr line, before they make an output directory."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_a_cap_past_the_limit_exits_one(self, dataset_csv, tmp_path, command):
+        out = tmp_path / "o"
+        done = run_process(command, "--data", dataset_csv, "--out", out, "--gram-cap", "12")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"mfcov {command}: the retained ranks (12, 12) give Q = 144, over the dense "
+            "solver's limit Q <= 50; use --gram-cap 7 or lower at p = 2"]
+        assert not out.exists()
+
+    def test_p3_at_the_default_cap_names_cap_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "p3.csv"
+        save_csv(FunctionalDataset([rng.uniform(size=(4, 3)) for _ in range(8)],
+                                   [rng.standard_normal(4) for _ in range(8)]), path)
+        for command in ("fit", "cv"):
+            out = tmp_path / command
+            assert run(command, "--data", path, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"mfcov {command}: the retained ranks (5, 5, 5) give Q = 125")
+            assert err.endswith("use --gram-cap 3 or lower at p = 3\n")
+            assert not out.exists()
+        assert run("fit", "--data", path, "--out", tmp_path / "o", "--gram-cap", "3") in (0, 2)
 
 
 class TestSimulate:

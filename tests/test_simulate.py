@@ -529,6 +529,15 @@ class TestBenchmark:
         assert agg["reps"] == 2 and agg["failures"] == 1
         json.dumps(res.as_dict(), allow_nan=False)
 
+    def test_a_cap_past_the_dense_limit_fails_every_replication(self):
+        # the settings are two-dimensional: cap 8 gives Q = 64, which the
+        # loss system refuses
+        res = run_benchmark(self.SETTING, 2, FitProtocol(gram_cap=8))
+        assert res.rows == []
+        assert res.failures == [{"rep": rep, "error": (
+            "ValueError: the retained ranks (8, 8) give Q = 64, over the dense solver's "
+            "limit Q <= 50; use --gram-cap 7 or lower at p = 2")} for rep in (0, 1)]
+
     def test_reps_validation(self):
         with pytest.raises(ValueError, match="reps"):
             run_benchmark(self.SETTING, 0, FAST)
